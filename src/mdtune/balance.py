@@ -129,6 +129,8 @@ class Workload:
     benchmark_steps: int = 5000
     reset_steps: int = 1000
 
+    WIRE = {"rc0": "rc0_nm", "spacing0": "spacing0_nm", "box": "box_nm"}
+
     def __post_init__(self):
         object.__setattr__(self, "box", tuple(self.box))
         if self.benchmark_steps <= self.reset_steps:

@@ -19,7 +19,7 @@ from pathlib import Path
 
 from . import report
 from .balance import SyntheticNodeProfile, load_profile
-from .econ import EconParams, HardwareRow, PowerReading
+from .econ import EconParams, HardwareRow
 from .errors import MdtuneError
 from .launch import (
     enumerate_plan,
@@ -28,16 +28,10 @@ from .launch import (
     plan_to_json,
     plan_to_script,
 )
-from .logparse import metrics_to_csv, metrics_to_json, parse_metrics
+from .logparse import metrics_to_csv, parse_metrics
 from .manifest import load_manifest
-from .sweep import (
-    ShellExecutor,
-    SyntheticExecutor,
-    result_to_csv,
-    result_to_json,
-    result_to_table,
-    run_sweep,
-)
+from .sweep import ShellExecutor, SyntheticExecutor, result_to_json, run_sweep
+from .wire import from_doc, read, to_doc, validate
 
 log = logging.getLogger("mdtune")
 
@@ -83,7 +77,7 @@ def _cmd_sweep(args) -> int:
     if args.format == "json":
         text = result_to_json(result)
     elif args.format == "csv":
-        text = result_to_csv(result)
+        text = report.sweep_csv(result)
     elif args.format == "md":
         text = report.sweep_report(
             result,
@@ -91,7 +85,7 @@ def _cmd_sweep(args) -> int:
             fmt="md",
         )
     else:
-        text = result_to_table(result)
+        text = report.sweep_table(result)
     if not args.out or args.format != "json":
         sys.stdout.write(text)
     log.info("%d rows, %d failures", len(result.rows), len(result.failures))
@@ -106,51 +100,22 @@ def _cmd_parse_log(args) -> int:
     if args.format == "csv":
         sys.stdout.write(metrics_to_csv(all_metrics))
     else:
-        docs = [metrics_to_json(m) for m in all_metrics]
+        docs = [to_doc(m) for m in all_metrics]
         sys.stdout.write(json.dumps(docs if len(docs) > 1 else docs[0],
                                     indent=2, sort_keys=True) + "\n")
     return 0
 
 
-def _econ_params(doc: dict) -> EconParams:
-    e = doc.get("econ", {})
-    return EconParams(
-        lifetime_years=e.get("lifetime_years", 5.0),
-        energy_price_eur_per_kwh=e.get("energy_price_eur_per_kwh", 0.2),
-        per_node_network_cost_eur=e.get("per_node_network_cost_eur", 0.0),
-    )
-
-
-def _econ_inputs(doc: dict) -> list[report.EconInput]:
-    inputs = []
-    for row in doc["rows"]:
-        power = None
-        if "power" in row:
-            p = row["power"]
-            power = PowerReading(
-                kind=p["kind"],
-                value=p["value"],
-                gpus_installed=p.get("gpus_installed", 0),
-                gpus_active=p.get("gpus_active", 0),
-                idle_gpu_power_w=p.get("idle_gpu_power_w"),
-            )
-        inputs.append(
-            report.EconInput(
-                label=row["label"],
-                performance=row["performance_ns_day"],
-                node_cost_eur=row["node_cost_eur"],
-                power=power,
-                power_w=row.get("power_w"),
-                rack_units=row.get("rack_units"),
-            )
-        )
-    return inputs
+def _read_rows(path: str) -> tuple[dict, EconParams, list[report.EconInput]]:
+    """A validated rows document, its econ parameters and its rows."""
+    doc = read(path)
+    validate(doc, "rows")
+    params = from_doc(EconParams, doc.get("econ", {}))
+    return doc, params, [from_doc(report.EconInput, row) for row in doc["rows"]]
 
 
 def _cmd_analyze_costs(args) -> int:
-    doc = json.loads(Path(args.rows).read_text())
-    params = _econ_params(doc)
-    inputs = _econ_inputs(doc)
+    _, params, inputs = _read_rows(args.rows)
     yield_unit = report.YIELD_US if args.yield_unit == "us" else report.YIELD_NS
     if args.format == "json":
         rows = report.full_precision_rows(inputs, params)
@@ -162,7 +127,8 @@ def _cmd_analyze_costs(args) -> int:
 
 
 def _cmd_scaling(args) -> int:
-    doc = json.loads(Path(args.rows).read_text())
+    doc = read(args.rows)
+    validate(doc, "series")
     series = [
         report.ScalingSeries(
             label=s["label"],
@@ -186,22 +152,12 @@ def _parse_weights(text: str) -> dict[str, float]:
 
 
 def _cmd_recommend(args) -> int:
-    doc = json.loads(Path(args.rows).read_text())
-    params = _econ_params(doc)
-    inputs = _econ_inputs(doc)
+    doc, params, inputs = _read_rows(args.rows)
     econ_rows = report.full_precision_rows(inputs, params)
-    hardware = []
-    for inp, econ, raw in zip(inputs, econ_rows, doc["rows"]):
-        hardware.append(
-            HardwareRow(
-                label=inp.label,
-                econ=econ,
-                perf_per_price=raw.get("perf_per_price"),
-                performance=inp.performance,
-                parallel_performance=raw.get("parallel_performance_ns_day"),
-                rack_units=inp.rack_units,
-            )
-        )
+    hardware = [
+        dataclasses.replace(from_doc(HardwareRow, row), econ=econ)
+        for row, econ in zip(doc["rows"], econ_rows)
+    ]
     weights = _parse_weights(args.weights) if args.weights else None
     fmt = "csv" if args.format == "csv" else "md"
     sys.stdout.write(report.recommend_report(hardware, weights, fmt=fmt))

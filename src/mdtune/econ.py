@@ -245,6 +245,10 @@ class HardwareRow:
     parallel_performance: Optional[float] = None  # C3, ns/day at scale
     rack_units: Optional[int] = None  # C5, smaller is better
 
+    # its row in a rows document (``econ`` is computed from the row)
+    WIRE = {"performance": "performance_ns_day",
+            "parallel_performance": "parallel_performance_ns_day"}
+
     def criterion(self, name: str) -> Optional[float]:
         """Criterion value oriented so that larger is always better."""
         if name == "C1":

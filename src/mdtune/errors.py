@@ -31,7 +31,8 @@ class LogParseError(MdtuneError):
 
 
 class ManifestError(MdtuneError):
-    """A run manifest failed validation; the message names the field path."""
+    """An input document (a run manifest, node catalog, rows or series
+    document) failed validation; the message names the field path."""
 
     def __init__(self, message, path=""):
         if path:

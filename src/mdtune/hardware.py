@@ -5,17 +5,19 @@ and idle powers are optional: the hardware market moves fast, so anything
 cost-related must be declared explicitly and economics code raises
 MissingDatumError instead of guessing.
 
-Catalogs are ingested from JSON documents with a fixed field vocabulary
-(see ``node_from_json``); unknown fields are rejected to catch typos early.
+Catalogs are ingested from JSON documents validated against the node
+schema (see ``node_from_json``); unknown fields are rejected to catch typos
+early.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
 from .errors import MdtuneError
+from .wire import from_doc, validate
 
 DESKTOP = "desktop"  # rack_units value for desktop-chassis machines
 
@@ -95,6 +97,8 @@ class NodeSpec:
     rack_units: int | str = DESKTOP
     idle_power_w: Optional[float] = None
 
+    WIRE = {"node_price_eur": "node_price"}
+
     def __post_init__(self):
         object.__setattr__(self, "gpus", tuple(self.gpus))
         if self.node_price_eur < 0:
@@ -136,142 +140,16 @@ def total_hw_threads(node: NodeSpec, use_ht: bool) -> int:
     return cpu.sockets * cpu.cores_per_socket * per_core
 
 
-# ---------------------------------------------------------------------------
-# JSON catalog ingestion
-# ---------------------------------------------------------------------------
-
-_CPU_FIELDS = {
-    "model_name",
-    "sockets",
-    "cores_per_socket",
-    "hardware_threads_per_core",
-    "base_clock_mhz",
-}
-_GPU_FIELDS = {
-    "model_name",
-    "cuda_cores",
-    "base_clock_mhz",
-    "max_app_clock_mhz",
-    "memory_gb",
-    "price_eur",
-    "idle_power_w",
-    "supports_app_clocks",
-}
-_NODE_FIELDS = {
-    "cpu",
-    "gpus",
-    "node_price",
-    "interconnect",
-    "interconnect_detail",
-    "rack_units",
-    "idle_power_w",
-}
-
-
-def _check_fields(doc: dict, allowed: set, where: str) -> None:
-    unknown = set(doc) - allowed
-    if unknown:
-        raise MdtuneError(f"unknown field(s) in {where}: {', '.join(sorted(unknown))}")
-
-
-def cpu_from_json(doc: dict) -> CpuSpec:
-    _check_fields(doc, _CPU_FIELDS, "cpu")
-    return CpuSpec(
-        model_name=doc["model_name"],
-        sockets=int(doc["sockets"]),
-        cores_per_socket=int(doc["cores_per_socket"]),
-        hardware_threads_per_core=int(doc.get("hardware_threads_per_core", 1)),
-        base_clock_mhz=float(doc.get("base_clock_mhz", 0.0)),
-    )
-
-
-def gpu_from_json(doc: dict) -> GpuSpec:
-    _check_fields(doc, _GPU_FIELDS, "gpu")
-    return GpuSpec(
-        model_name=doc["model_name"],
-        cuda_cores=int(doc["cuda_cores"]),
-        base_clock_mhz=float(doc["base_clock_mhz"]),
-        max_app_clock_mhz=(
-            float(doc["max_app_clock_mhz"]) if doc.get("max_app_clock_mhz") is not None else None
-        ),
-        memory_gb=float(doc.get("memory_gb", 0.0)),
-        price_eur=(float(doc["price_eur"]) if doc.get("price_eur") is not None else None),
-        idle_power_w=(
-            float(doc["idle_power_w"]) if doc.get("idle_power_w") is not None else None
-        ),
-        supports_app_clocks=bool(doc.get("supports_app_clocks", False)),
-    )
-
-
 def node_from_json(doc: dict) -> NodeSpec:
-    """Build a NodeSpec from a catalog document.
+    """Build a NodeSpec from a catalog document (``schema.json#/$defs/node``).
 
     Expected shape::
 
         {"cpu": {...}, "gpus": [{...}, ...], "node_price": 4400,
          "interconnect": "fdr14_ib", "rack_units": 2, "idle_power_w": 150}
 
-    Unknown fields raise; ``gpus`` may be empty or absent.
+    Unknown fields raise; ``gpus`` may be empty or absent. ``wire.to_doc``
+    writes a node back in this shape.
     """
-    _check_fields(doc, _NODE_FIELDS, "node")
-    if "cpu" not in doc:
-        raise MdtuneError("node: missing required field 'cpu'")
-    try:
-        interconnect = Interconnect(doc.get("interconnect", "none"))
-    except ValueError:
-        raise MdtuneError(
-            f"node: unknown interconnect {doc.get('interconnect')!r} "
-            f"(use one of {[i.value for i in Interconnect]})"
-        ) from None
-    rack_units = doc.get("rack_units", DESKTOP)
-    if not isinstance(rack_units, str):
-        rack_units = int(rack_units)
-    return NodeSpec(
-        cpu=cpu_from_json(doc["cpu"]),
-        gpus=tuple(gpu_from_json(g) for g in doc.get("gpus", [])),
-        node_price_eur=float(doc.get("node_price", 0.0)),
-        interconnect=interconnect,
-        interconnect_detail=doc.get("interconnect_detail"),
-        rack_units=rack_units,
-        idle_power_w=(
-            float(doc["idle_power_w"]) if doc.get("idle_power_w") is not None else None
-        ),
-    )
-
-
-def node_to_json(node: NodeSpec) -> dict:
-    """Inverse of node_from_json (None-valued optionals are omitted)."""
-    gpus = []
-    for g in node.gpus:
-        doc = {
-            "model_name": g.model_name,
-            "cuda_cores": g.cuda_cores,
-            "base_clock_mhz": g.base_clock_mhz,
-            "memory_gb": g.memory_gb,
-            "supports_app_clocks": g.supports_app_clocks,
-        }
-        if g.max_app_clock_mhz is not None:
-            doc["max_app_clock_mhz"] = g.max_app_clock_mhz
-        if g.price_eur is not None:
-            doc["price_eur"] = g.price_eur
-        if g.idle_power_w is not None:
-            doc["idle_power_w"] = g.idle_power_w
-        gpus.append(doc)
-    doc = {
-        "cpu": {
-            "model_name": node.cpu.model_name,
-            "sockets": node.cpu.sockets,
-            "cores_per_socket": node.cpu.cores_per_socket,
-            "hardware_threads_per_core": node.cpu.hardware_threads_per_core,
-            "base_clock_mhz": node.cpu.base_clock_mhz,
-        },
-        "gpus": gpus,
-        "node_price": node.node_price_eur,
-        "interconnect": node.interconnect.value,
-        "rack_units": node.rack_units,
-    }
-    if node.interconnect_detail is not None:
-        doc["interconnect_detail"] = node.interconnect_detail
-    if node.idle_power_w is not None:
-        doc["idle_power_w"] = node.idle_power_w
-    return doc
+    validate(doc, "node")
+    return from_doc(NodeSpec, doc)

@@ -16,6 +16,7 @@ from typing import Iterable, Optional, Sequence
 
 from .errors import InvalidConfigError
 from .hardware import NodeSpec, total_hw_threads
+from .wire import from_doc, to_doc
 
 # Separate-PME rank counts are tried at these fractions of the total rank
 # count, rounded and deduplicated.
@@ -479,47 +480,12 @@ def parse_command(text: str) -> LaunchConfig:
 # ---------------------------------------------------------------------------
 
 
-def config_to_json(config: LaunchConfig) -> dict:
-    doc = {
-        "n_rank": config.n_rank,
-        "n_th": config.n_th,
-        "n_pme": config.n_pme,
-        "dlb": config.dlb,
-        "gpu_id": config.gpu_id,
-        "use_ht": config.use_ht,
-        "nodes": config.nodes,
-    }
-    if config.n_th_pme is not None:
-        doc["n_th_pme"] = config.n_th_pme
-    if config.nstlist is not None:
-        doc["nstlist"] = config.nstlist
-    if config.dd_grid is not None:
-        doc["dd_grid"] = list(config.dd_grid)
-    return doc
-
-
-def config_from_json(doc: dict) -> LaunchConfig:
-    dd = doc.get("dd_grid")
-    return LaunchConfig(
-        n_rank=doc["n_rank"],
-        n_th=doc.get("n_th", 0),
-        n_pme=doc.get("n_pme", 0),
-        n_th_pme=doc.get("n_th_pme"),
-        dlb=doc.get("dlb", "auto"),
-        gpu_id=doc.get("gpu_id", ""),
-        use_ht=doc.get("use_ht", False),
-        nstlist=doc.get("nstlist"),
-        dd_grid=tuple(dd) if dd else None,
-        nodes=doc.get("nodes", 1),
-    )
-
-
 def plan_to_json(configs: Iterable[LaunchConfig]) -> str:
-    return json.dumps([config_to_json(c) for c in configs], indent=2, sort_keys=True) + "\n"
+    return json.dumps([to_doc(c) for c in configs], indent=2, sort_keys=True) + "\n"
 
 
 def plan_from_json(text: str) -> list[LaunchConfig]:
-    return [config_from_json(doc) for doc in json.loads(text)]
+    return [from_doc(LaunchConfig, doc) for doc in json.loads(text)]
 
 
 def plan_to_script(configs: Iterable[LaunchConfig], profile: EngineProfile = EngineProfile()) -> str:

@@ -25,12 +25,12 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import re
 from dataclasses import dataclass, field
 from typing import Optional
 
 from .errors import LogParseError
+from .wire import lookup, to_doc
 
 NUMBER = r"[0-9]+(?:\.[0-9]+)?"
 
@@ -42,14 +42,14 @@ _GPU_CPU_RE = re.compile(r"Force evaluation time GPU/CPU:(.*)")
 _GPU_CPU_NUMS = re.compile(
     rf"\s*({NUMBER})\s*ms/({NUMBER})\s*ms\s*=\s*({NUMBER})\s*$"
 )
-_PERF_RE = re.compile(rf"^\s*Performance:\s+({NUMBER})", re.MULTILINE)
+_PERF_RE = re.compile(r"^\s*Performance:\s+(\S+)", re.MULTILINE)
 _LB_HEADER_RE = re.compile(r"PP/PME load balancing changed the cut-off")
 _LB_ROW_RE = re.compile(
     rf"^\s*(initial|final)\s+({NUMBER})\s*nm\s+({NUMBER})\s*nm\s+"
     rf"(\d+)\s+(\d+)\s+(\d+)\s+({NUMBER})\s*nm\s+({NUMBER})\s*nm",
     re.MULTILINE,
 )
-_LB_COST_RE = re.compile(rf"^\s*cost-ratio\s+({NUMBER})\s+({NUMBER})", re.MULTILINE)
+_LB_COST_RE = re.compile(r"^\s*cost-ratio\s+(\S+)\s+(\S+)", re.MULTILINE)
 _NOTE_RE = re.compile(r"^NOTE:.*(?:\n[ \t]+\S.*)*", re.MULTILINE)
 
 RATIO_CHECK_TOLERANCE = 0.001  # printed GPU/CPU ratio vs recomputed quotient
@@ -88,6 +88,14 @@ class ParsedLoadBalance:
     cost_ratio_pp: float
     cost_ratio_pme: float
 
+    # initial_rcoulomb -> {"initial": {"rcoulomb_nm": ...}}, and so on
+    WIRE = {
+        f"{end}_{name}": f"{end}.{name}{unit}"
+        for end in ("initial", "final")
+        for name, unit in (("rcoulomb", "_nm"), ("rlist", "_nm"), ("grid", ""),
+                           ("spacing", "_nm"), ("inv_beta", "_nm"))
+    }
+
     @property
     def shrunk(self) -> bool:
         """True when balancing reduced the cutoff (unusual, flagged upstream)."""
@@ -104,6 +112,9 @@ class PerfMetrics:
     gpu_cpu: Optional[GpuCpuRatio] = None
     load_balance: Optional[ParsedLoadBalance] = None
     notes: list[Advisory] = field(default_factory=list)
+
+    WIRE = {"performance": "performance_ns_day"}
+    WIRE_NULLS = ("performance", "pme_mesh_force_load", "pp_pme_wait_pct")
 
 
 def _parse_number(raw: str, text: str, what: str) -> float:
@@ -200,8 +211,8 @@ def parse_load_balance_table(text: str) -> Optional[ParsedLoadBalance]:
         final_grid=fgrid,
         final_spacing=fsp,
         final_inv_beta=fb,
-        cost_ratio_pp=float(cost.group(1)),
-        cost_ratio_pme=float(cost.group(2)),
+        cost_ratio_pp=_parse_number(cost.group(1), text, "PP cost ratio"),
+        cost_ratio_pme=_parse_number(cost.group(2), text, "PME cost ratio"),
     )
 
 
@@ -223,7 +234,7 @@ def parse_performance(text: str) -> Optional[float]:
     matches = list(_PERF_RE.finditer(text))
     if not matches:
         return None
-    value = float(matches[-1].group(1))
+    value = _parse_number(matches[-1].group(1), text, "performance")
     if value <= 0:
         raise LogParseError(
             f"non-positive performance {value}", offset=matches[-1].start()
@@ -348,80 +359,32 @@ def render_log(metrics: PerfMetrics) -> str:
     return "\n".join(out) + "\n"
 
 
-def metrics_to_json(metrics: PerfMetrics) -> dict:
-    doc: dict = {
-        "performance_ns_day": metrics.performance,
-        "pme_mesh_force_load": metrics.pme_mesh_force_load,
-        "pp_pme_wait_pct": metrics.pp_pme_wait_pct,
-        "notes": [{"kind": n.kind, "text": n.text} for n in metrics.notes],
-    }
-    if metrics.gpu_cpu:
-        doc["gpu_cpu"] = {
-            "gpu_ms": metrics.gpu_cpu.gpu_ms,
-            "cpu_ms": metrics.gpu_cpu.cpu_ms,
-            "ratio": metrics.gpu_cpu.ratio,
-        }
-    if metrics.load_balance:
-        lb = metrics.load_balance
-        doc["load_balance"] = {
-            "initial": {
-                "rcoulomb_nm": lb.initial_rcoulomb,
-                "rlist_nm": lb.initial_rlist,
-                "grid": list(lb.initial_grid),
-                "spacing_nm": lb.initial_spacing,
-                "inv_beta_nm": lb.initial_inv_beta,
-            },
-            "final": {
-                "rcoulomb_nm": lb.final_rcoulomb,
-                "rlist_nm": lb.final_rlist,
-                "grid": list(lb.final_grid),
-                "spacing_nm": lb.final_spacing,
-                "inv_beta_nm": lb.final_inv_beta,
-            },
-            "cost_ratio_pp": lb.cost_ratio_pp,
-            "cost_ratio_pme": lb.cost_ratio_pme,
-        }
-    return doc
-
-
-CSV_FIELDS = [
-    "performance_ns_day",
-    "pme_mesh_force_load",
-    "pp_pme_wait_pct",
-    "gpu_ms",
-    "cpu_ms",
-    "gpu_cpu_ratio",
-    "final_rcoulomb_nm",
-    "cost_ratio_pp",
-    "cost_ratio_pme",
-    "advisories",
-]
+# CSV column -> dotted path into the metrics document (see wire.to_doc)
+CSV_COLUMNS = {
+    "performance_ns_day": "performance_ns_day",
+    "pme_mesh_force_load": "pme_mesh_force_load",
+    "pp_pme_wait_pct": "pp_pme_wait_pct",
+    "gpu_ms": "gpu_cpu.gpu_ms",
+    "cpu_ms": "gpu_cpu.cpu_ms",
+    "gpu_cpu_ratio": "gpu_cpu.ratio",
+    "final_rcoulomb_nm": "load_balance.final.rcoulomb_nm",
+    "cost_ratio_pp": "load_balance.cost_ratio_pp",
+    "cost_ratio_pme": "load_balance.cost_ratio_pme",
+    "advisories": "advisories",
+}
 
 
 def metrics_csv_row(metrics: PerfMetrics) -> dict:
-    """One flat CSV row per log, for aggregation across runs."""
-    row = {k: "" for k in CSV_FIELDS}
-    if metrics.performance is not None:
-        row["performance_ns_day"] = metrics.performance
-    if metrics.pme_mesh_force_load is not None:
-        row["pme_mesh_force_load"] = metrics.pme_mesh_force_load
-    if metrics.pp_pme_wait_pct is not None:
-        row["pp_pme_wait_pct"] = metrics.pp_pme_wait_pct
-    if metrics.gpu_cpu:
-        row["gpu_ms"] = metrics.gpu_cpu.gpu_ms
-        row["cpu_ms"] = metrics.gpu_cpu.cpu_ms
-        row["gpu_cpu_ratio"] = metrics.gpu_cpu.ratio
-    if metrics.load_balance:
-        row["final_rcoulomb_nm"] = metrics.load_balance.final_rcoulomb
-        row["cost_ratio_pp"] = metrics.load_balance.cost_ratio_pp
-        row["cost_ratio_pme"] = metrics.load_balance.cost_ratio_pme
-    row["advisories"] = ";".join(n.kind for n in metrics.notes)
-    return row
+    """One flat CSV row per log, for aggregation across runs; None where the
+    log has no such metric (the CSV writer leaves the cell empty)."""
+    doc = to_doc(metrics)
+    doc["advisories"] = ";".join(n.kind for n in metrics.notes)
+    return {column: lookup(doc, path) for column, path in CSV_COLUMNS.items()}
 
 
 def metrics_to_csv(all_metrics: list[PerfMetrics]) -> str:
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=CSV_FIELDS, lineterminator="\n")
+    writer = csv.DictWriter(buf, fieldnames=list(CSV_COLUMNS), lineterminator="\n")
     writer.writeheader()
     for m in all_metrics:
         writer.writerow(metrics_csv_row(m))

@@ -2,31 +2,22 @@
 
 A manifest bundles the workload (system size, time step, step counts), the
 node it runs on, sweep options, engine command template, and economics
-parameters. It is validated against the shipped JSON schema plus a few
-cross-field rules the schema language cannot express; validation errors
+parameters. It is validated against ``schema.json#/$defs/manifest`` plus a
+few cross-field rules the schema language cannot express; validation errors
 name the offending field path.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
-from importlib import resources
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Optional
-
-import jsonschema
 
 from .balance import Workload
 from .econ import EconParams
 from .errors import ManifestError, MdtuneError
-from .hardware import NodeSpec, node_from_json
+from .hardware import NodeSpec
 from .launch import EngineProfile, SweepOptions
-
-
-def load_schema() -> dict:
-    with resources.files("mdtune").joinpath("schema.json").open() as fh:
-        return json.load(fh)
+from .wire import from_doc, read, validate
 
 
 @dataclass(frozen=True)
@@ -39,22 +30,12 @@ class RunManifest:
     node_count: int = 1
     repeats: int = 2
 
+    WIRE = {"node_count": "cluster.node_count", "repeats": "sweep.repeats"}
+
 
 def manifest_from_json(doc: dict) -> RunManifest:
     """Validate a manifest document and build the typed pieces."""
-    schema = load_schema()
-    validator = jsonschema.Draft202012Validator(schema)
-    errors = sorted(validator.iter_errors(doc), key=lambda e: list(e.absolute_path))
-    if errors:
-        err = errors[0]
-        path = ".".join(str(p) for p in err.absolute_path)
-        if err.validator == "required":
-            # name the missing field itself, not just the parent object
-            missing = err.message.split("'")[1]
-            path = f"{path}.{missing}" if path else missing
-            raise ManifestError("missing required field", path=path)
-        raise ManifestError(err.message, path=path or "(root)")
-
+    validate(doc, "manifest")
     w = doc["workload"]
     if w["benchmark_steps"] <= w["reset_steps"]:
         raise ManifestError(
@@ -62,69 +43,22 @@ def manifest_from_json(doc: dict) -> RunManifest:
             f"reset_steps ({w['reset_steps']})",
             path="workload.benchmark_steps",
         )
-    defaults = Workload()
-    workload = Workload(
-        name=w["name"],
-        atoms=w["atoms"],
-        timestep_fs=w["timestep_fs"],
-        benchmark_steps=w["benchmark_steps"],
-        reset_steps=w["reset_steps"],
-        rc0=w.get("rc0_nm", defaults.rc0),
-        spacing0=w.get("spacing0_nm", defaults.spacing0),
-        box=tuple(w.get("box_nm", defaults.box)),
-    )
     try:
-        node = node_from_json(doc["node"])
+        manifest = from_doc(RunManifest, doc)
     except MdtuneError as exc:
+        # past the schema, only the node's cross-field checks can fail
         raise ManifestError(str(exc), path="node") from exc
-
-    s = doc.get("sweep", {})
-    sweep = SweepOptions(
-        gpus_active=s.get("gpus_active"),
-        ht=s.get("ht"),
-        dlb=s.get("dlb"),
-        nstlist=tuple(s["nstlist"]) if "nstlist" in s else (None,),
-        pme_variants=s.get("pme_variants", True),
-    )
-    if sweep.gpus_active is not None and sweep.gpus_active > node.n_gpus:
+    if manifest.sweep.gpus_active is not None and manifest.sweep.gpus_active > manifest.node.n_gpus:
         raise ManifestError(
-            f"gpus_active ({sweep.gpus_active}) exceeds the node's "
-            f"{node.n_gpus} GPU(s)",
+            f"gpus_active ({manifest.sweep.gpus_active}) exceeds the node's "
+            f"{manifest.node.n_gpus} GPU(s)",
             path="sweep.gpus_active",
         )
-
-    e = doc.get("econ", {})
-    econ = EconParams(
-        lifetime_years=e.get("lifetime_years", 5.0),
-        energy_price_eur_per_kwh=e.get("energy_price_eur_per_kwh", 0.2),
-        per_node_network_cost_eur=e.get("per_node_network_cost_eur", 0.0),
-    )
-
-    g = doc.get("engine", {})
-    engine = EngineProfile(
-        mdrun=g.get("mdrun", "mdrun"),
-        mpirun=g.get("mpirun", "mpirun"),
-        thread_mpi=g.get("thread_mpi", True),
-        tpr_file=g.get("tpr_file", "in.tpr"),
-        log_file=g.get("log_file", "md.log"),
-        nsteps=workload.benchmark_steps,
-        resetstep=workload.reset_steps,
-    )
-    return RunManifest(
-        workload=workload,
-        node=node,
-        sweep=sweep,
-        econ=econ,
-        engine=engine,
-        node_count=doc.get("cluster", {}).get("node_count", 1),
-        repeats=doc.get("sweep", {}).get("repeats", 2),
-    )
+    workload = manifest.workload
+    engine = replace(manifest.engine, nsteps=workload.benchmark_steps,
+                     resetstep=workload.reset_steps)
+    return replace(manifest, engine=engine)
 
 
 def load_manifest(path: Path | str) -> RunManifest:
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ManifestError(f"not valid JSON: {exc}", path=str(path)) from exc
-    return manifest_from_json(doc)
+    return manifest_from_json(read(path))

@@ -1,4 +1,4 @@
-"""Markdown and CSV report rendering.
+"""Markdown, CSV and fixed-width text report rendering.
 
 Internal math everywhere else is full precision; this module owns the
 display rounding. The economics tables round the way published cost tables
@@ -26,7 +26,8 @@ from .econ import (
     rank_hardware,
 )
 from .errors import MdtuneError
-from .sweep import SweepResult, _rank_key
+from .sweep import SweepResult
+from .wire import lookup, to_doc
 
 YIELD_NS = "ns_per_keur"
 YIELD_US = "us_per_keur"
@@ -61,6 +62,10 @@ def _render(header: list[str], rows: list[list[str]], fmt: str) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _kinds(advisories) -> str:
+    return ";".join(a.kind for a in advisories)
+
+
 def _dd_grid_text(config) -> str:
     if config.dd_grid:
         return "x".join(str(d) for d in config.dd_grid)
@@ -80,7 +85,7 @@ def sweep_report(
     if with_cost:
         header += ["cost (EUR)", f"ns/day per {normalizer_eur:g} EUR"]
     rows = []
-    for i, row in enumerate(sorted(result.rows, key=_rank_key), start=1):
+    for i, row in enumerate(result.ranked(), start=1):
         c = row.config
         cells = [
             str(i),
@@ -92,7 +97,7 @@ def sweep_report(
             c.gpu_id or "-",
             f"{row.mean_performance:.3f}",
             f"{row.stdev:.3f}",
-            ";".join(a.kind for a in row.advisories) or "-",
+            _kinds(row.advisories) or "-",
         ]
         if with_cost:
             cells += [
@@ -101,6 +106,49 @@ def sweep_report(
             ]
         rows.append(cells)
     return _render(header, rows, fmt)
+
+
+# CSV column -> dotted path into a sweep row's document (see wire.to_doc)
+SWEEP_CSV_COLUMNS = {
+    **{name: f"config.{name}" for name in
+       ("n_rank", "n_th", "n_pme", "dlb", "gpu_id", "use_ht", "nstlist", "nodes")},
+    "mean_performance_ns_day": "mean_performance_ns_day",
+    "stdev_ns_day": "stdev_ns_day",
+    "repeats": "repeats",
+    "advisories": "advisories",
+}
+
+
+def sweep_csv(result: SweepResult) -> str:
+    """One CSV row per configuration, ranked best first, at full precision."""
+    rows = []
+    for row in result.ranked():
+        doc = to_doc(row)
+        doc["advisories"] = _kinds(row.advisories)
+        rows.append([lookup(doc, path) for path in SWEEP_CSV_COLUMNS.values()])
+    return _csv_table(list(SWEEP_CSV_COLUMNS), rows)
+
+
+def sweep_table(result: SweepResult) -> str:
+    """Fixed-width ranked table for the terminal, then the failed runs."""
+    lines = [
+        f"{'rank':>4}  {'P (ns/day)':>11}  {'+/-':>7}  {'ranks':>5}  "
+        f"{'thr':>3}  {'pme':>3}  {'dlb':>4}  {'ht':>3}  {'gpu_id':>10}  advisories"
+    ]
+    for i, row in enumerate(result.ranked(), start=1):
+        c = row.config
+        lines.append(
+            f"{i:>4}  {row.mean_performance:>11.3f}  {row.stdev:>7.3f}  {c.n_rank:>5}  "
+            f"{c.n_th:>3}  {c.n_pme:>3}  {c.dlb:>4}  {'on' if c.use_ht else 'off':>3}  "
+            f"{c.gpu_id or '-':>10}  {_kinds(row.advisories) or '-'}"
+        )
+    if result.failures:
+        lines.append("")
+        lines.append(f"failed runs: {len(result.failures)}")
+        for config, msg in result.failures:
+            first = msg.splitlines()[0] if msg else ""
+            lines.append(f"  ranks={config.n_rank} threads={config.n_th}: {first}")
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -118,6 +166,8 @@ class EconInput:
     power: Optional[PowerReading] = None
     power_w: Optional[float] = None  # pre-corrected draw, alternative to power
     rack_units: Optional[int] = None
+
+    WIRE = {"performance": "performance_ns_day"}  # a row of the rows document
 
     def effective_power_w(self) -> float:
         if self.power is not None:

@@ -8,7 +8,7 @@ and never abort the sweep.
 Two executors ship with the toolkit:
 
  - ShellExecutor invokes a rendered engine command inside a fresh
-   run_<hash>/ directory and reads back the engine's log file. It is
+   run_<hash>_<i>/ directory and reads back the engine's log file. It is
    exclusive: runs are strictly serialized so they do not contend for the
    node being benchmarked.
  - SyntheticExecutor evaluates the analytic node model and renders a log
@@ -19,35 +19,28 @@ Two executors ship with the toolkit:
 from __future__ import annotations
 
 import hashlib
-import io
+import itertools
 import json
-import csv
 import statistics
 import subprocess
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional, Protocol, Sequence
+from typing import NamedTuple, Optional, Protocol, Sequence
 
 from .balance import SyntheticNodeProfile, Workload, balance_cutoff, predict_run
-from .errors import ExecutorError, InvalidConfigError, MdtuneError, RunFailure
+from .errors import ExecutorError, InvalidConfigError, LogParseError, MdtuneError, RunFailure
 from .hardware import NodeSpec
-from .launch import (
-    EngineProfile,
-    LaunchConfig,
-    config_from_json,
-    config_to_json,
-    render_command,
-)
+from .launch import EngineProfile, LaunchConfig, render_command
 from .logparse import (
     ADVISORY_PME_OVERPROVISIONED,
     Advisory,
     PerfMetrics,
     GpuCpuRatio,
     ParsedLoadBalance,
-    metrics_to_json,
     parse_metrics,
     render_log,
 )
+from .wire import from_doc, to_doc
 
 # A mesh/force load this far below 1 means the mesh ranks mostly idle.
 PME_OVERPROVISION_THRESHOLD = 0.9
@@ -122,9 +115,11 @@ class SyntheticExecutor:
 class ShellExecutor:
     """Run rendered engine commands in per-run directories.
 
-    Each run gets its own ``run_<hash>/`` directory under ``workdir``; the
-    hash covers the config and workload, so repeated sweeps reuse distinct,
-    predictable paths (a numeric suffix separates repeats).
+    Each run gets its own ``run_<hash>_<i>/`` directory under ``workdir``;
+    the hash covers the config and workload, so repeated sweeps use
+    predictable paths. ``i`` is the first index not taken yet, so repeats,
+    and later sweeps into the same workdir, never collide with earlier runs.
+    A run that exceeds ``timeout_s`` is a failed run.
     """
 
     exclusive = True
@@ -134,28 +129,35 @@ class ShellExecutor:
         self.workdir = Path(workdir)
         self.engine = engine
         self.timeout_s = timeout_s
-        self._counter: dict[str, int] = {}
+
+    def _make_rundir(self, key: str) -> Path:
+        for i in itertools.count():
+            rundir = self.workdir / f"run_{key}_{i}"
+            try:
+                rundir.mkdir(parents=True, exist_ok=False)
+                return rundir
+            except FileExistsError:
+                continue
+            except OSError as exc:
+                raise ExecutorError(f"cannot create run directory {rundir}: {exc}") from exc
 
     def run(self, config: LaunchConfig, workload: Workload) -> str:
         command = render_command(config, self.engine)
         key = hashlib.sha256(
             (command + workload.name).encode()
         ).hexdigest()[:12]
-        repeat = self._counter.get(key, 0)
-        self._counter[key] = repeat + 1
-        rundir = self.workdir / f"run_{key}_{repeat}"
+        rundir = self._make_rundir(key)
         try:
-            rundir.mkdir(parents=True, exist_ok=False)
-        except OSError as exc:
-            raise ExecutorError(f"cannot create run directory {rundir}: {exc}") from exc
-        proc = subprocess.run(
-            command,
-            shell=True,
-            cwd=rundir,
-            capture_output=True,
-            text=True,
-            timeout=self.timeout_s,
-        )
+            proc = subprocess.run(
+                command,
+                shell=True,
+                cwd=rundir,
+                capture_output=True,
+                text=True,
+                timeout=self.timeout_s,
+            )
+        except subprocess.TimeoutExpired:
+            raise RunFailure(f"command timed out after {self.timeout_s:g} s: {command}") from None
         if proc.returncode != 0:
             raise RunFailure(
                 f"command failed with exit {proc.returncode}: {command}\n{proc.stderr.strip()}"
@@ -175,18 +177,33 @@ class SweepRow:
     metrics: PerfMetrics  # of the best repeat
     advisories: list[Advisory] = field(default_factory=list)
 
+    WIRE = {"mean_performance": "mean_performance_ns_day", "stdev": "stdev_ns_day"}
+
+
+class Failure(NamedTuple):
+    """A config whose run failed, with the reason."""
+
+    config: LaunchConfig
+    error: str
+
 
 @dataclass
 class SweepResult:
     rows: list[SweepRow]
-    failures: list[tuple[LaunchConfig, str]]
+    failures: list[Failure]
     best_index: Optional[int]
+
+    WIRE_NULLS = ("best_index",)
 
     @property
     def best_row(self) -> SweepRow:
         if self.best_index is None:
             raise MdtuneError("sweep has no successful rows")
         return self.rows[self.best_index]
+
+    def ranked(self) -> list[SweepRow]:
+        """Rows best first: by mean performance, then the tie-breaks of ``_rank_key``."""
+        return sorted(self.rows, key=_rank_key)
 
 
 def _rank_key(row: SweepRow):
@@ -209,13 +226,14 @@ def run_sweep(
 
     The mean of the repeats ranks configurations (engines scatter by a few
     percent run to run, so single samples are not trusted); the stdev is
-    reported alongside. A failed repeat fails the whole row, which is
-    recorded in ``failures`` without stopping the sweep.
+    reported alongside. A failed repeat (the executor raised RunFailure, or
+    the log is malformed) fails the whole row, which is recorded in
+    ``failures`` without stopping the sweep.
     """
     if repeats < 1:
         raise MdtuneError("repeats must be >= 1")
     rows: list[SweepRow] = []
-    failures: list[tuple[LaunchConfig, str]] = []
+    failures: list[Failure] = []
     for config in configs:
         perfs: list[float] = []
         best_metrics: Optional[PerfMetrics] = None
@@ -228,8 +246,8 @@ def run_sweep(
                 perfs.append(metrics.performance)
                 if best_metrics is None or metrics.performance >= best_metrics.performance:
                     best_metrics = metrics
-        except RunFailure as exc:
-            failures.append((config, str(exc)))
+        except (RunFailure, LogParseError) as exc:
+            failures.append(Failure(config, str(exc)))
             continue
         rows.append(
             SweepRow(
@@ -255,128 +273,17 @@ def select_best(result: SweepResult) -> LaunchConfig:
     """
     if not result.rows:
         raise MdtuneError("cannot select from a sweep with no successful rows")
-    return min(result.rows, key=_rank_key).config
+    return result.ranked()[0].config
 
 
 # ---------------------------------------------------------------------------
-# Serialization
+# Serialization (the ranked CSV and text tables live in ``report``)
 # ---------------------------------------------------------------------------
 
 
 def result_to_json(result: SweepResult) -> str:
-    doc = {
-        "rows": [
-            {
-                "config": config_to_json(r.config),
-                "mean_performance_ns_day": r.mean_performance,
-                "stdev_ns_day": r.stdev,
-                "repeats": r.repeats,
-                "metrics": metrics_to_json(r.metrics),
-                "advisories": [{"kind": a.kind, "text": a.text} for a in r.advisories],
-            }
-            for r in result.rows
-        ],
-        "failures": [
-            {"config": config_to_json(c), "error": msg} for c, msg in result.failures
-        ],
-        "best_index": result.best_index,
-    }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return json.dumps(to_doc(result), indent=2, sort_keys=True) + "\n"
 
 
 def result_from_json(text: str) -> SweepResult:
-    doc = json.loads(text)
-    rows = []
-    for r in doc["rows"]:
-        m = r["metrics"]
-        metrics = PerfMetrics(performance=m.get("performance_ns_day"))
-        metrics.pme_mesh_force_load = m.get("pme_mesh_force_load")
-        metrics.pp_pme_wait_pct = m.get("pp_pme_wait_pct")
-        if m.get("gpu_cpu"):
-            metrics.gpu_cpu = GpuCpuRatio(**m["gpu_cpu"])
-        if m.get("load_balance"):
-            lb = m["load_balance"]
-            metrics.load_balance = ParsedLoadBalance(
-                initial_rcoulomb=lb["initial"]["rcoulomb_nm"],
-                initial_rlist=lb["initial"]["rlist_nm"],
-                initial_grid=tuple(lb["initial"]["grid"]),
-                initial_spacing=lb["initial"]["spacing_nm"],
-                initial_inv_beta=lb["initial"]["inv_beta_nm"],
-                final_rcoulomb=lb["final"]["rcoulomb_nm"],
-                final_rlist=lb["final"]["rlist_nm"],
-                final_grid=tuple(lb["final"]["grid"]),
-                final_spacing=lb["final"]["spacing_nm"],
-                final_inv_beta=lb["final"]["inv_beta_nm"],
-                cost_ratio_pp=lb["cost_ratio_pp"],
-                cost_ratio_pme=lb["cost_ratio_pme"],
-            )
-        metrics.notes = [Advisory(**n) for n in m.get("notes", [])]
-        rows.append(
-            SweepRow(
-                config=config_from_json(r["config"]),
-                mean_performance=r["mean_performance_ns_day"],
-                stdev=r["stdev_ns_day"],
-                repeats=r["repeats"],
-                metrics=metrics,
-                advisories=[Advisory(**a) for a in r.get("advisories", [])],
-            )
-        )
-    return SweepResult(
-        rows=rows,
-        failures=[(config_from_json(f["config"]), f["error"]) for f in doc["failures"]],
-        best_index=doc.get("best_index"),
-    )
-
-
-RESULT_CSV_FIELDS = [
-    "n_rank", "n_th", "n_pme", "dlb", "gpu_id", "use_ht", "nstlist", "nodes",
-    "mean_performance_ns_day", "stdev_ns_day", "repeats", "advisories",
-]
-
-
-def result_to_csv(result: SweepResult) -> str:
-    """One row per configuration, ranked best first."""
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=RESULT_CSV_FIELDS, lineterminator="\n")
-    writer.writeheader()
-    for row in sorted(result.rows, key=_rank_key):
-        c = row.config
-        writer.writerow(
-            {
-                "n_rank": c.n_rank,
-                "n_th": c.n_th,
-                "n_pme": c.n_pme,
-                "dlb": c.dlb,
-                "gpu_id": c.gpu_id,
-                "use_ht": c.use_ht,
-                "nstlist": "" if c.nstlist is None else c.nstlist,
-                "nodes": c.nodes,
-                "mean_performance_ns_day": row.mean_performance,
-                "stdev_ns_day": row.stdev,
-                "repeats": row.repeats,
-                "advisories": ";".join(a.kind for a in row.advisories),
-            }
-        )
-    return buf.getvalue()
-
-
-def result_to_table(result: SweepResult) -> str:
-    """Human-readable ranked table."""
-    lines = [
-        f"{'rank':>4}  {'P (ns/day)':>11}  {'+/-':>7}  {'ranks':>5}  "
-        f"{'thr':>3}  {'pme':>3}  {'dlb':>4}  {'ht':>3}  {'gpu_id':>10}  advisories"
-    ]
-    for i, row in enumerate(sorted(result.rows, key=_rank_key), start=1):
-        c = row.config
-        lines.append(
-            f"{i:>4}  {row.mean_performance:>11.3f}  {row.stdev:>7.3f}  {c.n_rank:>5}  "
-            f"{c.n_th:>3}  {c.n_pme:>3}  {c.dlb:>4}  {'on' if c.use_ht else 'off':>3}  "
-            f"{c.gpu_id or '-':>10}  {';'.join(a.kind for a in row.advisories) or '-'}"
-        )
-    if result.failures:
-        lines.append("")
-        lines.append(f"failed runs: {len(result.failures)}")
-        for config, msg in result.failures:
-            first = msg.splitlines()[0] if msg else ""
-            lines.append(f"  ranks={config.n_rank} threads={config.n_th}: {first}")
-    return "\n".join(lines) + "\n"
+    return from_doc(SweepResult, json.loads(text))

@@ -1,3 +1,4 @@
+import copy
 import json
 import shutil
 
@@ -261,3 +262,59 @@ class TestMultiPlan:
                                  "--replicas", "3")
         assert code == 0
         assert "idle" in err
+
+
+ROWS_DOC = {"rows": [{"label": "a", "performance_ns_day": 1.0, "node_cost_eur": 100,
+                      "power_w": 100.0, "perf_per_price": 1.0}]}
+SERIES_DOC = {"series": [{"label": "a", "points": [{"nodes": 1, "performance_ns_day": 1.0}]}]}
+# command -> (valid document, the object inside it that the cases edit, its path)
+INPUT_ERROR_CASES = {
+    "analyze-costs": (ROWS_DOC, lambda d: d["rows"][0], "rows.0"),
+    "recommend": (ROWS_DOC, lambda d: d["rows"][0], "rows.0"),
+    "scaling": (SERIES_DOC, lambda d: d["series"][0]["points"][0], "series.0.points.0"),
+}
+
+
+class TestInputErrors:
+    """A bad --rows document gives exit 1 and a single error line that names
+    the field path, never a traceback."""
+
+    def run_with(self, capsys, tmp_path, command, text):
+        path = tmp_path / "doc.json"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, command, "--rows", str(path))
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: ")
+        return err
+
+    @pytest.mark.parametrize("command", sorted(INPUT_ERROR_CASES))
+    def test_valid_document_accepted(self, tmp_path, capsys, command):
+        doc, _, _ = INPUT_ERROR_CASES[command]
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        assert run_cli(capsys, command, "--rows", str(path))[0] == 0
+
+    @pytest.mark.parametrize("command", sorted(INPUT_ERROR_CASES))
+    def test_missing_field(self, tmp_path, capsys, command):
+        doc, edited, path = INPUT_ERROR_CASES[command]
+        doc = copy.deepcopy(doc)
+        field = "node_cost_eur" if command != "scaling" else "performance_ns_day"
+        del edited(doc)[field]
+        err = self.run_with(capsys, tmp_path, command, json.dumps(doc))
+        assert f"{path}.{field}: missing required field" in err
+
+    @pytest.mark.parametrize("command", sorted(INPUT_ERROR_CASES))
+    def test_unknown_field(self, tmp_path, capsys, command):
+        doc, edited, path = INPUT_ERROR_CASES[command]
+        doc = copy.deepcopy(doc)
+        edited(doc)["node_costs"] = 1
+        err = self.run_with(capsys, tmp_path, command, json.dumps(doc))
+        assert f"{path}: " in err
+        assert "'node_costs'" in err
+
+    @pytest.mark.parametrize("command", sorted(INPUT_ERROR_CASES))
+    def test_not_json(self, tmp_path, capsys, command):
+        err = self.run_with(capsys, tmp_path, command, "{not json")
+        assert "doc.json: not valid JSON" in err

@@ -11,10 +11,10 @@ from mdtune.hardware import (
     Interconnect,
     NodeSpec,
     node_from_json,
-    node_to_json,
     sp_throughput,
     total_hw_threads,
 )
+from mdtune.wire import to_doc as node_to_json
 
 from conftest import make_node
 

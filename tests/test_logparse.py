@@ -12,7 +12,6 @@ from mdtune.logparse import (
     PerfMetrics,
     metrics_csv_row,
     metrics_to_csv,
-    metrics_to_json,
     parse_advisories,
     parse_gpu_cpu_ratio,
     parse_load_balance_table,
@@ -20,6 +19,7 @@ from mdtune.logparse import (
     parse_pme_load,
     render_log,
 )
+from mdtune.wire import to_doc as metrics_to_json
 
 plain_floats = st.floats(min_value=0.001, max_value=9999.0,
                          allow_nan=False, allow_infinity=False)
@@ -132,6 +132,22 @@ class TestLoadBalanceTable:
 
     def test_absent_table(self):
         assert parse_load_balance_table("no table here") is None
+
+
+class TestWholeNumberTokens:
+    """A recognized number with a valid prefix and more after it is malformed,
+    never silently cut to its prefix."""
+
+    @pytest.mark.parametrize("token", ["1e3", "12.5.3", "26.0x", "-5"])
+    def test_performance(self, token):
+        with pytest.raises(LogParseError, match="performance"):
+            parse_metrics(f" Performance:   {token}   0.923\n")
+
+    @pytest.mark.parametrize("costs", ["4.10             0.22x", "4.10 2e3", "4.1.0 0.22"])
+    def test_cost_ratio(self, si_load_balance, costs):
+        text = si_load_balance.replace("4.10             0.22", costs)
+        with pytest.raises(LogParseError, match="cost ratio"):
+            parse_load_balance_table(text)
 
 
 class TestAdvisories:

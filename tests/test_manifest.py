@@ -72,6 +72,11 @@ class TestInvalidManifest:
         with pytest.raises(ManifestError, match="gpus_active"):
             manifest_from_json(manifest_doc)
 
+    def test_node_cross_field_check_named(self, manifest_doc):
+        manifest_doc["node"]["gpus"][0]["max_app_clock_mhz"] = 1000
+        with pytest.raises(ManifestError, match="^node: .*max_app_clock_mhz below base clock"):
+            manifest_from_json(manifest_doc)
+
     def test_non_json_file(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")

@@ -15,15 +15,14 @@ from mdtune.launch import (
     gpu_id_string,
 )
 from mdtune.logparse import ADVISORY_PME_OVERPROVISIONED
+from mdtune.report import sweep_csv as result_to_csv, sweep_table as result_to_table
 from mdtune.sweep import (
     ShellExecutor,
     SweepResult,
     SweepRow,
     SyntheticExecutor,
     result_from_json,
-    result_to_csv,
     result_to_json,
-    result_to_table,
     run_sweep,
     select_best,
 )
@@ -152,6 +151,13 @@ class FailingExecutor:
         raise RunFailure("boom")
 
 
+class MalformedLogExecutor:
+    exclusive = False
+
+    def run(self, config, workload):
+        return " Performance:   1e3   0.923\n"
+
+
 class TestAccounting:
     def test_all_failures_counted(self, gpu_node):
         configs = ranklist_configs(gpu_node)
@@ -160,6 +166,13 @@ class TestAccounting:
         assert len(result.failures) == len(configs)
         with pytest.raises(MdtuneError):
             select_best(result)
+
+    def test_malformed_log_recorded_not_fatal(self, gpu_node):
+        configs = ranklist_configs(gpu_node)[:2]
+        result = run_sweep(configs, MalformedLogExecutor(), Workload())
+        assert not result.rows
+        assert [c for c, _ in result.failures] == configs
+        assert "malformed performance" in result.failures[0].error
 
     def test_bad_repeats_rejected(self, gpu_node):
         with pytest.raises(MdtuneError):
@@ -198,6 +211,27 @@ class TestShellExecutor:
         assert not result.rows
         assert len(result.failures) == 1
         assert "exit" in result.failures[0][1]
+
+    def test_timeout_recorded_not_fatal(self, tmp_path):
+        executor = ShellExecutor(tmp_path / "runs", EngineProfile(mdrun="sleep 5; true"),
+                                 timeout_s=0.2)
+        configs = [LaunchConfig(n_rank=1, n_th=1), LaunchConfig(n_rank=2, n_th=1)]
+        result = run_sweep(configs, executor, Workload(), repeats=1)
+        assert not result.rows
+        assert len(result.failures) == 2
+        assert all("timed out after 0.2 s" in msg for _, msg in result.failures)
+
+    def test_second_sweep_into_same_workdir(self, tmp_path, fake_engine):
+        engine = EngineProfile(mdrun=str(fake_engine))
+        config = LaunchConfig(n_rank=4, n_th=2)
+        for _ in range(2):
+            # a fresh executor, as a second ``mdtune sweep`` run would make
+            result = run_sweep([config], ShellExecutor(tmp_path / "runs", engine),
+                               Workload(), repeats=2)
+            assert not result.failures
+        rundirs = sorted(p.name for p in (tmp_path / "runs").iterdir())
+        assert [name.rsplit("_", 1)[1] for name in rundirs] == ["0", "1", "2", "3"]
+        assert len({name.rsplit("_", 1)[0] for name in rundirs}) == 1
 
     def test_missing_log_is_a_failure(self, tmp_path):
         executor = ShellExecutor(tmp_path / "runs", EngineProfile(mdrun="true"))
