@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,7 +16,7 @@ from mdtune.balance import (
     predict_run,
 )
 from mdtune.errors import InvalidConfigError, MdtuneError
-from mdtune.launch import LaunchConfig, gpu_id_string
+from mdtune.launch import LaunchConfig, gpu_id_string, interleaved_pme_layout
 
 from conftest import make_node
 
@@ -211,3 +212,45 @@ class TestPredictPerformance:
         assert run.balance.pp_cost_ratio >= 1.0
         assert run.balance.rcoulomb >= 1.0
         assert run.step_time_s > 0
+
+
+# Exact predict_run fields on configs the golden outputs do not cover:
+# (ns/day, step time, GPU time, overlapped CPU time, PME mesh/force load,
+# balanced cutoff, balanced grid).
+PINNED_RUNS = {
+    "cpu_pme_2_nodes": (
+        make_node(), LaunchConfig(n_rank=40, n_th=2, n_pme=8, use_ht=True, nodes=2),
+        (97.08622707764339, 0.001779861111111111, 0.0, 0.0012152777777777778,
+         1.4367816091954027, 1.0, (90, 90, 80))),
+    "cpu_pme_4_nodes": (
+        make_node(),
+        LaunchConfig(n_rank=80, n_th=1, n_pme=16, dlb="off", nstlist=20, nodes=4),
+        (154.44429548196808, 0.00111885, 0.0, 0.000625,
+         1.394700139470014, 1.0, (90, 90, 80))),
+    "cpu_pme_n_th_pme": (
+        make_node(), LaunchConfig(n_rank=10, n_th=3, n_pme=2, n_th_pme=5, use_ht=True),
+        (67.61249184841678, 0.0025557407407407404, 0.0, 0.0020085185185185184,
+         0.8620689655172414, 1.0, (90, 90, 80))),
+    "cpu_pme_filled_n_th_pme": (
+        make_node(), LaunchConfig(n_rank=8, n_pme=2, n_th_pme=4, use_ht=True, dlb="off"),
+        (53.10931257043335, 0.0032536666666666664, 0.0, 0.0026388888888888885,
+         1.3469827586206897, 1.0, (90, 90, 80))),
+    "gpu_interleaved_2_nodes": (
+        make_node(n_gpus=2),
+        replace(interleaved_pme_layout(2, 4, 2, n_th=4, n_th_pme=6, use_ht=True), nstlist=40),
+        (289.6943543254529, 0.0005964907407407406, 0.0003319004444311661,
+         0.0003407407407407407, None, 1.1333333333182196, (80, 80, 72))),
+    "gpu_interleaved_4_nodes": (
+        make_node(n_gpus=2),
+        replace(interleaved_pme_layout(4, 4, 2, n_th=3, n_th_pme=2), dlb="on"),
+        (255.00500823638131, 0.0006776337500000001, 0.0002807291666666659,
+         0.0002807291666666667, None, 1.3945980776612374, (70, 63, 60))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_RUNS))
+def test_predict_run_pinned(name):
+    node, config, expected = PINNED_RUNS[name]
+    run = predict_run(SyntheticNodeProfile(), node, config, Workload())
+    assert (run.ns_per_day, run.step_time_s, run.gpu_time_s, run.cpu_overlap_time_s,
+            run.pme_mesh_force_load, run.balance.rcoulomb, run.balance.grid_dims) == expected
