@@ -15,14 +15,14 @@ orchestrator can be tested end to end without an MD engine installed.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Optional
 
 from .errors import MdtuneError
-from .hardware import NodeSpec, total_hw_threads
-from .launch import LaunchConfig, validate_config
+from .hardware import NodeSpec
+from .launch import LaunchConfig, rank_threads, validate_config
+from .wire import from_doc, read, validate
 
 # Mesh grid dimensions must factor into these primes for fast transforms.
 FFT_GRID_FACTORS = (2, 3, 5, 7)
@@ -174,16 +174,6 @@ class SyntheticNodeProfile:
         if abs(self.thread_efficiency(1) - 1.0) > 1e-12:
             raise MdtuneError("thread_efficiency(1) must be 1")
 
-    def to_json(self) -> dict:
-        return {k: getattr(self, k) for k in self.__dataclass_fields__}
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "SyntheticNodeProfile":
-        unknown = set(doc) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise MdtuneError(f"unknown profile field(s): {', '.join(sorted(unknown))}")
-        return cls(**doc)
-
 
 @dataclass(frozen=True)
 class PredictedRun:
@@ -211,16 +201,15 @@ def predict_run(
     node: NodeSpec,
     config: LaunchConfig,
     workload: Workload,
-    gpus_active: Optional[int] = None,
 ) -> PredictedRun:
-    """Deterministic per-step cost model; see predict_performance."""
-    n_gpus = len(set(config.gpu_id)) if config.gpu_id else 0
-    if gpus_active is not None:
-        n_gpus = gpus_active
-    validate_config(config, node, gpus_active=n_gpus if n_gpus else None)
+    """Deterministic per-step cost model; see predict_performance.
 
-    budget = total_hw_threads(node, config.use_ht)
-    n_th = config.n_th if config.n_th else budget * config.nodes // config.n_rank
+    Without GPUs the CPU keeps all short-range work and the shift factor stays 1.
+    """
+    n_gpus = len(set(config.gpu_id))
+    validate_config(config, node, gpus_active=n_gpus or None)
+
+    budget, n_th, pme_th = rank_threads(config, node)
     nstlist = config.nstlist if config.nstlist is not None else 10
     atoms = workload.atoms
 
@@ -231,11 +220,13 @@ def predict_run(
     w_rest = work * max(0.0, 1.0 - profile.offload_fraction_base - profile.pme_fraction_base)
     w_nonoverlap = 0.5 * w_rest + work * profile.nstlist_penalty / max(1, nstlist)
     w_bonded = 0.5 * w_rest
+    w_sr_cpu = 0.0 if n_gpus else w_sr
 
     pp_ranks = config.n_pp
-    threads_total = pp_ranks * n_th + config.n_pme * (config.pme_threads or n_th)
+    threads_total = pp_ranks * n_th + config.n_pme * pme_th
     cpu_cap = _cpu_capacity(profile, node, min(threads_total // config.nodes, budget),
                             n_th, config.use_ht) * config.nodes
+    pme_share = config.n_pme * pme_th / threads_total if config.n_pme else 0.0
 
     gpu_cap = 0.0
     if n_gpus:
@@ -246,59 +237,33 @@ def predict_run(
         share_penalty = 1.0 + profile.gpu_share_overhead * (ranks_per_gpu - 1)
         gpu_cap = n_gpus * config.nodes * profile.gpu_rate * clock_factor / share_penalty
 
-    if n_gpus == 0:
-        state = balance_cutoff(workload.rc0, workload.spacing0, workload.box, 1.0)
-        if config.n_pme:
-            # split CPU power between direct-space and mesh ranks
-            pme_share = config.n_pme * (config.pme_threads or n_th) / threads_total
-            cap_pme = cpu_cap * pme_share
-            cap_pp = cpu_cap * (1.0 - pme_share)
-            t_pp = (w_sr + w_bonded) / cap_pp
-            t_pme = w_pme / cap_pme
-            t_force = max(t_pp, t_pme)
-            pme_load = t_pme / t_pp
-        else:
-            t_force = (w_sr + w_pme + w_bonded) / cpu_cap
-            pme_load = None
-        t_gpu = 0.0
-        t_cpu_overlap = t_force
-        step = t_force + w_nonoverlap / cpu_cap
-        if config.dlb == "off":
-            step *= 1.0 + profile.dlb_penalty  # CPU nodes want dynamic balancing
-    else:
-        # Find the work shift that balances GPU against overlapped CPU time.
-        if config.n_pme:
-            pme_share = config.n_pme * (config.pme_threads or n_th) / threads_total
-        else:
-            pme_share = 0.0
+    def times(k: float):
+        state = balance_cutoff(workload.rc0, workload.spacing0, workload.box, k)
+        t_gpu = w_sr * k / gpu_cap if n_gpus else 0.0
+        mesh = w_pme * state.pme_cost_ratio
+        if not pme_share:
+            return state, t_gpu, (w_sr_cpu + mesh + w_bonded) / cpu_cap, None
+        # dedicated mesh ranks: each side only has its own cores
+        t_mesh = mesh / (cpu_cap * pme_share)
+        t_pp = (w_sr_cpu + w_bonded) / (cpu_cap * (1.0 - pme_share))
+        return state, t_gpu, max(t_mesh, t_pp), None if n_gpus else t_mesh / t_pp
 
-        def times(k: float):
-            state = balance_cutoff(workload.rc0, workload.spacing0, workload.box, k)
-            t_gpu = w_sr * k / gpu_cap
-            mesh = w_pme * state.pme_cost_ratio
-            if pme_share:
-                # dedicated mesh ranks: each side only has its own cores
-                t_cpu = max(mesh / (cpu_cap * pme_share),
-                            w_bonded / (cpu_cap * (1.0 - pme_share)))
+    # Find the work shift that balances GPU against overlapped CPU time.
+    k_lo, k_hi = 1.0, profile.max_balance
+    state, t_gpu, t_cpu_overlap, pme_load = times(k_lo)
+    if n_gpus and t_gpu < t_cpu_overlap:  # GPU has headroom: shift work toward it
+        for _ in range(48):
+            k_mid = 0.5 * (k_lo + k_hi)
+            state_m, t_g, t_c, _ = times(k_mid)
+            if t_g < t_c:
+                k_lo = k_mid
             else:
-                t_cpu = (mesh + w_bonded) / cpu_cap
-            return state, t_gpu, t_cpu
-
-        k_lo, k_hi = 1.0, profile.max_balance
-        state, t_gpu, t_cpu_overlap = times(k_lo)
-        if t_gpu < t_cpu_overlap:  # GPU has headroom: shift work toward it
-            for _ in range(48):
-                k_mid = 0.5 * (k_lo + k_hi)
-                state_m, t_g, t_c = times(k_mid)
-                if t_g < t_c:
-                    k_lo = k_mid
-                else:
-                    k_hi = k_mid
-            state, t_gpu, t_cpu_overlap = times(k_lo)
-        pme_load = None
-        step = max(t_gpu, t_cpu_overlap) + w_nonoverlap / cpu_cap
-        if config.dlb == "on":
-            step *= 1.0 + profile.dlb_penalty  # DD resizing caps the cutoff shift
+                k_hi = k_mid
+        state, t_gpu, t_cpu_overlap, _ = times(k_lo)
+    step = max(t_gpu, t_cpu_overlap) + w_nonoverlap / cpu_cap
+    # CPU nodes want dynamic balancing; with GPUs, DD resizing caps the cutoff shift
+    if config.dlb == ("on" if n_gpus else "off"):
+        step *= 1.0 + profile.dlb_penalty
 
     step += profile.rank_overhead * config.n_rank / config.nodes
     if config.nodes > 1:
@@ -320,7 +285,6 @@ def predict_performance(
     node: NodeSpec,
     config: LaunchConfig,
     workload: Workload,
-    gpus_active: Optional[int] = None,
 ) -> float:
     """Predicted trajectory rate in ns/day for a config on a node.
 
@@ -328,9 +292,11 @@ def predict_performance(
     InvalidConfigError for configs the node cannot run, mirroring how a
     real sweep records a failed run.
     """
-    return predict_run(profile, node, config, workload, gpus_active).ns_per_day
+    return predict_run(profile, node, config, workload).ns_per_day
 
 
 def load_profile(path) -> SyntheticNodeProfile:
-    with open(path) as fh:
-        return SyntheticNodeProfile.from_json(json.load(fh))
+    """A profile file, validated against ``schema.json#/$defs/profile``."""
+    doc = read(path)
+    validate(doc, "profile")
+    return from_doc(SyntheticNodeProfile, doc)

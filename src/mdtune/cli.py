@@ -23,7 +23,7 @@ from .econ import EconParams, HardwareRow
 from .errors import MdtuneError
 from .launch import (
     enumerate_plan,
-    plan_from_json,
+    load_plan,
     plan_multi_sim,
     plan_to_json,
     plan_to_script,
@@ -59,7 +59,7 @@ def _cmd_plan(args) -> int:
 def _cmd_sweep(args) -> int:
     manifest = load_manifest(args.manifest)
     if args.plan:
-        configs = plan_from_json(Path(args.plan).read_text())
+        configs = load_plan(args.plan)
     else:
         configs = enumerate_plan(manifest.node, manifest.sweep, nodes=manifest.node_count)
     if args.dry_run:
@@ -72,8 +72,6 @@ def _cmd_sweep(args) -> int:
         executor = ShellExecutor(Path(args.workdir), manifest.engine)
     repeats = args.repeats if args.repeats else manifest.repeats
     result = run_sweep(configs, executor, manifest.workload, repeats=repeats)
-    if args.out:
-        _write(args.out, result_to_json(result))
     if args.format == "json":
         text = result_to_json(result)
     elif args.format == "csv":
@@ -86,6 +84,8 @@ def _cmd_sweep(args) -> int:
         )
     else:
         text = report.sweep_table(result)
+    if args.out:
+        _write(args.out, text if args.format == "json" else result_to_json(result))
     if not args.out or args.format != "json":
         sys.stdout.write(text)
     log.info("%d rows, %d failures", len(result.rows), len(result.failures))
@@ -119,7 +119,7 @@ def _cmd_analyze_costs(args) -> int:
     yield_unit = report.YIELD_US if args.yield_unit == "us" else report.YIELD_NS
     if args.format == "json":
         rows = report.full_precision_rows(inputs, params)
-        out = [dataclasses.asdict(r) | {"label": i.label} for r, i in zip(rows, inputs)]
+        out = [to_doc(r) | {"label": i.label} for r, i in zip(rows, inputs)]
         sys.stdout.write(json.dumps(out, indent=2, sort_keys=True) + "\n")
     else:
         sys.stdout.write(report.econ_report(inputs, params, yield_unit, fmt=args.format))
@@ -129,13 +129,7 @@ def _cmd_analyze_costs(args) -> int:
 def _cmd_scaling(args) -> int:
     doc = read(args.rows)
     validate(doc, "series")
-    series = [
-        report.ScalingSeries(
-            label=s["label"],
-            points=tuple((p["nodes"], p["performance_ns_day"]) for p in s["points"]),
-        )
-        for s in doc["series"]
-    ]
+    series = [from_doc(report.ScalingSeries, s) for s in doc["series"]]
     fmt = "csv" if args.format == "csv" else "md"
     sys.stdout.write(report.scaling_report(series, fmt=fmt))
     return 0
@@ -172,8 +166,7 @@ def _cmd_multi_plan(args) -> int:
         nodes=args.nodes,
         placement=args.placement,
     )
-    doc = dataclasses.asdict(plan)
-    sys.stdout.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    sys.stdout.write(json.dumps(to_doc(plan), indent=2, sort_keys=True) + "\n")
     if plan.leftover_threads:
         print(
             f"note: {plan.leftover_threads} hardware thread(s) stay idle "

@@ -16,7 +16,7 @@ from typing import Iterable, Optional, Sequence
 
 from .errors import InvalidConfigError
 from .hardware import NodeSpec, total_hw_threads
-from .wire import from_doc, to_doc
+from .wire import from_doc, read, to_doc, validate
 
 # Separate-PME rank counts are tried at these fractions of the total rank
 # count, rounded and deduplicated.
@@ -53,6 +53,12 @@ class LaunchConfig:
     def __post_init__(self):
         if self.n_rank < 1:
             raise InvalidConfigError("n_rank must be >= 1")
+        if self.n_th < 0:
+            raise InvalidConfigError("n_th must be >= 0")
+        if self.n_th_pme is not None and self.n_th_pme < 1:
+            raise InvalidConfigError("n_th_pme must be >= 1")
+        if self.nstlist is not None and self.nstlist < 1:
+            raise InvalidConfigError("nstlist must be >= 1")
         if not 0 <= self.n_pme < self.n_rank:
             raise InvalidConfigError("n_pme must be in [0, n_rank)")
         if self.dlb not in DLB_VALUES:
@@ -68,9 +74,16 @@ class LaunchConfig:
     def n_pp(self) -> int:
         return self.n_rank - self.n_pme
 
-    @property
-    def pme_threads(self) -> int:
-        return self.n_th if self.n_th_pme is None else self.n_th_pme
+
+def rank_threads(config: LaunchConfig, node: NodeSpec) -> tuple[int, int, int]:
+    """The thread budget of one node, and OpenMP threads per PP and per PME rank.
+
+    ``n_th`` = 0 spreads the budget of all nodes evenly over the ranks; an
+    unset ``n_th_pme`` means ``n_th``.
+    """
+    budget = total_hw_threads(node, config.use_ht)
+    n_th = config.n_th or budget * config.nodes // config.n_rank
+    return budget, n_th, config.n_th_pme or n_th
 
 
 def validate_config(config: LaunchConfig, node: NodeSpec, gpus_active: Optional[int] = None) -> None:
@@ -81,13 +94,11 @@ def validate_config(config: LaunchConfig, node: NodeSpec, gpus_active: Optional[
     on a node.
     """
     n_gpus = node.n_gpus if gpus_active is None else gpus_active
-    budget = total_hw_threads(node, config.use_ht)
     if config.n_rank % config.nodes != 0:
         raise InvalidConfigError(
             f"{config.n_rank} ranks do not divide evenly over {config.nodes} nodes"
         )
-    n_th = config.n_th if config.n_th else budget * config.nodes // config.n_rank
-    pme_th = config.n_th_pme if config.n_th_pme is not None else n_th
+    budget, n_th, pme_th = rank_threads(config, node)
     used = (config.n_rank - config.n_pme) * n_th + config.n_pme * pme_th
     if used > budget * config.nodes:
         raise InvalidConfigError(
@@ -114,6 +125,10 @@ def validate_config(config: LaunchConfig, node: NodeSpec, gpus_active: Optional[
             raise InvalidConfigError(
                 f"DD grid {config.dd_grid} does not factor {config.n_rank - config.n_pme} PP ranks"
             )
+    if n_th < 1:
+        raise InvalidConfigError(
+            f"{config.n_rank} ranks exceed {budget} threads per node x {config.nodes} nodes"
+        )
 
 
 def gpu_id_string(n_gpus: int, n_pp_ranks: int) -> str:
@@ -316,70 +331,50 @@ def plan_multi_sim(
     nodes: int = 1,
     placement: str = "interleaved",
     use_ht: bool = True,
-    gpus_active: Optional[int] = None,
 ) -> MultiSimPlan:
     """Plan M replicas over one or more identical nodes.
 
-    On a single node each replica gets one rank with budget // M threads;
+    "interleaved" gives every node one rank of every replica with
+    budget // M threads, and so does any placement on a single node;
     threads that do not divide evenly are reported as leftover, never
-    silently absorbed. Across nodes, "dense" packs each replica onto
-    nodes/M contiguous nodes while "interleaved" gives every node one
-    domain of every replica (one rank per replica per node).
+    silently absorbed, and with fewer replicas than GPUs the spare GPUs
+    stay idle. "dense" across nodes packs each replica onto nodes/M
+    contiguous nodes, one rank per GPU.
     """
     if placement not in ("dense", "interleaved"):
         raise InvalidConfigError(f"unknown placement {placement!r}")
     if replicas < 1:
         raise InvalidConfigError("replicas must be >= 1")
-    n_gpus = node.n_gpus if gpus_active is None else gpus_active
+    n_gpus = node.n_gpus
     budget = total_hw_threads(node, use_ht)
 
-    if nodes == 1:
-        if replicas > budget:
-            raise InvalidConfigError(
-                f"{replicas} replicas exceed {budget} hardware threads"
-            )
-        threads = budget // replicas
-        leftover = budget - threads * replicas
-        gid = gpu_id_string(n_gpus, replicas) if n_gpus > 0 and replicas >= n_gpus else ""
-        if n_gpus > 0 and replicas < n_gpus:
-            # fewer replicas than GPUs: map one GPU per replica, rest idle
-            gid = "".join(str(i) for i in range(replicas))
-        return MultiSimPlan(
-            replicas=replicas,
-            threads_per_replica=threads,
-            placement=placement,
-            nodes=1,
-            per_replica_gpu_id=gid,
-            ranks_per_replica=1,
-            leftover_threads=leftover,
-        )
-
-    if placement == "dense":
+    if placement == "dense" and nodes > 1:
         if nodes % replicas != 0:
             raise InvalidConfigError(
                 f"dense placement needs nodes divisible by replicas ({nodes} % {replicas})"
             )
-        nodes_per_replica = nodes // replicas
-        ranks_per_replica = nodes_per_replica * max(1, n_gpus)
-        gid = gpu_id_string(n_gpus, max(1, n_gpus)) if n_gpus > 0 else ""
-        threads = budget // max(1, n_gpus)
-    else:
-        # every node hosts one rank of every replica
-        if replicas > budget:
-            raise InvalidConfigError(
-                f"{replicas} replicas exceed {budget} hardware threads per node"
-            )
-        ranks_per_replica = nodes
-        threads = budget // replicas
-        gid = gpu_id_string(n_gpus, replicas) if n_gpus > 0 and replicas >= n_gpus else ""
+        return MultiSimPlan(
+            replicas=replicas,
+            threads_per_replica=budget // max(1, n_gpus),
+            placement=placement,
+            nodes=nodes,
+            per_replica_gpu_id=gpu_id_string(n_gpus, n_gpus) if n_gpus else "",
+            ranks_per_replica=nodes // replicas * max(1, n_gpus),
+        )
+
+    if replicas > budget:
+        raise InvalidConfigError(
+            f"{replicas} replicas exceed {budget} hardware threads{' per node' if nodes > 1 else ''}"
+        )
+    threads = budget // replicas
     return MultiSimPlan(
         replicas=replicas,
         threads_per_replica=threads,
         placement=placement,
         nodes=nodes,
-        per_replica_gpu_id=gid,
-        ranks_per_replica=ranks_per_replica,
-        leftover_threads=budget - threads * replicas if placement == "interleaved" else 0,
+        per_replica_gpu_id=gpu_id_string(min(n_gpus, replicas), replicas) if n_gpus else "",
+        ranks_per_replica=nodes,
+        leftover_threads=budget - threads * replicas,
     )
 
 
@@ -484,8 +479,11 @@ def plan_to_json(configs: Iterable[LaunchConfig]) -> str:
     return json.dumps([to_doc(c) for c in configs], indent=2, sort_keys=True) + "\n"
 
 
-def plan_from_json(text: str) -> list[LaunchConfig]:
-    return [from_doc(LaunchConfig, doc) for doc in json.loads(text)]
+def load_plan(path) -> list[LaunchConfig]:
+    """The configs of a plan file, validated against ``schema.json#/$defs/plan``."""
+    doc = read(path)
+    validate(doc, "plan")
+    return [from_doc(LaunchConfig, entry) for entry in doc]
 
 
 def plan_to_script(configs: Iterable[LaunchConfig], profile: EngineProfile = EngineProfile()) -> str:

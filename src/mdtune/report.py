@@ -12,7 +12,7 @@ from __future__ import annotations
 import io
 import csv
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .econ import (
     EconParams,
@@ -277,10 +277,17 @@ def full_precision_rows(
 # ---------------------------------------------------------------------------
 
 
+class ScalingPoint(NamedTuple):
+    nodes: int
+    performance: float  # ns/day
+
+    WIRE = {"performance": "performance_ns_day"}
+
+
 @dataclass(frozen=True)
 class ScalingSeries:
     label: str
-    points: tuple[tuple[int, float], ...]  # (nodes, ns/day), single node first
+    points: tuple[ScalingPoint, ...]  # single node first
 
 
 def scaling_report(series: Sequence[ScalingSeries], fmt: str = "md") -> str:

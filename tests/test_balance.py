@@ -11,12 +11,14 @@ from mdtune.balance import (
     balance_cutoff,
     fft_friendly_size,
     is_fft_friendly,
+    load_profile,
     next_fft_friendly_below,
     predict_performance,
     predict_run,
 )
 from mdtune.errors import InvalidConfigError, MdtuneError
 from mdtune.launch import LaunchConfig, gpu_id_string, interleaved_pme_layout
+from mdtune.wire import from_doc, to_doc
 
 from conftest import make_node
 
@@ -127,12 +129,14 @@ class TestSyntheticProfile:
         assert all(a > b for a, b in zip(effs, effs[1:]))
 
     def test_json_round_trip(self):
-        p = SyntheticNodeProfile(gpu_rate=1.0e7, nstlist_penalty=2.0)
-        assert SyntheticNodeProfile.from_json(json.loads(json.dumps(p.to_json()))) == p
+        p = SyntheticNodeProfile(gpu_rate=1.0e7, nstlist_penalty=2.0, app_clock_mhz=1300.0)
+        assert from_doc(SyntheticNodeProfile, json.loads(json.dumps(to_doc(p)))) == p
 
-    def test_unknown_field_rejected(self):
-        with pytest.raises(MdtuneError):
-            SyntheticNodeProfile.from_json({"cpu_rat": 1e6})
+    def test_unknown_field_rejected(self, tmp_path):
+        path = tmp_path / "profile.json"
+        path.write_text(json.dumps({"cpu_rat": 1e6}))
+        with pytest.raises(MdtuneError, match="cpu_rat"):
+            load_profile(path)
 
     def test_nonpositive_rate_rejected(self):
         with pytest.raises(MdtuneError):

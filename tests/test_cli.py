@@ -6,7 +6,8 @@ import pytest
 
 import benchdata as bd
 from mdtune.cli import main
-from mdtune.launch import plan_from_json
+from mdtune.launch import load_plan
+from mdtune.wire import validate
 
 from conftest import DATA
 
@@ -51,7 +52,7 @@ class TestPlan:
         code, _, _ = run_cli(capsys, "plan", "--manifest", MANIFEST,
                              "--out", str(plan_path), "--script", str(script_path))
         assert code == 0
-        configs = plan_from_json(plan_path.read_text())
+        configs = load_plan(plan_path)
         assert configs
         # the GPU node's plan carries interleaved mesh-rank variants
         assert any(c.n_pme > 0 and c.gpu_id == "01" for c in configs)
@@ -59,6 +60,12 @@ class TestPlan:
         assert len(script.strip().splitlines()) == len(configs)
         assert "-nsteps 5000" in script
         assert "-resetstep 1000" in script
+
+    @pytest.mark.parametrize("manifest", [MANIFEST, str(DATA / "golden" / "manifest_cpu.json")])
+    def test_written_plan_validates(self, capsys, manifest):
+        code, out, _ = run_cli(capsys, "plan", "--manifest", manifest)
+        assert code == 0
+        validate(json.loads(out), "plan")
 
     def test_dry_run_prints_commands_only(self, tmp_path, capsys):
         code, out, _ = run_cli(capsys, "plan", "--manifest", MANIFEST, "--dry-run")
@@ -318,3 +325,42 @@ class TestInputErrors:
     def test_not_json(self, tmp_path, capsys, command):
         err = self.run_with(capsys, tmp_path, command, "{not json")
         assert "doc.json: not valid JSON" in err
+
+
+class TestPlanAndProfileErrors:
+    """A bad sweep --plan or --profile document gives exit 1 and a single
+    error line, never a traceback or a silently changed config."""
+
+    def run_with(self, capsys, tmp_path, option, text):
+        path = tmp_path / "doc.json"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "sweep", "--manifest", MANIFEST, option, str(path))
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: ")
+        return err
+
+    @pytest.mark.parametrize("option", ["--plan", "--profile"])
+    def test_not_json(self, tmp_path, capsys, option):
+        err = self.run_with(capsys, tmp_path, option, "{not json")
+        assert "doc.json: not valid JSON" in err
+
+    def test_misspelled_plan_key(self, tmp_path, capsys):
+        err = self.run_with(capsys, tmp_path, "--plan", '[{"n_rank": 4, "n_thr": 2}]')
+        assert err.startswith("error: 0: ")
+        assert "'n_thr'" in err
+
+    @pytest.mark.parametrize("field, value", [("n_th", -1), ("n_th_pme", 0), ("nstlist", -10)])
+    def test_out_of_range_plan_field(self, tmp_path, capsys, field, value):
+        doc = [{"n_rank": 4, "n_pme": 2, field: value}]
+        err = self.run_with(capsys, tmp_path, "--plan", json.dumps(doc))
+        assert err.startswith(f"error: 0.{field}: ")
+
+    def test_profile_rate_not_a_number(self, tmp_path, capsys):
+        err = self.run_with(capsys, tmp_path, "--profile", '{"cpu_rate": "x"}')
+        assert err.startswith("error: cpu_rate: ")
+
+    def test_unknown_profile_field(self, tmp_path, capsys):
+        err = self.run_with(capsys, tmp_path, "--profile", '{"cpu_rat": 1e6}')
+        assert "'cpu_rat'" in err

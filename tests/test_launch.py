@@ -10,8 +10,8 @@ from mdtune.launch import (
     enumerate_single_node,
     gpu_id_string,
     interleaved_pme_layout,
+    load_plan,
     parse_command,
-    plan_from_json,
     plan_multi_sim,
     plan_to_json,
     plan_to_script,
@@ -43,6 +43,22 @@ def brute_force_even_split(n_gpus: int, n_pp_ranks: int) -> list[list[int]]:
     build([], 0, n_pp_ranks)
     _ = rem
     return results
+
+
+class TestLaunchConfig:
+    @pytest.mark.parametrize("field, value", [("n_th", -1), ("n_th_pme", 0), ("nstlist", 0),
+                                              ("nstlist", -10)])
+    def test_out_of_range_field_rejected(self, field, value):
+        with pytest.raises(InvalidConfigError, match=field):
+            LaunchConfig(n_rank=4, n_pme=2, **{field: value})
+
+    def test_more_ranks_than_threads_to_fill_rejected(self):
+        # n_th = 0 fills the thread budget; 64 ranks on 40 threads leave none
+        with pytest.raises(InvalidConfigError, match="64 ranks exceed 40 threads"):
+            validate_config(LaunchConfig(n_rank=64, use_ht=True), make_node())
+        with pytest.raises(InvalidConfigError, match="ranks exceed"):
+            validate_config(LaunchConfig(n_rank=64, n_pme=8, n_th_pme=2, use_ht=True),
+                            make_node())
 
 
 class TestGpuIdString:
@@ -212,6 +228,12 @@ class TestMultiSim:
         assert plan.ranks_per_replica == 16
         assert plan.nodes == 16
 
+    def test_fewer_replicas_than_gpus_across_nodes(self):
+        # the spare GPU stays idle, on one node as across nodes
+        for nodes in (1, 2):
+            plan = plan_multi_sim(make_node(n_gpus=2), replicas=1, nodes=nodes)
+            assert plan.per_replica_gpu_id == "0"
+
     def test_dense_requires_divisible_nodes(self):
         with pytest.raises(InvalidConfigError):
             plan_multi_sim(make_node(), replicas=3, nodes=16, placement="dense")
@@ -272,11 +294,12 @@ class TestRenderCommand:
 
 
 class TestPlanSerialization:
-    def test_json_round_trip(self):
+    def test_json_round_trip(self, tmp_path):
         node = make_node(n_gpus=2)
         configs = enumerate_single_node(node)
-        again = plan_from_json(plan_to_json(configs))
-        assert again == configs
+        path = tmp_path / "plan.json"
+        path.write_text(plan_to_json(configs))
+        assert load_plan(path) == configs
 
     def test_script_one_command_per_line(self):
         node = make_node(n_gpus=1)
