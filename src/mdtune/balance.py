@@ -5,6 +5,14 @@ work onto the GPU means growing the cutoff by k^(1/3) and coarsening the
 long-range mesh by the same linear factor, with grid dimensions quantized
 to FFT-friendly sizes.
 
+Because of that quantization the mesh cost is piecewise constant in k: as
+k grows the grid steps down a discrete ladder of FFT-friendly sizes, as the
+engine's PP-PME tuner does. ``grid_ladder`` enumerates that ladder once per
+(spacing, box, k range) and caches it. The model's search for the balanced
+shift keeps its 48 bisection steps and comparisons, so its results stay the
+same to the last bit; each step only looks its grid up on the ladder instead
+of rebuilding it.
+
 The synthetic half is a small analytic node model used as a stand-in
 executor: it maps a launch configuration to a deterministic ns/day figure
 with the right qualitative shape (rank/thread tradeoff, GPU offload,
@@ -15,6 +23,8 @@ orchestrator can be tested end to end without an MD engine installed.
 
 from __future__ import annotations
 
+import bisect
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -39,7 +49,11 @@ def is_fft_friendly(n: int) -> bool:
 
 def fft_friendly_size(target: float) -> int:
     """Smallest FFT-friendly integer >= target (e.g. 143.8 -> 144)."""
-    n = max(1, math.ceil(target - 1e-9))
+    return _fft_friendly_from(max(1, math.ceil(target - 1e-9)))
+
+
+@functools.lru_cache(maxsize=4096)
+def _fft_friendly_from(n: int) -> int:
     while not is_fft_friendly(n):
         n += 1
     return n
@@ -109,6 +123,50 @@ def balance_cutoff(
         pp_cost_ratio=k,
         pme_cost_ratio=volume_ratio,
     )
+
+
+@functools.lru_cache(maxsize=32)
+def grid_ladder(
+    spacing0: float, box: tuple[float, float, float], k_max: float
+) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """The grids ``balance_cutoff`` visits for k in [1, k_max], as (breaks, ratios).
+
+    ``breaks[i]`` is the smallest float k at which piece i's grid starts,
+    and ``ratios[i]`` is that grid's ``pme_cost_ratio``, so for every float
+    k in [1, k_max] the piece is ``bisect.bisect_right(breaks, k) - 1``.
+    Each break is found by bisecting down to adjacent floats on the same
+    expression ``balance_cutoff`` evaluates, so the lookup is exact as long
+    as the grid never grows with k.
+    """
+    if k_max < 1:
+        raise MdtuneError(f"balance factor k={k_max} < 1: work only shifts off the CPU")
+    box = tuple(float(b) for b in box)
+    grid0 = grid_for_spacing(box, spacing0)
+
+    def grid_at(k: float) -> tuple[int, int, int]:
+        return grid_for_spacing(box, spacing0 * k ** (1.0 / 3.0))
+
+    breaks, ratios = [], []
+    lo = 1.0
+    while True:
+        grid = grid_at(lo)
+        ratio = 1.0
+        for a, b in zip(grid, grid0):
+            ratio *= a / b
+        breaks.append(lo)
+        ratios.append(ratio)
+        if grid_at(k_max) == grid:
+            return tuple(breaks), tuple(ratios)
+        hi = k_max  # grid_at(lo) == grid != grid_at(hi)
+        while True:
+            mid = 0.5 * (lo + hi)
+            if mid == lo or mid == hi:
+                break
+            if grid_at(mid) == grid:
+                lo = mid
+            else:
+                hi = mid
+        lo = hi
 
 
 # ---------------------------------------------------------------------------
@@ -237,25 +295,34 @@ def predict_run(
         share_penalty = 1.0 + profile.gpu_share_overhead * (ranks_per_gpu - 1)
         gpu_cap = n_gpus * config.nodes * profile.gpu_rate * clock_factor / share_penalty
 
-    def times(k: float):
-        state = balance_cutoff(workload.rc0, workload.spacing0, workload.box, k)
-        t_gpu = w_sr * k / gpu_cap if n_gpus else 0.0
-        mesh = w_pme * state.pme_cost_ratio
+    def cpu_times(pme_cost_ratio: float):
+        """(overlapped CPU time, PME mesh/force load) at a mesh cost ratio."""
+        mesh = w_pme * pme_cost_ratio
         if not pme_share:
-            return state, t_gpu, (w_sr_cpu + mesh + w_bonded) / cpu_cap, None
+            return (w_sr_cpu + mesh + w_bonded) / cpu_cap, None
         # dedicated mesh ranks: each side only has its own cores
         t_mesh = mesh / (cpu_cap * pme_share)
         t_pp = (w_sr_cpu + w_bonded) / (cpu_cap * (1.0 - pme_share))
-        return state, t_gpu, max(t_mesh, t_pp), None if n_gpus else t_mesh / t_pp
+        return max(t_mesh, t_pp), None if n_gpus else t_mesh / t_pp
+
+    def times(k: float):
+        state = balance_cutoff(workload.rc0, workload.spacing0, workload.box, k)
+        t_gpu = w_sr * k / gpu_cap if n_gpus else 0.0
+        return state, t_gpu, *cpu_times(state.pme_cost_ratio)
 
     # Find the work shift that balances GPU against overlapped CPU time.
     k_lo, k_hi = 1.0, profile.max_balance
     state, t_gpu, t_cpu_overlap, pme_load = times(k_lo)
     if n_gpus and t_gpu < t_cpu_overlap:  # GPU has headroom: shift work toward it
+        breaks, ratios = grid_ladder(workload.spacing0, workload.box, k_hi)
+        t_cpu_of_piece = [None] * len(ratios)
         for _ in range(48):
             k_mid = 0.5 * (k_lo + k_hi)
-            state_m, t_g, t_c, _ = times(k_mid)
-            if t_g < t_c:
+            piece = bisect.bisect_right(breaks, k_mid) - 1
+            t_c = t_cpu_of_piece[piece]
+            if t_c is None:
+                t_c = t_cpu_of_piece[piece] = cpu_times(ratios[piece])[0]
+            if w_sr * k_mid / gpu_cap < t_c:
                 k_lo = k_mid
             else:
                 k_hi = k_mid

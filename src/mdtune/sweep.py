@@ -21,6 +21,8 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import os
+import signal
 import statistics
 import subprocess
 from dataclasses import dataclass, field
@@ -119,7 +121,8 @@ class ShellExecutor:
     the hash covers the config and workload, so repeated sweeps use
     predictable paths. ``i`` is the first index not taken yet, so repeats,
     and later sweeps into the same workdir, never collide with earlier runs.
-    A run that exceeds ``timeout_s`` is a failed run.
+    A run that exceeds ``timeout_s`` is a failed run, and every process it
+    started is killed.
     """
 
     exclusive = True
@@ -147,20 +150,27 @@ class ShellExecutor:
             (command + workload.name).encode()
         ).hexdigest()[:12]
         rundir = self._make_rundir(key)
-        try:
-            proc = subprocess.run(
-                command,
-                shell=True,
-                cwd=rundir,
-                capture_output=True,
-                text=True,
-                timeout=self.timeout_s,
-            )
-        except subprocess.TimeoutExpired:
-            raise RunFailure(f"command timed out after {self.timeout_s:g} s: {command}") from None
+        # A session of its own puts the shell and every process it starts (an
+        # mpirun and its ranks, say) in one process group, killed as a whole.
+        with subprocess.Popen(
+            command,
+            shell=True,
+            cwd=rundir,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            start_new_session=True,
+        ) as proc:
+            try:
+                _, stderr = proc.communicate(timeout=self.timeout_s)
+            except subprocess.TimeoutExpired:
+                os.killpg(proc.pid, signal.SIGKILL)
+                raise RunFailure(
+                    f"command timed out after {self.timeout_s:g} s: {command}"
+                ) from None
         if proc.returncode != 0:
             raise RunFailure(
-                f"command failed with exit {proc.returncode}: {command}\n{proc.stderr.strip()}"
+                f"command failed with exit {proc.returncode}: {command}\n{stderr.strip()}"
             )
         log_path = rundir / self.engine.log_file
         if not log_path.exists():

@@ -131,7 +131,13 @@ def _validator(name: str):
     import jsonschema  # slow to import; only commands that read documents need it
 
     schema = json.loads(resources.files("mdtune").joinpath("schema.json").read_text())
-    return jsonschema.Draft202012Validator({**schema, "$ref": f"#/$defs/{name}"})
+    base = jsonschema.Draft202012Validator
+    # JSON Schema counts 4.0 as an integer, but from_doc keeps the float and
+    # a command line would read "-ntmpi 4.0": integers must be written as such.
+    checker = base.TYPE_CHECKER.redefine(
+        "integer", lambda _, value: isinstance(value, int) and not isinstance(value, bool))
+    validator = jsonschema.validators.extend(base, type_checker=checker)
+    return validator({**schema, "$ref": f"#/$defs/{name}"})
 
 
 def validate(doc, name: str) -> None:

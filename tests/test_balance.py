@@ -1,3 +1,4 @@
+import bisect
 import json
 import math
 from dataclasses import replace
@@ -5,11 +6,15 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import mdtune.balance
 from mdtune.balance import (
+    PredictedRun,
     SyntheticNodeProfile,
     Workload,
+    _cpu_capacity,
     balance_cutoff,
     fft_friendly_size,
+    grid_ladder,
     is_fft_friendly,
     load_profile,
     next_fft_friendly_below,
@@ -17,7 +22,14 @@ from mdtune.balance import (
     predict_run,
 )
 from mdtune.errors import InvalidConfigError, MdtuneError
-from mdtune.launch import LaunchConfig, gpu_id_string, interleaved_pme_layout
+from mdtune.launch import (
+    LaunchConfig,
+    enumerate_plan,
+    gpu_id_string,
+    interleaved_pme_layout,
+    rank_threads,
+    validate_config,
+)
 from mdtune.wire import from_doc, to_doc
 
 from conftest import make_node
@@ -258,3 +270,162 @@ def test_predict_run_pinned(name):
     run = predict_run(SyntheticNodeProfile(), node, config, Workload())
     assert (run.ns_per_day, run.step_time_s, run.gpu_time_s, run.cpu_overlap_time_s,
             run.pme_mesh_force_load, run.balance.rcoulomb, run.balance.grid_dims) == expected
+
+
+class TestGridLadder:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        box=st.tuples(*[st.floats(min_value=3.0, max_value=30.0)] * 3),
+        spacing0=st.floats(min_value=0.08, max_value=0.2),
+        k_max=st.floats(min_value=1.0, max_value=16.0),
+        fraction=st.floats(min_value=0.0, max_value=1.0),
+    )
+    def test_piece_matches_balance_cutoff(self, box, spacing0, k_max, fraction):
+        breaks, ratios = grid_ladder(spacing0, box, k_max)
+        assert breaks[0] == 1.0
+        grids = [balance_cutoff(1.0, spacing0, box, k).grid_dims for k in breaks]
+        assert all(a != b for a, b in zip(grids, grids[1:]))
+        # a drawn k, both ends of the range, and both sides of every break
+        ks = [min(k_max, 1.0 + fraction * (k_max - 1.0)), 1.0, k_max]
+        for k in breaks[1:]:
+            ks += [k, math.nextafter(k, 0.0)]
+        for k in ks:
+            piece = bisect.bisect_right(breaks, k) - 1
+            state = balance_cutoff(1.0, spacing0, box, k)
+            assert (grids[piece], ratios[piece]) == (state.grid_dims, state.pme_cost_ratio)
+
+    def test_k_max_below_one_rejected(self):
+        with pytest.raises(MdtuneError):
+            grid_ladder(0.12, (10.8, 10.2, 9.6), 0.9)
+
+
+def bisection_oracle(profile, node, config, workload):
+    """predict_run as it was before the grid ladder: 48 full balance_cutoff
+    calls in the bisection. Kept as the reference the ladder must match."""
+    n_gpus = len(set(config.gpu_id))
+    validate_config(config, node, gpus_active=n_gpus or None)
+
+    budget, n_th, pme_th = rank_threads(config, node)
+    nstlist = config.nstlist if config.nstlist is not None else 10
+    atoms = workload.atoms
+
+    work = float(atoms)
+    w_sr = work * profile.offload_fraction_base * (1.0 + profile.buffer_growth * nstlist)
+    w_pme = work * profile.pme_fraction_base
+    w_rest = work * max(0.0, 1.0 - profile.offload_fraction_base - profile.pme_fraction_base)
+    w_nonoverlap = 0.5 * w_rest + work * profile.nstlist_penalty / max(1, nstlist)
+    w_bonded = 0.5 * w_rest
+    w_sr_cpu = 0.0 if n_gpus else w_sr
+
+    pp_ranks = config.n_pp
+    threads_total = pp_ranks * n_th + config.n_pme * pme_th
+    cpu_cap = _cpu_capacity(profile, node, min(threads_total // config.nodes, budget),
+                            n_th, config.use_ht) * config.nodes
+    pme_share = config.n_pme * pme_th / threads_total if config.n_pme else 0.0
+
+    gpu_cap = 0.0
+    if n_gpus:
+        clock_factor = 1.0
+        if profile.app_clock_mhz and node.gpus:
+            clock_factor = profile.app_clock_mhz / node.gpus[0].base_clock_mhz
+        ranks_per_gpu = max(1, pp_ranks // max(1, n_gpus * config.nodes))
+        share_penalty = 1.0 + profile.gpu_share_overhead * (ranks_per_gpu - 1)
+        gpu_cap = n_gpus * config.nodes * profile.gpu_rate * clock_factor / share_penalty
+
+    def times(k):
+        state = balance_cutoff(workload.rc0, workload.spacing0, workload.box, k)
+        t_gpu = w_sr * k / gpu_cap if n_gpus else 0.0
+        mesh = w_pme * state.pme_cost_ratio
+        if not pme_share:
+            return state, t_gpu, (w_sr_cpu + mesh + w_bonded) / cpu_cap, None
+        t_mesh = mesh / (cpu_cap * pme_share)
+        t_pp = (w_sr_cpu + w_bonded) / (cpu_cap * (1.0 - pme_share))
+        return state, t_gpu, max(t_mesh, t_pp), None if n_gpus else t_mesh / t_pp
+
+    k_lo, k_hi = 1.0, profile.max_balance
+    state, t_gpu, t_cpu_overlap, pme_load = times(k_lo)
+    if n_gpus and t_gpu < t_cpu_overlap:
+        for _ in range(48):
+            k_mid = 0.5 * (k_lo + k_hi)
+            _, t_g, t_c, _ = times(k_mid)
+            if t_g < t_c:
+                k_lo = k_mid
+            else:
+                k_hi = k_mid
+        state, t_gpu, t_cpu_overlap, _ = times(k_lo)
+    step = max(t_gpu, t_cpu_overlap) + w_nonoverlap / cpu_cap
+    if config.dlb == ("on" if n_gpus else "off"):
+        step *= 1.0 + profile.dlb_penalty
+
+    step += profile.rank_overhead * config.n_rank / config.nodes
+    if config.nodes > 1:
+        step += profile.comm_per_node * (config.nodes - 1) / config.nodes
+
+    ns_per_day = workload.timestep_fs * 1e-6 * 86400.0 / step
+    return PredictedRun(
+        ns_per_day=ns_per_day,
+        balance=state,
+        gpu_time_s=t_gpu,
+        cpu_overlap_time_s=t_cpu_overlap,
+        pme_mesh_force_load=pme_load,
+        step_time_s=step,
+    )
+
+
+def _between(lo, hi):
+    return st.floats(min_value=lo, max_value=hi)
+
+
+profiles = st.builds(
+    SyntheticNodeProfile,
+    cpu_rate=_between(2e5, 2e7),
+    gpu_rate=_between(5e6, 3e8),
+    offload_fraction_base=_between(0.2, 0.8),
+    pme_fraction_base=_between(0.05, 0.5),
+    rank_overhead=_between(0.0, 5e-5),
+    thread_efficiency_decay=_between(0.0, 0.2),
+    gpu_share_overhead=_between(0.0, 0.1),
+    nstlist_penalty=_between(0.0, 3.0),
+    buffer_growth=_between(0.0, 0.01),
+    ht_speedup=_between(0.9, 1.3),
+    comm_per_node=_between(0.0, 5e-4),
+    max_balance=_between(1.0, 16.0),
+    dlb_penalty=_between(0.0, 0.1),
+    app_clock_mhz=st.none() | _between(500.0, 2000.0),
+)
+
+# Every planned config of 1- to 4-GPU nodes, with and without separate PME ranks.
+GPU_CONFIGS = [(node, config) for node in (make_node(n_gpus=g) for g in (1, 2, 3, 4))
+               for config in enumerate_plan(node)]
+WORKLOADS = (
+    Workload(),
+    Workload(atoms=2_000_000, spacing0=RIB_SPACING, box=RIB_BOX),
+    Workload(atoms=300_000, spacing0=0.1, box=(17.3, 12.1, 22.9)),
+)
+
+
+class TestBisectionOnTheLadder:
+    def test_configs_cover_separate_pme(self):
+        assert {config.n_pme > 0 for _, config in GPU_CONFIGS} == {False, True}
+
+    @settings(max_examples=150, deadline=None)
+    @given(profile=profiles, case=st.sampled_from(GPU_CONFIGS),
+           workload=st.sampled_from(WORKLOADS))
+    def test_identical_to_full_bisection(self, profile, case, workload):
+        node, config = case
+        assert repr(predict_run(profile, node, config, workload)) == repr(
+            bisection_oracle(profile, node, config, workload))
+
+    def test_balance_cutoff_called_at_most_twice(self, monkeypatch, gpu_node):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return balance_cutoff(*args)
+
+        monkeypatch.setattr(mdtune.balance, "balance_cutoff", counted)
+        config = LaunchConfig(n_rank=8, n_th=5, gpu_id=gpu_id_string(2, 8),
+                              use_ht=True, nstlist=40)
+        run = predict_run(SyntheticNodeProfile(), gpu_node, config, Workload())
+        assert run.balance.pp_cost_ratio > 1.0  # the bisection ran
+        assert len(calls) <= 2

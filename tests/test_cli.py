@@ -364,3 +364,25 @@ class TestPlanAndProfileErrors:
     def test_unknown_profile_field(self, tmp_path, capsys):
         err = self.run_with(capsys, tmp_path, "--profile", '{"cpu_rat": 1e6}')
         assert "'cpu_rat'" in err
+
+
+class TestIntegralFloats:
+    """An integer field given as 4.0 is rejected, not echoed into a command
+    line as ``-ntmpi 4.0``."""
+
+    def test_plan(self, tmp_path, capsys):
+        path = tmp_path / "plan.json"
+        path.write_text('[{"n_rank": 4.0, "n_th": 2}]')
+        code, out, err = run_cli(capsys, "sweep", "--manifest", MANIFEST, "--plan", str(path),
+                                 "--dry-run")
+        assert (code, out) == (1, "")
+        assert err == "error: 0.n_rank: 4.0 is not of type 'integer'\n"
+
+    def test_manifest(self, tmp_path, capsys):
+        doc = json.loads((DATA / "manifest_mem.json").read_text())
+        doc["sweep"]["repeats"] = 2.0
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "sweep", "--manifest", str(path))
+        assert (code, out) == (1, "")
+        assert err == "error: sweep.repeats: 2.0 is not of type 'integer'\n"

@@ -1,8 +1,11 @@
+import os
+import signal
 import stat
+import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mdtune.balance import SyntheticNodeProfile, Workload
 from mdtune.errors import MdtuneError, RunFailure
@@ -135,13 +138,21 @@ class TestSelectBest:
                        max_size=12),
         scale=st.floats(min_value=1e-3, max_value=1e3),
     )
+    @example(perfs=[999.9999999999999, 1000.0], scale=4.704211946326822)
     def test_argmax_invariant_under_rescaling(self, perfs, scale):
+        # Rounding can make scaled rows tie (the example above), and a tie
+        # goes to fewer ranks, so the winner itself is pinned only when the
+        # scaled maximum is unique.
         rows = [self.row(p, n_rank=i + 1, n_th=1) for i, p in enumerate(perfs)]
-        scaled = [self.row(p * scale, n_rank=i + 1, n_th=1)
-                  for i, p in enumerate(perfs)]
+        scaled_perfs = [p * scale for p in perfs]
+        scaled = [self.row(p, n_rank=i + 1, n_th=1) for i, p in enumerate(scaled_perfs)]
         best = select_best(self.make_result(rows))
         best_scaled = select_best(self.make_result(scaled))
-        assert best.n_rank == best_scaled.n_rank
+        top = max(scaled_perfs)
+        assert scaled_perfs[best_scaled.n_rank - 1] == top
+        assert scaled_perfs[best.n_rank - 1] == top
+        if scaled_perfs.count(top) == 1:
+            assert best.n_rank == best_scaled.n_rank
 
 
 class FailingExecutor:
@@ -191,6 +202,15 @@ def fake_engine(tmp_path):
     return script
 
 
+def _running(pid: int) -> bool:
+    """Whether a process runs; a killed one waiting to be reaped does not."""
+    try:
+        stat_line = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat_line.rsplit(")", 1)[1].split()[0] != "Z"
+
+
 class TestShellExecutor:
     def test_runs_in_per_run_directories(self, tmp_path, fake_engine):
         executor = ShellExecutor(tmp_path / "runs",
@@ -220,6 +240,24 @@ class TestShellExecutor:
         assert not result.rows
         assert len(result.failures) == 2
         assert all("timed out after 0.2 s" in msg for _, msg in result.failures)
+
+    @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads /proc")
+    def test_timeout_kills_the_whole_process_group(self, tmp_path):
+        # the engine leaves a background child, as an mpirun would its ranks
+        engine = EngineProfile(mdrun="sleep 30 & echo $! > child.pid; wait; true")
+        executor = ShellExecutor(tmp_path / "runs", engine, timeout_s=0.5)
+        with pytest.raises(RunFailure, match="timed out after 0.5 s"):
+            executor.run(LaunchConfig(n_rank=1, n_th=1), Workload())
+        (pid_file,) = (tmp_path / "runs").glob("run_*/child.pid")
+        pid = int(pid_file.read_text())
+        try:
+            deadline = time.monotonic() + 5.0
+            while _running(pid) and time.monotonic() < deadline:
+                time.sleep(0.02)
+            assert not _running(pid)
+        finally:
+            if _running(pid):
+                os.kill(pid, signal.SIGKILL)
 
     def test_second_sweep_into_same_workdir(self, tmp_path, fake_engine):
         engine = EngineProfile(mdrun=str(fake_engine))
