@@ -121,8 +121,9 @@ class ShellExecutor:
     the hash covers the config and workload, so repeated sweeps use
     predictable paths. ``i`` is the first index not taken yet, so repeats,
     and later sweeps into the same workdir, never collide with earlier runs.
-    A run that exceeds ``timeout_s`` is a failed run, and every process it
-    started is killed.
+    A run that exceeds ``timeout_s`` is a failed run. However the wait for
+    a run ends early (a timeout, Ctrl-C), every process the run started is
+    killed.
     """
 
     exclusive = True
@@ -152,6 +153,8 @@ class ShellExecutor:
         rundir = self._make_rundir(key)
         # A session of its own puts the shell and every process it starts (an
         # mpirun and its ranks, say) in one process group, killed as a whole.
+        # The session also leaves the terminal's foreground group, so Ctrl-C
+        # reaches only mdtune and the group must be killed on every way out.
         with subprocess.Popen(
             command,
             shell=True,
@@ -163,11 +166,16 @@ class ShellExecutor:
         ) as proc:
             try:
                 _, stderr = proc.communicate(timeout=self.timeout_s)
-            except subprocess.TimeoutExpired:
-                os.killpg(proc.pid, signal.SIGKILL)
-                raise RunFailure(
-                    f"command timed out after {self.timeout_s:g} s: {command}"
-                ) from None
+            except BaseException as exc:
+                try:
+                    os.killpg(proc.pid, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
+                if isinstance(exc, subprocess.TimeoutExpired):
+                    raise RunFailure(
+                        f"command timed out after {self.timeout_s:g} s: {command}"
+                    ) from None
+                raise
         if proc.returncode != 0:
             raise RunFailure(
                 f"command failed with exit {proc.returncode}: {command}\n{stderr.strip()}"

@@ -1,6 +1,7 @@
 import os
 import signal
 import stat
+import subprocess
 import time
 from pathlib import Path
 
@@ -241,15 +242,22 @@ class TestShellExecutor:
         assert len(result.failures) == 2
         assert all("timed out after 0.2 s" in msg for _, msg in result.failures)
 
-    @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads /proc")
-    def test_timeout_kills_the_whole_process_group(self, tmp_path):
-        # the engine leaves a background child, as an mpirun would its ranks
-        engine = EngineProfile(mdrun="sleep 30 & echo $! > child.pid; wait; true")
-        executor = ShellExecutor(tmp_path / "runs", engine, timeout_s=0.5)
-        with pytest.raises(RunFailure, match="timed out after 0.5 s"):
-            executor.run(LaunchConfig(n_rank=1, n_th=1), Workload())
-        (pid_file,) = (tmp_path / "runs").glob("run_*/child.pid")
-        pid = int(pid_file.read_text())
+    # the engine leaves a background child, as an mpirun would its ranks
+    BACKGROUND_CHILD = EngineProfile(mdrun="sleep 30 & echo $! > child.pid; wait; true")
+
+    @staticmethod
+    def _child_pid(runs: Path) -> int:
+        deadline = time.monotonic() + 5.0
+        while time.monotonic() < deadline:
+            for pid_file in runs.glob("run_*/child.pid"):
+                text = pid_file.read_text()
+                if text.endswith("\n"):
+                    return int(text)
+            time.sleep(0.02)
+        raise AssertionError("the engine wrote no child pid")
+
+    @staticmethod
+    def _assert_gone(pid: int) -> None:
         try:
             deadline = time.monotonic() + 5.0
             while _running(pid) and time.monotonic() < deadline:
@@ -258,6 +266,29 @@ class TestShellExecutor:
         finally:
             if _running(pid):
                 os.kill(pid, signal.SIGKILL)
+
+    @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads /proc")
+    def test_timeout_kills_the_whole_process_group(self, tmp_path):
+        executor = ShellExecutor(tmp_path / "runs", self.BACKGROUND_CHILD, timeout_s=0.5)
+        with pytest.raises(RunFailure, match="timed out after 0.5 s"):
+            executor.run(LaunchConfig(n_rank=1, n_th=1), Workload())
+        self._assert_gone(self._child_pid(tmp_path / "runs"))
+
+    @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads /proc")
+    def test_interrupt_kills_the_whole_process_group(self, tmp_path, monkeypatch):
+        # Ctrl-C while mdtune waits: the run's own session does not get it
+        runs = tmp_path / "runs"
+        child = []
+
+        def interrupted(proc, *args, **kwargs):
+            child.append(self._child_pid(runs))
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(subprocess.Popen, "communicate", interrupted)
+        executor = ShellExecutor(runs, self.BACKGROUND_CHILD)
+        with pytest.raises(KeyboardInterrupt):
+            executor.run(LaunchConfig(n_rank=1, n_th=1), Workload())
+        self._assert_gone(child[0])
 
     def test_second_sweep_into_same_workdir(self, tmp_path, fake_engine):
         engine = EngineProfile(mdrun=str(fake_engine))
