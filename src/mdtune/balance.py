@@ -11,7 +11,9 @@ engine's PP-PME tuner does. ``grid_ladder`` enumerates that ladder once per
 (spacing, box, k range) and caches it. The model's search for the balanced
 shift keeps its 48 bisection steps and comparisons, so its results stay the
 same to the last bit; each step only looks its grid up on the ladder instead
-of rebuilding it.
+of rebuilding it. The unshifted (k = 1) state every search starts from is
+cached per workload too (``unshifted_state``), so a run without a shift
+computes no cutoff state of its own.
 
 The synthetic half is a small analytic node model used as a stand-in
 executor: it maps a launch configuration to a deterministic ns/day figure
@@ -123,6 +125,14 @@ def balance_cutoff(
         pp_cost_ratio=k,
         pme_cost_ratio=volume_ratio,
     )
+
+
+@functools.lru_cache(maxsize=32)
+def unshifted_state(
+    rc0: float, spacing0: float, box: tuple[float, float, float]
+) -> BalanceState:
+    """``balance_cutoff(rc0, spacing0, box, 1.0)``, computed once per workload."""
+    return balance_cutoff(rc0, spacing0, box, 1.0)
 
 
 @functools.lru_cache(maxsize=32)
@@ -305,14 +315,14 @@ def predict_run(
         t_pp = (w_sr_cpu + w_bonded) / (cpu_cap * (1.0 - pme_share))
         return max(t_mesh, t_pp), None if n_gpus else t_mesh / t_pp
 
-    def times(k: float):
-        state = balance_cutoff(workload.rc0, workload.spacing0, workload.box, k)
-        t_gpu = w_sr * k / gpu_cap if n_gpus else 0.0
+    def times(state: BalanceState):
+        t_gpu = w_sr * state.pp_cost_ratio / gpu_cap if n_gpus else 0.0
         return state, t_gpu, *cpu_times(state.pme_cost_ratio)
 
     # Find the work shift that balances GPU against overlapped CPU time.
     k_lo, k_hi = 1.0, profile.max_balance
-    state, t_gpu, t_cpu_overlap, pme_load = times(k_lo)
+    state, t_gpu, t_cpu_overlap, pme_load = times(
+        unshifted_state(workload.rc0, workload.spacing0, workload.box))
     if n_gpus and t_gpu < t_cpu_overlap:  # GPU has headroom: shift work toward it
         breaks, ratios = grid_ladder(workload.spacing0, workload.box, k_hi)
         t_cpu_of_piece = [None] * len(ratios)
@@ -326,7 +336,8 @@ def predict_run(
                 k_lo = k_mid
             else:
                 k_hi = k_mid
-        state, t_gpu, t_cpu_overlap, _ = times(k_lo)
+        state, t_gpu, t_cpu_overlap, _ = times(
+            balance_cutoff(workload.rc0, workload.spacing0, workload.box, k_lo))
     step = max(t_gpu, t_cpu_overlap) + w_nonoverlap / cpu_cap
     # CPU nodes want dynamic balancing; with GPUs, DD resizing caps the cutoff shift
     if config.dlb == ("on" if n_gpus else "off"):

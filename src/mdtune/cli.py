@@ -95,7 +95,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_parse_log(args) -> int:
     all_metrics = []
     for path in args.logs:
-        text = Path(path).read_text()
+        text = Path(path).read_text(errors="replace")
         all_metrics.append(parse_metrics(text))
     if args.format == "csv":
         sys.stdout.write(metrics_to_csv(all_metrics))

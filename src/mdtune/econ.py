@@ -135,7 +135,7 @@ def econ_row(
         effective_power_w=power_w,
         energy_cost_eur=energy,
         node_cost_eur=node_cost_eur,
-        trajectory_cost_eur_per_us=total / prod,
+        trajectory_cost_eur_per_us=total / prod if prod > 0 else math.inf,
         yield_us_per_keur=prod / (total / 1000.0) if total > 0 else math.inf,
     )
 

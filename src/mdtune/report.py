@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import io
 import csv
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
@@ -191,6 +192,20 @@ class EconDisplayRow:
     yield_value: float
 
 
+def _check_priced(label: str, production: float, total: float) -> None:
+    """Reject a row whose cost per us or yield would not be a finite number.
+
+    The rows schema allows a node cost and a power of 0, and a production
+    that rounds to 0.00 us; dividing by either would crash a table or write
+    ``Infinity`` into a JSON document.
+    """
+    if not (0 < production < math.inf and 0 < total < math.inf):
+        raise MdtuneError(
+            f"row {label!r}: total cost ({total:g} EUR) and production "
+            f"({production:g} us) must both be above 0 and finite"
+        )
+
+
 def econ_display_row(
     inp: EconInput,
     params: EconParams = EconParams(),
@@ -208,6 +223,7 @@ def econ_display_row(
         params.lifetime_years * power * 365 * 24 * params.energy_price_eur_per_kwh / 1000.0
     )
     total = energy + inp.node_cost_eur
+    _check_priced(inp.label, production, total)
     if yield_unit == YIELD_NS:
         yield_value = float(round(1000.0 * production / (total / 1000.0)))
     elif yield_unit == YIELD_US:
@@ -266,10 +282,12 @@ def full_precision_rows(
     inputs: Sequence[EconInput], params: EconParams = EconParams()
 ) -> list[EconRow]:
     """The same rows without display rounding, for downstream ranking."""
-    return [
-        econ_row(i.performance, i.effective_power_w(), i.node_cost_eur, params)
-        for i in inputs
-    ]
+    rows = []
+    for i in inputs:
+        row = econ_row(i.performance, i.effective_power_w(), i.node_cost_eur, params)
+        _check_priced(i.label, row.production_us, row.energy_cost_eur + row.node_cost_eur)
+        rows.append(row)
+    return rows
 
 
 # ---------------------------------------------------------------------------

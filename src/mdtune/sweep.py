@@ -13,7 +13,14 @@ Two executors ship with the toolkit:
    node being benchmarked.
  - SyntheticExecutor evaluates the analytic node model and renders a log
    from the prediction. It is deterministic, not exclusive, and exists so
-   sweeps can be tested end to end on a laptop.
+   sweeps can be tested end to end on a laptop. Because it is deterministic,
+   it renders each (config, workload) once and answers every repeat with
+   the same log; the memo lives on the instance, so it lasts one sweep.
+
+The orchestrator does each repeat's deterministic work once too: a log text
+equal to an earlier repeat's is not parsed again, and repeats that agree to
+the last bit have a stdev of exactly 0.0 without the exact arithmetic of
+``statistics.stdev``.
 """
 
 from __future__ import annotations
@@ -57,15 +64,32 @@ class Executor(Protocol):
 
 
 class SyntheticExecutor:
-    """Deterministic model-backed executor; see the module docstring."""
+    """Deterministic model-backed executor; see the module docstring.
+
+    The rendered log of each ``(config, workload)`` is memoized on the
+    instance, so a repeat costs one dict lookup and the memo holds at most
+    one log per config. It is per instance, not per module, so that it is
+    dropped with the executor: a later sweep computes its logs afresh, and a
+    one-shot ``mdtune sweep`` gains exactly as much as a long-lived process.
+    A config the node cannot run raises ``RunFailure`` every time and is not
+    memoized. Run-to-run noise, once the model has it, will be keyed by
+    repeat; the memo then moves to the noise-free ``PredictedRun``.
+    """
 
     exclusive = False
 
     def __init__(self, node: NodeSpec, profile: SyntheticNodeProfile = SyntheticNodeProfile()):
         self.node = node
         self.profile = profile
+        self._logs: dict[tuple[LaunchConfig, Workload], str] = {}
 
     def run(self, config: LaunchConfig, workload: Workload) -> str:
+        log_text = self._logs.get((config, workload))
+        if log_text is None:
+            log_text = self._logs[config, workload] = self._render(config, workload)
+        return log_text
+
+    def _render(self, config: LaunchConfig, workload: Workload) -> str:
         try:
             pred = predict_run(self.profile, self.node, config, workload)
         except InvalidConfigError as exc:
@@ -121,9 +145,11 @@ class ShellExecutor:
     the hash covers the config and workload, so repeated sweeps use
     predictable paths. ``i`` is the first index not taken yet, so repeats,
     and later sweeps into the same workdir, never collide with earlier runs.
-    A run that exceeds ``timeout_s`` is a failed run. However the wait for
-    a run ends early (a timeout, Ctrl-C), every process the run started is
-    killed.
+    Engine output that is not valid text is decoded with replacement
+    characters, so it is a log to parse or a failure to record, never an
+    exception. A run that exceeds ``timeout_s`` is a failed run. However
+    the wait for a run ends early (a timeout, Ctrl-C), every process the
+    run started is killed.
     """
 
     exclusive = True
@@ -162,6 +188,7 @@ class ShellExecutor:
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
             text=True,
+            errors="replace",
             start_new_session=True,
         ) as proc:
             try:
@@ -183,7 +210,7 @@ class ShellExecutor:
         log_path = rundir / self.engine.log_file
         if not log_path.exists():
             raise RunFailure(f"run left no log file at {log_path}")
-        return log_path.read_text()
+        return log_path.read_text(errors="replace")
 
 
 @dataclass
@@ -244,9 +271,11 @@ def run_sweep(
 
     The mean of the repeats ranks configurations (engines scatter by a few
     percent run to run, so single samples are not trusted); the stdev is
-    reported alongside. A failed repeat (the executor raised RunFailure, or
-    the log is malformed) fails the whole row, which is recorded in
-    ``failures`` without stopping the sweep.
+    reported alongside, 0.0 when every repeat gives the same figure. A log
+    text equal to an earlier repeat's of the same config is parsed once. A
+    failed repeat (the executor raised RunFailure, or the log is malformed)
+    fails the whole row, which is recorded in ``failures`` without stopping
+    the sweep.
     """
     if repeats < 1:
         raise MdtuneError("repeats must be >= 1")
@@ -254,11 +283,14 @@ def run_sweep(
     failures: list[Failure] = []
     for config in configs:
         perfs: list[float] = []
+        parsed: dict[str, PerfMetrics] = {}
         best_metrics: Optional[PerfMetrics] = None
         try:
             for _ in range(repeats):
                 log_text = executor.run(config, workload)
-                metrics = parse_metrics(log_text)
+                metrics = parsed.get(log_text)
+                if metrics is None:
+                    metrics = parsed[log_text] = parse_metrics(log_text)
                 if metrics.performance is None:
                     raise RunFailure("log contained no performance figure")
                 perfs.append(metrics.performance)
@@ -271,7 +303,8 @@ def run_sweep(
             SweepRow(
                 config=config,
                 mean_performance=statistics.fmean(perfs),
-                stdev=statistics.stdev(perfs) if len(perfs) > 1 else 0.0,
+                stdev=(0.0 if all(p == perfs[0] for p in perfs)
+                       else statistics.stdev(perfs)),
                 repeats=repeats,
                 metrics=best_metrics,
                 advisories=list(best_metrics.notes),

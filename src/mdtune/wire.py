@@ -22,6 +22,7 @@ import dataclasses
 import enum
 import functools
 import json
+import math
 import types
 import typing
 from collections.abc import Sequence
@@ -157,10 +158,37 @@ def validate(doc, name: str) -> None:
         raise ManifestError(err.message, path=path or "(root)")
 
 
+def _non_finite(doc, path=()):
+    """The path of the first NaN or infinite number in a document, or None."""
+    if isinstance(doc, float):
+        return None if math.isfinite(doc) else path
+    if isinstance(doc, dict):
+        items = doc.items()
+    elif isinstance(doc, list):
+        items = enumerate(doc)
+    else:
+        return None
+    for key, value in items:
+        found = _non_finite(value, (*path, key))
+        if found is not None:
+            return found
+    return None
+
+
 def read(path):
-    """A JSON file's document; a file that is not JSON raises ManifestError."""
+    """A JSON file's document.
+
+    A file that is not JSON raises ManifestError, and so does a number that
+    is not finite: Python reads ``NaN``, ``Infinity`` and ``1e999``, but
+    JSON has no such numbers and no schema range check rejects NaN.
+    """
     with open(path) as fh:
         try:
-            return json.load(fh)
+            doc = json.load(fh)
         except ValueError as exc:
             raise ManifestError(f"not valid JSON: {exc}", path=str(path)) from exc
+    where = _non_finite(doc)
+    if where is not None:
+        raise ManifestError("not a finite number",
+                            path=".".join(str(p) for p in where) or str(path))
+    return doc

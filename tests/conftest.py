@@ -2,9 +2,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
 sys.path.insert(0, str(Path(__file__).parent))  # for benchdata
 
+from mdtune.balance import SyntheticNodeProfile
 from mdtune.hardware import CpuSpec, GpuSpec, NodeSpec
 
 DATA = Path(__file__).parent / "data"
@@ -71,3 +73,27 @@ def gpu_node():
 @pytest.fixture
 def quad_core_node():
     return make_node(cores_per_socket=4, sockets=1, ht=False, price=800.0)
+
+
+def _between(lo, hi):
+    return st.floats(min_value=lo, max_value=hi)
+
+
+# Synthetic node profiles with every field drawn over a plausible range.
+profiles = st.builds(
+    SyntheticNodeProfile,
+    cpu_rate=_between(2e5, 2e7),
+    gpu_rate=_between(5e6, 3e8),
+    offload_fraction_base=_between(0.2, 0.8),
+    pme_fraction_base=_between(0.05, 0.5),
+    rank_overhead=_between(0.0, 5e-5),
+    thread_efficiency_decay=_between(0.0, 0.2),
+    gpu_share_overhead=_between(0.0, 0.1),
+    nstlist_penalty=_between(0.0, 3.0),
+    buffer_growth=_between(0.0, 0.01),
+    ht_speedup=_between(0.9, 1.3),
+    comm_per_node=_between(0.0, 5e-4),
+    max_balance=_between(1.0, 16.0),
+    dlb_penalty=_between(0.0, 0.1),
+    app_clock_mhz=st.none() | _between(500.0, 2000.0),
+)

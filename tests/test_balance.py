@@ -32,7 +32,7 @@ from mdtune.launch import (
 )
 from mdtune.wire import from_doc, to_doc
 
-from conftest import make_node
+from conftest import make_node, profiles
 
 RIB_BOX = (31.2, 31.2, 31.2)
 RIB_SPACING = 0.135  # mesh spacing of the 2M-atom benchmark input
@@ -371,28 +371,6 @@ def bisection_oracle(profile, node, config, workload):
         step_time_s=step,
     )
 
-
-def _between(lo, hi):
-    return st.floats(min_value=lo, max_value=hi)
-
-
-profiles = st.builds(
-    SyntheticNodeProfile,
-    cpu_rate=_between(2e5, 2e7),
-    gpu_rate=_between(5e6, 3e8),
-    offload_fraction_base=_between(0.2, 0.8),
-    pme_fraction_base=_between(0.05, 0.5),
-    rank_overhead=_between(0.0, 5e-5),
-    thread_efficiency_decay=_between(0.0, 0.2),
-    gpu_share_overhead=_between(0.0, 0.1),
-    nstlist_penalty=_between(0.0, 3.0),
-    buffer_growth=_between(0.0, 0.01),
-    ht_speedup=_between(0.9, 1.3),
-    comm_per_node=_between(0.0, 5e-4),
-    max_balance=_between(1.0, 16.0),
-    dlb_penalty=_between(0.0, 0.1),
-    app_clock_mhz=st.none() | _between(500.0, 2000.0),
-)
 
 # Every planned config of 1- to 4-GPU nodes, with and without separate PME ranks.
 GPU_CONFIGS = [(node, config) for node in (make_node(n_gpus=g) for g in (1, 2, 3, 4))

@@ -188,6 +188,13 @@ class TestParseLog:
         assert code == 1
         assert "nope.log" in err
 
+    def test_log_that_is_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "bad.log"
+        path.write_bytes(b" Performance:   12.0   2.0\n\xff\n")
+        code, out, err = run_cli(capsys, "parse-log", str(path))
+        assert (code, err) == (0, "")
+        assert json.loads(out)["performance_ns_day"] == 12.0
+
 
 class TestAnalyzeCosts:
     def test_markdown_table(self, econ_rows_file, capsys):
@@ -386,3 +393,74 @@ class TestIntegralFloats:
         code, out, err = run_cli(capsys, "sweep", "--manifest", str(path))
         assert (code, out) == (1, "")
         assert err == "error: sweep.repeats: 2.0 is not of type 'integer'\n"
+
+
+class TestNonFiniteNumbers:
+    """NaN and Infinity are not JSON numbers: a document with one gives one
+    error line that names the field, never a traceback or an infinite node."""
+
+    def run_with(self, capsys, *argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert len(err.splitlines()) == 1
+        return err
+
+    @pytest.mark.parametrize("text, field", [('{"max_balance": NaN}', "max_balance"),
+                                             ('{"gpu_rate": Infinity}', "gpu_rate"),
+                                             ('{"cpu_rate": -1e999}', "cpu_rate")])
+    def test_profile(self, tmp_path, capsys, text, field):
+        path = tmp_path / "profile.json"
+        path.write_text(text)
+        err = self.run_with(capsys, "sweep", "--manifest", MANIFEST, "--profile", str(path))
+        assert err == f"error: {field}: not a finite number\n"
+
+    def test_manifest(self, tmp_path, capsys):
+        doc = json.loads((DATA / "manifest_mem.json").read_text())
+        doc["workload"]["rc0_nm"] = float("nan")
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(doc))
+        err = self.run_with(capsys, "sweep", "--manifest", str(path))
+        assert err == "error: workload.rc0_nm: not a finite number\n"
+
+    @pytest.mark.parametrize("command", ["analyze-costs", "recommend"])
+    def test_rows(self, tmp_path, capsys, command):
+        doc = copy.deepcopy(ROWS_DOC)
+        doc["rows"][0]["power_w"] = float("inf")
+        path = tmp_path / "rows.json"
+        path.write_text(json.dumps(doc))
+        err = self.run_with(capsys, command, "--rows", str(path))
+        assert err == "error: rows.0.power_w: not a finite number\n"
+
+
+class TestZeroTotalCost:
+    """A row with no node cost and no power draw has no finite yield: every
+    format rejects it with an error line that names the row."""
+
+    FREE_ROW = {"label": "free", "performance_ns_day": 10.0, "node_cost_eur": 0, "power_w": 0}
+
+    def run_with(self, capsys, tmp_path, doc, *argv):
+        path = tmp_path / "rows.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, *argv, "--rows", str(path))
+        assert (code, out) == (1, "")
+        assert len(err.splitlines()) == 1
+        return err
+
+    @pytest.mark.parametrize("argv", [["analyze-costs", "--format", fmt]
+                                      for fmt in ("md", "csv", "json")] + [["recommend"]])
+    def test_rejected(self, tmp_path, capsys, argv):
+        doc = {"rows": [*ROWS_DOC["rows"], self.FREE_ROW]}
+        err = self.run_with(capsys, tmp_path, doc, *argv)
+        assert err.startswith("error: row 'free': total cost (0 EUR)")
+
+    def test_production_that_rounds_to_zero(self, tmp_path, capsys):
+        # 0.002 ns/day for 5 years prints as 0.00 us, the table's divisor
+        doc = {"rows": [dict(self.FREE_ROW, performance_ns_day=0.002, node_cost_eur=100)]}
+        err = self.run_with(capsys, tmp_path, doc, "analyze-costs")
+        assert err.startswith("error: row 'free': ")
+        assert "production (0 us)" in err
+
+    def test_zero_lifetime(self, tmp_path, capsys):
+        doc = {"econ": {"lifetime_years": 0}, "rows": ROWS_DOC["rows"]}
+        err = self.run_with(capsys, tmp_path, doc, "analyze-costs", "--format", "json")
+        assert err.startswith("error: econ.lifetime_years: ")

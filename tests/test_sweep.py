@@ -1,13 +1,16 @@
 import os
 import signal
 import stat
+import statistics
 import subprocess
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import mdtune.sweep
 from mdtune.balance import SyntheticNodeProfile, Workload
 from mdtune.errors import MdtuneError, RunFailure
 from mdtune.hardware import total_hw_threads
@@ -15,6 +18,7 @@ from mdtune.launch import (
     EngineProfile,
     LaunchConfig,
     SweepOptions,
+    enumerate_plan,
     enumerate_single_node,
     gpu_id_string,
 )
@@ -30,9 +34,9 @@ from mdtune.sweep import (
     run_sweep,
     select_best,
 )
-from mdtune.logparse import PerfMetrics
+from mdtune.logparse import PerfMetrics, render_log
 
-from conftest import DATA, make_node
+from conftest import DATA, make_node, profiles
 
 
 def ranklist_configs(node, nstlist=40):
@@ -93,6 +97,95 @@ class TestSyntheticSweep:
         result = run_sweep(configs, SyntheticExecutor(gpu_node), Workload())
         assert not result.failures
         assert result.best_row.config == select_best(result)
+
+
+class FreshSyntheticExecutor:
+    """A new SyntheticExecutor for every run, so no repeat is served from a memo."""
+
+    exclusive = False
+
+    def __init__(self, node, profile=SyntheticNodeProfile()):
+        self.node = node
+        self.profile = profile
+
+    def run(self, config, workload):
+        return SyntheticExecutor(self.node, self.profile).run(config, workload)
+
+
+def node_and_plan(n_gpus, options=SweepOptions()):
+    node = make_node(n_gpus=n_gpus)
+    return node, enumerate_plan(node, options)
+
+
+# The node shapes of the ROADMAP baseline: the dual 10-core HT node CPU-only,
+# with 2 GPUs, and with 4 GPUs and 4 nstlist values (41, 28 and 96 configs).
+BASELINE_PLANS = {
+    "cpu": node_and_plan(0),
+    "2gpu": node_and_plan(2),
+    "4gpu": node_and_plan(4, SweepOptions(nstlist=(10, 20, 40, 80))),
+}
+
+
+class TestRepeatsDoneOnce:
+    """Each repeat's deterministic work is done once, with the same output bits."""
+
+    @pytest.mark.parametrize("repeats", [1, 2, 3, 4])
+    @pytest.mark.parametrize("plan", sorted(BASELINE_PLANS))
+    def test_memo_is_byte_identical_to_fresh_executors(self, plan, repeats):
+        node, configs = BASELINE_PLANS[plan]
+        memo = run_sweep(configs, SyntheticExecutor(node), Workload(), repeats=repeats)
+        fresh = run_sweep(configs, FreshSyntheticExecutor(node), Workload(), repeats=repeats)
+        assert result_to_json(memo) == result_to_json(fresh)
+
+    @settings(max_examples=20, deadline=None)
+    @given(profile=profiles, plan=st.sampled_from(sorted(BASELINE_PLANS)),
+           repeats=st.integers(min_value=1, max_value=4))
+    def test_memo_is_byte_identical_on_drawn_profiles(self, profile, plan, repeats):
+        node, configs = BASELINE_PLANS[plan]
+        memo = run_sweep(configs, SyntheticExecutor(node, profile), Workload(), repeats=repeats)
+        fresh = run_sweep(configs, FreshSyntheticExecutor(node, profile), Workload(),
+                          repeats=repeats)
+        assert result_to_json(memo) == result_to_json(fresh)
+
+    @pytest.mark.parametrize("repeats", [1, 2, 4])
+    def test_predicted_and_parsed_once_per_config(self, monkeypatch, repeats):
+        node, configs = BASELINE_PLANS["2gpu"]
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(mdtune.sweep, "predict_run",
+                            counted("predict_run", mdtune.sweep.predict_run))
+        monkeypatch.setattr(mdtune.sweep, "parse_metrics",
+                            counted("parse_metrics", mdtune.sweep.parse_metrics))
+        result = run_sweep(configs, SyntheticExecutor(node), Workload(), repeats=repeats)
+        assert len(result.rows) == len(configs)
+        assert calls == {"predict_run": len(configs), "parse_metrics": len(configs)}
+
+    @settings(max_examples=100, deadline=None)
+    @given(perfs=st.lists(st.floats(min_value=0.001, max_value=1e4), min_size=1, max_size=5)
+           | st.floats(min_value=0.001, max_value=1e4).flatmap(
+               lambda p: st.lists(st.just(p), min_size=1, max_size=5)))
+    def test_stdev_is_statistics_stdev_or_zero(self, perfs):
+        logs = iter([render_log(PerfMetrics(performance=p)) for p in perfs])
+
+        class ScriptedExecutor:
+            exclusive = False
+
+            def run(self, config, workload):
+                return next(logs)
+
+        result = run_sweep([LaunchConfig(n_rank=1, n_th=1)], ScriptedExecutor(), Workload(),
+                           repeats=len(perfs))
+        stdev = result.rows[0].stdev
+        if len(set(perfs)) == 1:
+            assert stdev.hex() == (0.0).hex()
+        else:
+            assert stdev.hex() == statistics.stdev(perfs).hex()
 
 
 class TestSelectBest:
@@ -301,6 +394,21 @@ class TestShellExecutor:
         rundirs = sorted(p.name for p in (tmp_path / "runs").iterdir())
         assert [name.rsplit("_", 1)[1] for name in rundirs] == ["0", "1", "2", "3"]
         assert len({name.rsplit("_", 1)[0] for name in rundirs}) == 1
+
+    def test_log_that_is_not_utf8_is_parsed(self, tmp_path):
+        engine = EngineProfile(mdrun=r"printf 'Performance: 12.0\n\377\n' > md.log; true")
+        result = run_sweep([LaunchConfig(n_rank=1, n_th=1)], ShellExecutor(tmp_path, engine),
+                           Workload(), repeats=1)
+        assert not result.failures
+        assert result.rows[0].mean_performance == 12.0
+
+    def test_stderr_that_is_not_utf8_is_a_failure(self, tmp_path):
+        engine = EngineProfile(mdrun=r"printf 'x\377' >&2; exit 2")
+        result = run_sweep([LaunchConfig(n_rank=1, n_th=1)], ShellExecutor(tmp_path, engine),
+                           Workload(), repeats=1)
+        assert not result.rows
+        assert "exit 2" in result.failures[0].error
+        assert result.failures[0].error.endswith("x\ufffd")
 
     def test_missing_log_is_a_failure(self, tmp_path):
         executor = ShellExecutor(tmp_path / "runs", EngineProfile(mdrun="true"))
