@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import logging
+import math
 import os
 import sys
 from pathlib import Path
@@ -31,7 +31,7 @@ from .launch import (
 from .logparse import metrics_to_csv, parse_metrics
 from .manifest import load_manifest
 from .sweep import ShellExecutor, SyntheticExecutor, result_to_json, run_sweep
-from .wire import from_doc, read, to_doc, validate
+from .wire import dumps, from_doc, read, to_doc, validate
 
 log = logging.getLogger("mdtune")
 
@@ -70,7 +70,7 @@ def _cmd_sweep(args) -> int:
         executor = SyntheticExecutor(manifest.node, profile)
     else:
         executor = ShellExecutor(Path(args.workdir), manifest.engine)
-    repeats = args.repeats if args.repeats else manifest.repeats
+    repeats = args.repeats if args.repeats is not None else manifest.repeats
     result = run_sweep(configs, executor, manifest.workload, repeats=repeats)
     if args.format == "json":
         text = result_to_json(result)
@@ -101,8 +101,7 @@ def _cmd_parse_log(args) -> int:
         sys.stdout.write(metrics_to_csv(all_metrics))
     else:
         docs = [to_doc(m) for m in all_metrics]
-        sys.stdout.write(json.dumps(docs if len(docs) > 1 else docs[0],
-                                    indent=2, sort_keys=True) + "\n")
+        sys.stdout.write(dumps(docs if len(docs) > 1 else docs[0]))
     return 0
 
 
@@ -120,7 +119,7 @@ def _cmd_analyze_costs(args) -> int:
     if args.format == "json":
         rows = report.full_precision_rows(inputs, params)
         out = [to_doc(r) | {"label": i.label} for r, i in zip(rows, inputs)]
-        sys.stdout.write(json.dumps(out, indent=2, sort_keys=True) + "\n")
+        sys.stdout.write(dumps(out))
     else:
         sys.stdout.write(report.econ_report(inputs, params, yield_unit, fmt=args.format))
     return 0
@@ -141,7 +140,13 @@ def _parse_weights(text: str) -> dict[str, float]:
         if not part:
             continue
         name, _, value = part.partition("=")
-        weights[name.strip()] = float(value) if value else 1.0
+        try:
+            weight = float(value) if value else 1.0
+        except ValueError:
+            weight = math.nan
+        if not math.isfinite(weight):
+            raise MdtuneError(f"weight {name.strip()}: {value!r} is not a finite number")
+        weights[name.strip()] = weight
     return weights
 
 
@@ -166,7 +171,7 @@ def _cmd_multi_plan(args) -> int:
         nodes=args.nodes,
         placement=args.placement,
     )
-    sys.stdout.write(json.dumps(to_doc(plan), indent=2, sort_keys=True) + "\n")
+    sys.stdout.write(dumps(to_doc(plan)))
     if plan.leftover_threads:
         print(
             f"note: {plan.leftover_threads} hardware thread(s) stay idle "
@@ -194,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True)
     p.add_argument("--plan", help="plan JSON (default: enumerate from the manifest)")
     p.add_argument("--executor", choices=["shell", "synthetic"], default="synthetic")
-    p.add_argument("--repeats", type=int, default=0, help="override manifest repeats")
+    p.add_argument("--repeats", type=int, help="override manifest repeats")
     p.add_argument("--out", help="write the result JSON here")
     p.add_argument("--format", choices=["json", "csv", "md", "table"], default="table")
     p.add_argument("--profile", help="synthetic node profile JSON")
@@ -245,10 +250,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except MdtuneError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
+    except (MdtuneError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

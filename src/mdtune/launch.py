@@ -9,14 +9,13 @@ hyper-threading). Everything here is a pure function over immutable inputs.
 
 from __future__ import annotations
 
-import json
 import shlex
 from dataclasses import dataclass, replace
 from typing import Iterable, Optional, Sequence
 
 from .errors import InvalidConfigError
 from .hardware import NodeSpec, total_hw_threads
-from .wire import from_doc, read, to_doc, validate
+from .wire import dumps, from_doc, read, to_doc, validate
 
 # Separate-PME rank counts are tried at these fractions of the total rank
 # count, rounded and deduplicated.
@@ -345,6 +344,8 @@ def plan_multi_sim(
         raise InvalidConfigError(f"unknown placement {placement!r}")
     if replicas < 1:
         raise InvalidConfigError("replicas must be >= 1")
+    if nodes < 1:
+        raise InvalidConfigError("nodes must be >= 1")
     n_gpus = node.n_gpus
     budget = total_hw_threads(node, use_ht)
 
@@ -476,7 +477,7 @@ def parse_command(text: str) -> LaunchConfig:
 
 
 def plan_to_json(configs: Iterable[LaunchConfig]) -> str:
-    return json.dumps([to_doc(c) for c in configs], indent=2, sort_keys=True) + "\n"
+    return dumps([to_doc(c) for c in configs])
 
 
 def load_plan(path) -> list[LaunchConfig]:

@@ -49,7 +49,7 @@ from .logparse import (
     parse_metrics,
     render_log,
 )
-from .wire import from_doc, to_doc
+from .wire import dumps, from_doc, to_doc
 
 # A mesh/force load this far below 1 means the mesh ranks mostly idle.
 PME_OVERPROVISION_THRESHOLD = 0.9
@@ -333,7 +333,7 @@ def select_best(result: SweepResult) -> LaunchConfig:
 
 
 def result_to_json(result: SweepResult) -> str:
-    return json.dumps(to_doc(result), indent=2, sort_keys=True) + "\n"
+    return dumps(to_doc(result))
 
 
 def result_from_json(text: str) -> SweepResult:

@@ -113,6 +113,51 @@ def from_doc(cls, doc: dict):
     return cls(**kwargs)
 
 
+_escape = json.encoder.encode_basestring_ascii  # raises TypeError on a non-str key
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+# Scalar text by exact type, so a subclass (an enum, say) is refused like any object.
+_SCALAR_TEXT = {str: _escape, int: int.__repr__, type(None): lambda _: "null",
+                bool: {True: "true", False: "false"}.__getitem__,
+                float: lambda v: _NON_FINITE.get(text := float.__repr__(v), text)}
+
+
+def dumps(doc) -> str:
+    """``json.dumps(doc, indent=2, sort_keys=True) + "\\n"``, byte for byte.
+
+    Built in one list, where ``json`` with ``indent`` runs a generator per
+    container. A non-``str`` key or a value that is not plain JSON raises TypeError.
+    """
+    scalar = _SCALAR_TEXT.get(type(doc))
+    if scalar is not None:
+        return scalar(doc) + "\n"
+    out: list[str] = []
+    _emit(doc, out.append, "\n")
+    return "".join(out) + "\n"
+
+
+def _emit(value, append, newline: str) -> None:
+    """Append a container's text; ``newline`` starts a line at its indent."""
+    kind = type(value)
+    if kind is not dict and kind is not list and kind is not tuple:
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+    is_dict = kind is dict
+    if not value:
+        return append("{}" if is_dict else "[]")
+    inner = newline + "  "
+    separator = ("{" if is_dict else "[") + inner
+    for item in sorted(value) if is_dict else value:  # sorted keys: as sorted(items), faster
+        if is_dict:
+            separator, item = separator + _escape(item) + ": ", value[item]
+        scalar = _SCALAR_TEXT.get(type(item))
+        if scalar is None:
+            append(separator)
+            _emit(item, append, inner)
+        else:
+            append(separator + scalar(item))
+        separator = "," + inner
+    append(newline + ("}" if is_dict else "]"))
+
+
 def lookup(doc: dict, path: str):
     """The value at a dotted path of a document, or None when it is absent."""
     for part in path.split("."):

@@ -163,6 +163,12 @@ class TestSweep:
         assert code == 0
         assert "pme_overprovisioned" in out
 
+    @pytest.mark.parametrize("repeats", ["0", "-1"])
+    def test_repeats_below_one_rejected(self, capsys, repeats):
+        code, out, err = run_cli(capsys, "sweep", "--manifest", MANIFEST,
+                                 "--repeats", repeats)
+        assert (code, out, err) == (1, "", "error: repeats must be >= 1\n")
+
 
 class TestParseLog:
     def test_json_output(self, capsys):
@@ -261,6 +267,16 @@ class TestRecommend:
         assert code == 1
         assert "'a'" in err
 
+    @pytest.mark.parametrize("weights, bad", [
+        ("C1=x", "C1: 'x'"), ("C1=nan", "C1: 'nan'"), ("C4=inf", "C4: 'inf'"),
+        ("C1=0.5,C4=-inf", "C4: '-inf'"),
+    ])
+    def test_weight_that_is_not_a_finite_number(self, econ_rows_file, capsys, weights, bad):
+        code, out, err = run_cli(capsys, "recommend", "--rows", econ_rows_file,
+                                 "--weights", weights)
+        assert (code, out) == (1, "")
+        assert err == f"error: weight {bad} is not a finite number\n"
+
 
 class TestMultiPlan:
     def test_five_replicas(self, capsys):
@@ -276,6 +292,12 @@ class TestMultiPlan:
                                  "--replicas", "3")
         assert code == 0
         assert "idle" in err
+
+    @pytest.mark.parametrize("nodes, placement", [("0", "interleaved"), ("-2", "dense")])
+    def test_nodes_below_one_rejected(self, capsys, nodes, placement):
+        code, out, err = run_cli(capsys, "multi-plan", "--manifest", MANIFEST,
+                                 "-M", "4", "--nodes", nodes, "--placement", placement)
+        assert (code, out, err) == (1, "", "error: nodes must be >= 1\n")
 
 
 ROWS_DOC = {"rows": [{"label": "a", "performance_ns_day": 1.0, "node_cost_eur": 100,
@@ -464,3 +486,19 @@ class TestZeroTotalCost:
         doc = {"econ": {"lifetime_years": 0}, "rows": ROWS_DOC["rows"]}
         err = self.run_with(capsys, tmp_path, doc, "analyze-costs", "--format", "json")
         assert err.startswith("error: econ.lifetime_years: ")
+
+
+class TestPathIsADirectory:
+    """A path that names a directory gives one error line, not a traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        ["parse-log", "{dir}"],
+        ["analyze-costs", "--rows", "{dir}"],
+        ["sweep", "--manifest", "{dir}"],
+        ["sweep", "--manifest", MANIFEST, "--format", "json", "--out", "{dir}"],
+    ], ids=["parse-log", "analyze-costs --rows", "sweep --manifest", "sweep --out"])
+    def test_error_line(self, tmp_path, capsys, argv):
+        code, out, err = run_cli(capsys, *(a.format(dir=tmp_path) for a in argv))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(tmp_path) in err

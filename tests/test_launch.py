@@ -238,6 +238,11 @@ class TestMultiSim:
         with pytest.raises(InvalidConfigError):
             plan_multi_sim(make_node(), replicas=3, nodes=16, placement="dense")
 
+    @pytest.mark.parametrize("nodes, placement", [(0, "interleaved"), (-2, "dense")])
+    def test_nodes_below_one_rejected(self, nodes, placement):
+        with pytest.raises(InvalidConfigError, match="nodes must be >= 1"):
+            plan_multi_sim(make_node(n_gpus=2), replicas=4, nodes=nodes, placement=placement)
+
 
 class TestRenderCommand:
     def test_thread_mpi_gpu(self):
