@@ -24,6 +24,8 @@ LOGS = [str(DATA / name) for name in ("si_pme_imbalance.log", "si_pme_balanced.l
 CASES = {
     "plan.json": ["plan", "--manifest", MANIFEST],
     "plan_dry_run.sh": ["plan", "--manifest", MANIFEST, "--dry-run"],
+    "sweep_dry_run_failures.sh": ["sweep", "--manifest", MANIFEST, "--plan",
+                                  str(GOLDEN / "plan_failures.json"), "--dry-run"],
     "multi_plan.json": ["multi-plan", "--manifest", MANIFEST, "--replicas", "5"],
     "parse_log_one.json": ["parse-log", LOGS[3]],
     "parse_log_all.json": ["parse-log", *LOGS],
