@@ -275,7 +275,7 @@ def predict_run(
     Without GPUs the CPU keeps all short-range work and the shift factor stays 1.
     """
     n_gpus = len(set(config.gpu_id))
-    validate_config(config, node, gpus_active=n_gpus or None)
+    validate_config(config, node)
 
     budget, n_th, pme_th = rank_threads(config, node)
     nstlist = config.nstlist if config.nstlist is not None else 10

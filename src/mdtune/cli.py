@@ -4,7 +4,7 @@ Subcommands: plan, sweep, parse-log, analyze-costs, scaling, recommend,
 multi-plan. All output is deterministic for identical inputs; advisories
 never change the exit code (0 means no errors).
 
-Set MDTUNE_LOG=debug for verbose progress on stderr.
+Set MDTUNE_LOG=info for progress on stderr.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .launch import (
     plan_to_json,
     plan_to_script,
 )
-from .logparse import metrics_to_csv, parse_metrics
+from .logparse import parse_metrics
 from .manifest import load_manifest
 from .sweep import ShellExecutor, SyntheticExecutor, result_to_json, run_sweep
 from .wire import dumps, from_doc, read, to_doc, validate
@@ -48,11 +48,11 @@ def _cmd_plan(args) -> int:
     manifest = load_manifest(args.manifest)
     configs = enumerate_plan(manifest.node, manifest.sweep, nodes=manifest.node_count)
     if args.dry_run:
-        sys.stdout.write(plan_to_script(configs, manifest.engine))
+        sys.stdout.write(plan_to_script(configs, manifest.engine, manifest.workload))
         return 0
     _write(args.out, plan_to_json(configs))
     if args.script:
-        _write(args.script, plan_to_script(configs, manifest.engine))
+        _write(args.script, plan_to_script(configs, manifest.engine, manifest.workload))
     return 0
 
 
@@ -63,8 +63,14 @@ def _cmd_sweep(args) -> int:
     else:
         configs = enumerate_plan(manifest.node, manifest.sweep, nodes=manifest.node_count)
     if args.dry_run:
-        sys.stdout.write(plan_to_script(configs, manifest.engine))
+        sys.stdout.write(plan_to_script(configs, manifest.engine, manifest.workload))
         return 0
+    if args.out and args.out != "-":
+        # raise now, not after every run, what writing the result would; keep an existing file
+        existed = os.path.exists(args.out)
+        open(args.out, "a").close()
+        if not existed:
+            os.remove(args.out)
     if args.executor == "synthetic":
         profile = load_profile(args.profile) if args.profile else SyntheticNodeProfile()
         executor = SyntheticExecutor(manifest.node, profile)
@@ -98,7 +104,7 @@ def _cmd_parse_log(args) -> int:
         text = Path(path).read_text(errors="replace")
         all_metrics.append(parse_metrics(text))
     if args.format == "csv":
-        sys.stdout.write(metrics_to_csv(all_metrics))
+        sys.stdout.write(report.metrics_csv(all_metrics))
     else:
         docs = [to_doc(m) for m in all_metrics]
         sys.stdout.write(dumps(docs if len(docs) > 1 else docs[0]))

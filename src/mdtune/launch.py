@@ -11,11 +11,14 @@ from __future__ import annotations
 
 import shlex
 from dataclasses import dataclass, replace
-from typing import Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from .errors import InvalidConfigError
 from .hardware import NodeSpec, total_hw_threads
 from .wire import dumps, from_doc, read, to_doc, validate
+
+if TYPE_CHECKING:  # balance imports this module
+    from .balance import Workload
 
 # Separate-PME rank counts are tried at these fractions of the total rank
 # count, rounded and deduplicated.
@@ -85,14 +88,12 @@ def rank_threads(config: LaunchConfig, node: NodeSpec) -> tuple[int, int, int]:
     return budget, n_th, config.n_th_pme or n_th
 
 
-def validate_config(config: LaunchConfig, node: NodeSpec, gpus_active: Optional[int] = None) -> None:
+def validate_config(config: LaunchConfig, node: NodeSpec) -> None:
     """Check a config against a node; raises InvalidConfigError on violation.
 
-    ``gpus_active`` defaults to all GPUs of the node. A config that uses
-    GPUs needs at least one PP rank per GPU and a gpu_id digit per PP rank
-    on a node.
+    A config uses the GPUs its gpu_id names, any subset of the node's: one
+    digit per PP rank on a node, each below the node's GPU count.
     """
-    n_gpus = node.n_gpus if gpus_active is None else gpus_active
     if config.n_rank % config.nodes != 0:
         raise InvalidConfigError(
             f"{config.n_rank} ranks do not divide evenly over {config.nodes} nodes"
@@ -109,15 +110,10 @@ def validate_config(config: LaunchConfig, node: NodeSpec, gpus_active: Optional[
             raise InvalidConfigError(
                 f"gpu_id length {len(config.gpu_id)} != {pp_per_node} PP ranks per node"
             )
-        ids = {int(c) for c in config.gpu_id}
-        if max(ids) >= n_gpus:
+        if int(max(config.gpu_id)) >= node.n_gpus:
             raise InvalidConfigError(
-                f"gpu_id references GPU {max(ids)} but only {n_gpus} active"
+                f"gpu_id references GPU {max(config.gpu_id)}; the node has {node.n_gpus} GPU(s)"
             )
-    if n_gpus > 0 and config.gpu_id and pp_per_node < n_gpus:
-        raise InvalidConfigError(
-            f"{pp_per_node} PP ranks per node < {n_gpus} GPUs (one rank per GPU required)"
-        )
     if config.dd_grid is not None:
         nx, ny, nz = config.dd_grid
         if nx * ny * nz != config.n_rank - config.n_pme:
@@ -236,7 +232,7 @@ def enumerate_single_node(node: NodeSpec, options: SweepOptions = SweepOptions()
                             )
                         )
     for c in configs:
-        validate_config(c, node, gpus_active=n_gpus)
+        validate_config(c, node)
     return configs
 
 
@@ -398,16 +394,16 @@ class EngineProfile:
     thread_mpi: bool = True
     tpr_file: str = "in.tpr"
     log_file: str = "md.log"
-    nsteps: Optional[int] = None
-    resetstep: Optional[int] = None
 
 
-def render_command(config: LaunchConfig, profile: EngineProfile = EngineProfile()) -> str:
+def render_command(config: LaunchConfig, profile: EngineProfile = EngineProfile(),
+                   workload: Optional[Workload] = None) -> str:
     """Deterministic engine command line for a config.
 
     Flags that are at their engine default (no separate PME ranks, automatic
     thread count, automatic DLB, no GPUs) are omitted, mirroring how such
-    commands are written by hand.
+    commands are written by hand. The run length comes from ``workload``;
+    without one the engine runs the input file's full length.
     """
     parts: list[str] = []
     if profile.thread_mpi:
@@ -429,10 +425,9 @@ def render_command(config: LaunchConfig, profile: EngineProfile = EngineProfile(
     if config.gpu_id:
         parts += ["-gpu_id", config.gpu_id]
     parts += ["-s", profile.tpr_file]
-    if profile.nsteps is not None:
-        parts += ["-nsteps", str(profile.nsteps)]
-    if profile.resetstep is not None:
-        parts += ["-resetstep", str(profile.resetstep)]
+    if workload is not None:
+        parts += ["-nsteps", str(workload.benchmark_steps),
+                  "-resetstep", str(workload.reset_steps)]
     return " ".join(parts)
 
 
@@ -487,6 +482,7 @@ def load_plan(path) -> list[LaunchConfig]:
     return [from_doc(LaunchConfig, entry) for entry in doc]
 
 
-def plan_to_script(configs: Iterable[LaunchConfig], profile: EngineProfile = EngineProfile()) -> str:
+def plan_to_script(configs: Iterable[LaunchConfig], profile: EngineProfile = EngineProfile(),
+                   workload: Optional[Workload] = None) -> str:
     """One command per line, ready to paste into a shell session."""
-    return "\n".join(render_command(c, profile) for c in configs) + "\n"
+    return "\n".join(render_command(c, profile, workload) for c in configs) + "\n"

@@ -23,14 +23,11 @@ printed values carry rounding of their own.
 
 from __future__ import annotations
 
-import csv
-import io
 import re
 from dataclasses import dataclass, field
 from typing import Optional
 
 from .errors import LogParseError
-from .wire import lookup, to_doc
 
 NUMBER = r"[0-9]+(?:\.[0-9]+)?"
 
@@ -358,34 +355,3 @@ def render_log(metrics: PerfMetrics) -> str:
         ]
     return "\n".join(out) + "\n"
 
-
-# CSV column -> dotted path into the metrics document (see wire.to_doc)
-CSV_COLUMNS = {
-    "performance_ns_day": "performance_ns_day",
-    "pme_mesh_force_load": "pme_mesh_force_load",
-    "pp_pme_wait_pct": "pp_pme_wait_pct",
-    "gpu_ms": "gpu_cpu.gpu_ms",
-    "cpu_ms": "gpu_cpu.cpu_ms",
-    "gpu_cpu_ratio": "gpu_cpu.ratio",
-    "final_rcoulomb_nm": "load_balance.final.rcoulomb_nm",
-    "cost_ratio_pp": "load_balance.cost_ratio_pp",
-    "cost_ratio_pme": "load_balance.cost_ratio_pme",
-    "advisories": "advisories",
-}
-
-
-def metrics_csv_row(metrics: PerfMetrics) -> dict:
-    """One flat CSV row per log, for aggregation across runs; None where the
-    log has no such metric (the CSV writer leaves the cell empty)."""
-    doc = to_doc(metrics)
-    doc["advisories"] = ";".join(n.kind for n in metrics.notes)
-    return {column: lookup(doc, path) for column, path in CSV_COLUMNS.items()}
-
-
-def metrics_to_csv(all_metrics: list[PerfMetrics]) -> str:
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=list(CSV_COLUMNS), lineterminator="\n")
-    writer.writeheader()
-    for m in all_metrics:
-        writer.writerow(metrics_csv_row(m))
-    return buf.getvalue()

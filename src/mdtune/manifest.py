@@ -9,7 +9,7 @@ name the offending field path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 from .balance import Workload
@@ -54,10 +54,7 @@ def manifest_from_json(doc: dict) -> RunManifest:
             f"{manifest.node.n_gpus} GPU(s)",
             path="sweep.gpus_active",
         )
-    workload = manifest.workload
-    engine = replace(manifest.engine, nsteps=workload.benchmark_steps,
-                     resetstep=workload.reset_steps)
-    return replace(manifest, engine=engine)
+    return manifest
 
 
 def load_manifest(path: Path | str) -> RunManifest:

@@ -27,6 +27,7 @@ from .econ import (
     rank_hardware,
 )
 from .errors import MdtuneError
+from .logparse import PerfMetrics
 from .sweep import SweepResult
 from .wire import lookup, to_doc
 
@@ -65,6 +66,15 @@ def _render(header: list[str], rows: list[list[str]], fmt: str) -> str:
 
 def _kinds(advisories) -> str:
     return ";".join(a.kind for a in advisories)
+
+
+def _csv_row(columns: dict[str, str], record, advisories) -> list:
+    """The cells of ``columns`` (dotted paths into the record's document, see
+    wire.to_doc) with the advisory kinds joined; None, an empty cell, where
+    the document has no such value."""
+    doc = to_doc(record)
+    doc["advisories"] = _kinds(advisories)
+    return [lookup(doc, path) for path in columns.values()]
 
 
 def _dd_grid_text(config) -> str:
@@ -122,12 +132,29 @@ SWEEP_CSV_COLUMNS = {
 
 def sweep_csv(result: SweepResult) -> str:
     """One CSV row per configuration, ranked best first, at full precision."""
-    rows = []
-    for row in result.ranked():
-        doc = to_doc(row)
-        doc["advisories"] = _kinds(row.advisories)
-        rows.append([lookup(doc, path) for path in SWEEP_CSV_COLUMNS.values()])
+    rows = [_csv_row(SWEEP_CSV_COLUMNS, row, row.advisories) for row in result.ranked()]
     return _csv_table(list(SWEEP_CSV_COLUMNS), rows)
+
+
+# CSV column -> dotted path into a parsed log's document
+METRICS_CSV_COLUMNS = {
+    "performance_ns_day": "performance_ns_day",
+    "pme_mesh_force_load": "pme_mesh_force_load",
+    "pp_pme_wait_pct": "pp_pme_wait_pct",
+    "gpu_ms": "gpu_cpu.gpu_ms",
+    "cpu_ms": "gpu_cpu.cpu_ms",
+    "gpu_cpu_ratio": "gpu_cpu.ratio",
+    "final_rcoulomb_nm": "load_balance.final.rcoulomb_nm",
+    "cost_ratio_pp": "load_balance.cost_ratio_pp",
+    "cost_ratio_pme": "load_balance.cost_ratio_pme",
+    "advisories": "advisories",
+}
+
+
+def metrics_csv(all_metrics: Sequence[PerfMetrics]) -> str:
+    """One CSV row per parsed log, for aggregation across runs."""
+    rows = [_csv_row(METRICS_CSV_COLUMNS, m, m.notes) for m in all_metrics]
+    return _csv_table(list(METRICS_CSV_COLUMNS), rows)
 
 
 def sweep_table(result: SweepResult) -> str:

@@ -172,7 +172,7 @@ class ShellExecutor:
                 raise ExecutorError(f"cannot create run directory {rundir}: {exc}") from exc
 
     def run(self, config: LaunchConfig, workload: Workload) -> str:
-        command = render_command(config, self.engine)
+        command = render_command(config, self.engine, workload)
         key = hashlib.sha256(
             (command + workload.name).encode()
         ).hexdigest()[:12]

@@ -303,7 +303,7 @@ def bisection_oracle(profile, node, config, workload):
     """predict_run as it was before the grid ladder: 48 full balance_cutoff
     calls in the bisection. Kept as the reference the ladder must match."""
     n_gpus = len(set(config.gpu_id))
-    validate_config(config, node, gpus_active=n_gpus or None)
+    validate_config(config, node)
 
     budget, n_th, pme_th = rank_threads(config, node)
     nstlist = config.nstlist if config.nstlist is not None else 10

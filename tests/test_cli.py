@@ -144,6 +144,51 @@ class TestSweep:
         assert "26.0" in out
         assert (tmp_path / "runs").exists()
 
+    def test_plan_may_use_any_gpu_subset(self, tmp_path, capsys):
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps(
+            [{"n_rank": 2, "n_th": 10, "gpu_id": gpu_id, "nstlist": 40} for gpu_id in ("00", "11")]
+            + [{"n_rank": 1, "n_th": 20, "gpu_id": "1", "nstlist": 40}]))
+        code, out, _ = run_cli(capsys, "sweep", "--manifest", MANIFEST, "--plan", str(plan),
+                               "--format", "json")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["failures"] == []
+        perf = {row["config"]["gpu_id"]: row["mean_performance_ns_day"] for row in doc["rows"]}
+        assert sorted(perf) == ["00", "1", "11"]
+        assert perf["11"] == perf["00"]
+
+    @pytest.mark.parametrize("out", ["{tmp}", "{tmp}/missing/result.json"],
+                             ids=["directory", "missing parent"])
+    def test_unwritable_out_fails_before_any_run(self, tmp_path, capsys, out):
+        marker = tmp_path / "marker"
+        doc = json.loads((DATA / "manifest_mem.json").read_text())
+        doc["engine"] = {"mdrun": f"echo run >> {marker}; true"}
+        manifest = tmp_path / "shell.json"
+        manifest.write_text(json.dumps(doc))
+        code, stdout, err = run_cli(capsys, "sweep", "--manifest", str(manifest),
+                                    "--executor", "shell", "--workdir", str(tmp_path / "runs"),
+                                    "--format", "json", "--out", out.format(tmp=tmp_path))
+        assert (code, stdout) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not marker.exists()
+
+    def test_existing_out_kept_until_the_result_is_written(self, tmp_path, capsys):
+        out = tmp_path / "result.json"
+        out.write_text("an earlier result\n")
+        profile = tmp_path / "profile.json"
+        profile.write_text(json.dumps({"cpu_rate": "fast"}))
+        code, _, _ = run_cli(capsys, "sweep", "--manifest", MANIFEST, "--profile", str(profile),
+                             "--format", "json", "--out", str(out))
+        assert code == 1
+        assert out.read_text() == "an earlier result\n"
+
+    def test_out_dash_is_stdout(self, capsys):
+        code, out, _ = run_cli(capsys, "sweep", "--manifest", MANIFEST,
+                               "--format", "json", "--out", "-")
+        assert code == 0
+        assert json.loads(out)["rows"]
+
     def test_custom_synthetic_profile(self, tmp_path, capsys):
         profile = tmp_path / "profile.json"
         profile.write_text(json.dumps({"cpu_rate": 1e6, "gpu_rate": 2e7}))

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mdtune.balance import Workload
 from mdtune.errors import InvalidConfigError
 from mdtune.hardware import CpuSpec, GpuSpec, NodeSpec, total_hw_threads
 from mdtune.launch import (
@@ -59,6 +60,17 @@ class TestLaunchConfig:
         with pytest.raises(InvalidConfigError, match="ranks exceed"):
             validate_config(LaunchConfig(n_rank=64, n_pme=8, n_th_pme=2, use_ht=True),
                             make_node())
+
+    @pytest.mark.parametrize("gpu_id", ["0", "1", "11"])
+    def test_gpu_subset_accepted(self, gpu_id):
+        config = LaunchConfig(n_rank=len(gpu_id), n_th=4, gpu_id=gpu_id)
+        validate_config(config, make_node(n_gpus=2))  # must not raise
+
+    @pytest.mark.parametrize("n_gpus, gpu_id", [(2, "2"), (2, "012"), (1, "01"), (0, "0")])
+    def test_gpu_beyond_node_rejected(self, n_gpus, gpu_id):
+        config = LaunchConfig(n_rank=len(gpu_id), n_th=4, gpu_id=gpu_id)
+        with pytest.raises(InvalidConfigError, match=f"node has {n_gpus} GPU"):
+            validate_config(config, make_node(n_gpus=n_gpus))
 
 
 class TestGpuIdString:
@@ -263,9 +275,9 @@ class TestRenderCommand:
         assert "-gpu_id" not in command
         assert command == "mdrun -ntmpi 1 -ntomp 4 -s in.tpr"
 
-    def test_steps_flags_from_profile(self):
-        profile = EngineProfile(nsteps=5000, resetstep=1000)
-        command = render_command(LaunchConfig(n_rank=4), profile)
+    def test_steps_flags_from_workload(self):
+        workload = Workload(benchmark_steps=5000, reset_steps=1000)
+        command = render_command(LaunchConfig(n_rank=4), EngineProfile(), workload)
         assert command.endswith("-s in.tpr -nsteps 5000 -resetstep 1000")
 
     @settings(max_examples=100, deadline=None)

@@ -1,3 +1,6 @@
+import csv
+import io
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -10,8 +13,6 @@ from mdtune.logparse import (
     GpuCpuRatio,
     ParsedLoadBalance,
     PerfMetrics,
-    metrics_csv_row,
-    metrics_to_csv,
     parse_advisories,
     parse_gpu_cpu_ratio,
     parse_load_balance_table,
@@ -19,6 +20,7 @@ from mdtune.logparse import (
     parse_pme_load,
     render_log,
 )
+from mdtune.report import metrics_csv
 from mdtune.wire import to_doc as metrics_to_json
 
 plain_floats = st.floats(min_value=0.001, max_value=9999.0,
@@ -241,13 +243,14 @@ class TestSerialization:
         assert doc["performance_ns_day"] == 4.96
 
     def test_csv_row(self, si_gpu_force):
-        row = metrics_csv_row(parse_metrics(si_gpu_force))
-        assert row["gpu_cpu_ratio"] == 0.683
+        [row] = csv.DictReader(io.StringIO(metrics_csv([parse_metrics(si_gpu_force)])))
+        assert row["gpu_cpu_ratio"] == "0.683"
+        assert row["final_rcoulomb_nm"] == ""  # no load-balance table in this log
         assert row["advisories"] == ADVISORY_GPU_UNDERUTILIZED
 
     def test_csv_table(self, si_pme_imbalance, si_pme_balanced):
-        text = metrics_to_csv([parse_metrics(si_pme_imbalance),
-                               parse_metrics(si_pme_balanced)])
+        text = metrics_csv([parse_metrics(si_pme_imbalance),
+                            parse_metrics(si_pme_balanced)])
         lines = text.strip().splitlines()
         assert len(lines) == 3
         assert lines[0].startswith("performance_ns_day,")

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from mdtune.errors import ManifestError
+from mdtune.launch import LaunchConfig, plan_to_script
 from mdtune.manifest import load_manifest, manifest_from_json
 
 from conftest import DATA
@@ -23,9 +24,9 @@ class TestValidManifest:
         assert m.repeats == 2
         assert m.sweep.nstlist == (40,)
         assert m.econ.lifetime_years == 5
-        # engine profile carries the measurement window
-        assert m.engine.nsteps == 5000
-        assert m.engine.resetstep == 1000
+        # the workload carries the measurement window
+        script = plan_to_script([LaunchConfig(n_rank=4)], m.engine, m.workload)
+        assert script == "mdrun -ntmpi 4 -s in.tpr -nsteps 5000 -resetstep 1000\n"
 
     def test_defaults_fill_in(self, manifest_doc):
         del manifest_doc["sweep"]

@@ -5,6 +5,7 @@ import statistics
 import subprocess
 import time
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -23,6 +24,7 @@ from mdtune.launch import (
     gpu_id_string,
 )
 from mdtune.logparse import ADVISORY_PME_OVERPROVISIONED
+from mdtune.manifest import load_manifest
 from mdtune.report import sweep_csv as result_to_csv, sweep_table as result_to_table
 from mdtune.sweep import (
     ShellExecutor,
@@ -296,6 +298,19 @@ def fake_engine(tmp_path):
     return script
 
 
+@pytest.fixture
+def mdrun_on_path(tmp_path, monkeypatch):
+    """An ``mdrun`` first on PATH that writes its arguments to ``args`` and a
+    canned log to ``md.log``."""
+    bin_dir = tmp_path / "bin"
+    bin_dir.mkdir()
+    script = bin_dir / "mdrun"
+    script.write_text(f'#!/bin/sh\nprintf "%s\\n" "$*" > args\n'
+                      f'cat {DATA / "si_pme_balanced.log"} > md.log\n')
+    script.chmod(script.stat().st_mode | stat.S_IEXEC)
+    monkeypatch.setenv("PATH", f"{bin_dir}{os.pathsep}{os.environ['PATH']}")
+
+
 def _running(pid: int) -> bool:
     """Whether a process runs; a killed one waiting to be reaped does not."""
     try:
@@ -318,6 +333,26 @@ class TestShellExecutor:
         assert len(rundirs) == 2  # one directory per repeat
         assert all(name.startswith("run_") for name in rundirs)
         assert all((tmp_path / "runs" / name / "md.log").exists() for name in rundirs)
+
+    @pytest.mark.parametrize("source", ["library", "manifest"])
+    def test_run_length_from_the_workload(self, tmp_path, mdrun_on_path, source):
+        if source == "library":
+            executor, workload = ShellExecutor(tmp_path / "runs"), Workload()
+        else:
+            m = load_manifest(DATA / "manifest_mem.json")
+            executor, workload = ShellExecutor(tmp_path / "runs", m.engine), m.workload
+        short = replace(workload, benchmark_steps=2000, reset_steps=500)
+        executor.run(LaunchConfig(n_rank=1, n_th=1), short)
+        [args] = (tmp_path / "runs").glob("run_*/args")
+        assert args.read_text() == "-ntmpi 1 -ntomp 1 -s in.tpr -nsteps 2000 -resetstep 500\n"
+
+    def test_shortened_run_has_its_own_directory(self, tmp_path, mdrun_on_path):
+        executor = ShellExecutor(tmp_path / "runs")
+        config = LaunchConfig(n_rank=1, n_th=1)
+        for workload in (Workload(), replace(Workload(), benchmark_steps=2000, reset_steps=500)):
+            executor.run(config, workload)
+        keys = {p.name.rsplit("_", 1)[0] for p in (tmp_path / "runs").iterdir()}
+        assert len(keys) == 2
 
     def test_failing_command_recorded(self, tmp_path):
         executor = ShellExecutor(tmp_path / "runs", EngineProfile(mdrun="false"))
