@@ -62,7 +62,8 @@ class Name(str, enum.Enum):
     {"value": Name.A},
     {"value": {1, 2}},
     [frozenset()],
-    {"value": object()},
+    # repr(object()) holds a memory address; a fixed id keeps the test's name stable
+    pytest.param({"value": object()}, id="{'value': <object>}"),
 ], ids=repr)
 def test_other_types_raise_type_error(doc):
     with pytest.raises(TypeError):
