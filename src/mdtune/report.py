@@ -246,9 +246,9 @@ def econ_display_row(
     """
     power = inp.effective_power_w()
     production = round(inp.performance * 0.365 * params.lifetime_years, 2)
-    energy = round(
-        params.lifetime_years * power * 365 * 24 * params.energy_price_eur_per_kwh / 1000.0
-    )
+    energy = params.lifetime_years * power * 365 * 24 * params.energy_price_eur_per_kwh / 1000.0
+    if math.isfinite(energy):  # round() raises on an overflowed cost; _check_priced names it
+        energy = round(energy)
     total = energy + inp.node_cost_eur
     _check_priced(inp.label, production, total)
     if yield_unit == YIELD_NS:

@@ -23,6 +23,8 @@ import enum
 import functools
 import json
 import math
+import operator
+import re
 import types
 import typing
 from collections.abc import Sequence
@@ -172,18 +174,171 @@ def lookup(doc: dict, path: str):
 # ---------------------------------------------------------------------------
 
 
-@functools.cache
-def _validator(name: str):
-    import jsonschema  # slow to import; only commands that read documents need it
+# A checker for the keywords of JSON Schema (draft 2020-12) that schema.json
+# uses, with jsonschema's semantics and its wording of the messages.
+# Keywords run in schema order and every error is collected, so the first
+# error in sorted path order can be reported. An error is (sort key, path,
+# message); a missing field sorts at its parent object's path.
 
-    schema = json.loads(resources.files("mdtune").joinpath("schema.json").read_text())
-    base = jsonschema.Draft202012Validator
+_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "boolean": lambda v: isinstance(v, bool),
     # JSON Schema counts 4.0 as an integer, but from_doc keeps the float and
     # a command line would read "-ntmpi 4.0": integers must be written as such.
-    checker = base.TYPE_CHECKER.redefine(
-        "integer", lambda _, value: isinstance(value, int) and not isinstance(value, bool))
-    validator = jsonschema.validators.extend(base, type_checker=checker)
-    return validator({**schema, "$ref": f"#/$defs/{name}"})
+    "integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+}
+
+
+def _equal(a, b) -> bool:
+    """JSON equality: ``1 == 1.0``, but ``True != 1``, also inside arrays and objects."""
+    if isinstance(a, bool) or isinstance(b, bool):
+        return a is b
+    if isinstance(a, list) and isinstance(b, list):
+        return len(a) == len(b) and all(map(_equal, a, b))
+    if isinstance(a, dict) and isinstance(b, dict):
+        return a.keys() == b.keys() and all(_equal(v, b[k]) for k, v in a.items())
+    return a == b
+
+
+def _check(value, schema: dict, path: tuple, errors: list) -> None:
+    for keyword, arg in schema.items():
+        _KEYWORDS[keyword](arg, value, schema, path, errors)
+
+
+def _type(name, value, schema, path, errors):
+    if not _TYPES[name](value):
+        errors.append((path, path, f"{value!r} is not of type {name!r}"))
+
+
+def _enum(options, value, schema, path, errors):
+    if not any(_equal(value, option) for option in options):
+        errors.append((path, path, f"{value!r} is not one of {options!r}"))
+
+
+def _const(const, value, schema, path, errors):
+    if not _equal(value, const):
+        errors.append((path, path, f"{const!r} was expected"))
+
+
+def _any_of(schemas, value, schema, path, errors):
+    for subschema in schemas:
+        found: list = []
+        _check(value, subschema, path, found)
+        if not found:
+            return
+    errors.append((path, path, f"{value!r} is not valid under any of the given schemas"))
+
+
+def _ref(target, value, schema, path, errors):
+    _check(value, target, path, errors)  # the loader put the named schema in place of its name
+
+
+def _bound(fails, text):
+    def check(limit, value, schema, path, errors):
+        if _TYPES["number"](value) and fails(value, limit):
+            errors.append((path, path, f"{value!r} is {text} {limit!r}"))
+    return check
+
+
+def _size(kind, fails, text_at, text):
+    """A check of a string's or an array's length; ``text_at`` words the edge case."""
+    def check(limit, value, schema, path, errors):
+        if isinstance(value, kind) and fails(len(value), limit):
+            errors.append((path, path, f"{value!r} {text_at.get(limit, text)}"))
+    return check
+
+
+def _pattern(pattern, value, schema, path, errors):
+    if isinstance(value, str) and not re.search(pattern, value):
+        errors.append((path, path, f"{value!r} does not match {pattern!r}"))
+
+
+def _items(subschema, value, schema, path, errors):
+    if isinstance(value, list):
+        for index, item in enumerate(value):
+            _check(item, subschema, (*path, index), errors)
+
+
+def _properties(properties, value, schema, path, errors):
+    if isinstance(value, dict):
+        for name, subschema in properties.items():
+            if name in value:
+                _check(value[name], subschema, (*path, name), errors)
+
+
+def _required(names, value, schema, path, errors):
+    if isinstance(value, dict):
+        for name in names:
+            if name not in value:
+                errors.append((path, (*path, name), "missing required field"))
+
+
+def _no_additional(_, value, schema, path, errors):
+    if isinstance(value, dict):
+        known = schema.get("properties", {})
+        extras = [repr(key) for key in sorted(value, key=str) if key not in known]
+        if extras:
+            verb = "was" if len(extras) == 1 else "were"
+            errors.append((path, path, f"Additional properties are not allowed "
+                                       f"({', '.join(extras)} {verb} unexpected)"))
+
+
+_KEYWORDS = {
+    "type": _type, "enum": _enum, "const": _const, "anyOf": _any_of, "$ref": _ref,
+    "minimum": _bound(operator.lt, "less than the minimum of"),
+    "exclusiveMinimum": _bound(operator.le, "less than or equal to the minimum of"),
+    "maximum": _bound(operator.gt, "greater than the maximum of"),
+    "minLength": _size(str, operator.lt, {1: "should be non-empty"}, "is too short"),
+    "pattern": _pattern,
+    "items": _items,
+    "minItems": _size(list, operator.lt, {1: "should be non-empty"}, "is too short"),
+    "maxItems": _size(list, operator.gt, {0: "is expected to be empty"}, "is too long"),
+    "properties": _properties, "required": _required, "additionalProperties": _no_additional,
+}
+_ROOT_KEYS = {"$schema", "$id", "title", "$defs"}
+
+
+def _load_schema(root: dict) -> dict:
+    """The definitions of a schema document, each ``$ref`` replaced by the schema it names.
+
+    A keyword the checker does not implement raises ValueError, so that no
+    rule of the schema is silently skipped.
+    """
+    defs = root["$defs"]
+    refs = {f"#/$defs/{name}": schema for name, schema in defs.items()}
+
+    def prepare(schema: dict, where: str) -> None:
+        for keyword, arg in schema.items():
+            unsupported = (keyword not in _KEYWORDS
+                           or keyword == "type" and not (isinstance(arg, str) and arg in _TYPES)
+                           or keyword == "additionalProperties" and arg is not False
+                           or keyword == "$ref" and not (isinstance(arg, str) and arg in refs))
+            if unsupported:
+                raise ValueError(f"schema {where}: unsupported {keyword!r}: {arg!r}")
+            if keyword == "$ref":
+                schema[keyword] = refs[arg]
+            elif keyword == "properties":
+                for name, subschema in arg.items():
+                    prepare(subschema, f"{where}.{name}")
+            elif keyword == "items":
+                prepare(arg, f"{where}[]")
+            elif keyword == "anyOf":
+                for index, subschema in enumerate(arg):
+                    prepare(subschema, f"{where}|{index}")
+
+    if not root.keys() <= _ROOT_KEYS:
+        raise ValueError(f"schema: unsupported {sorted(root.keys() - _ROOT_KEYS)}")
+    for name, schema in defs.items():
+        prepare(schema, name)
+    return defs
+
+
+@functools.cache
+def _schemas() -> dict:
+    return _load_schema(json.loads(resources.files("mdtune").joinpath("schema.json").read_text()))
 
 
 def validate(doc, name: str) -> None:
@@ -191,16 +346,11 @@ def validate(doc, name: str) -> None:
 
     Raises ManifestError naming the path of the first offending field.
     """
-    errors = sorted(_validator(name).iter_errors(doc), key=lambda e: list(e.absolute_path))
+    errors: list = []
+    _check(doc, _schemas()[name], (), errors)
     if errors:
-        err = errors[0]
-        path = ".".join(str(p) for p in err.absolute_path)
-        if err.validator == "required":
-            # name the missing field itself, not just the parent object
-            missing = err.message.split("'")[1]
-            path = f"{path}.{missing}" if path else missing
-            raise ManifestError("missing required field", path=path)
-        raise ManifestError(err.message, path=path or "(root)")
+        _, path, message = min(errors, key=operator.itemgetter(0))
+        raise ManifestError(message, path=".".join(map(str, path)) or "(root)")
 
 
 def _non_finite(doc, path=()):

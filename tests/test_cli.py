@@ -461,6 +461,31 @@ class TestIntegralFloats:
         assert (code, out) == (1, "")
         assert err == "error: sweep.repeats: 2.0 is not of type 'integer'\n"
 
+    @pytest.mark.parametrize("command", ["plan", "sweep"])
+    def test_threads_per_core(self, tmp_path, capsys, command):
+        # 2.0 equals the enum member 2, and range(2.0) raised a TypeError
+        doc = json.loads((DATA / "manifest_mem.json").read_text())
+        doc["node"]["cpu"]["hardware_threads_per_core"] = 2.0
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, command, "--manifest", str(path))
+        assert (code, out) == (1, "")
+        assert err == "error: node.cpu.hardware_threads_per_core: 2.0 is not of type 'integer'\n"
+
+
+class TestUnreadManifestField:
+    """A manifest field that no command reads is refused, not accepted and dropped."""
+
+    def test_cluster_network_cost(self, tmp_path, capsys):
+        doc = json.loads((DATA / "manifest_mem.json").read_text())
+        doc["cluster"] = {"node_count": 2, "per_node_network_cost": 600}
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "plan", "--manifest", str(path))
+        assert (code, out) == (1, "")
+        assert err == ("error: cluster: Additional properties are not allowed "
+                       "('per_node_network_cost' was unexpected)\n")
+
 
 class TestNonFiniteNumbers:
     """NaN and Infinity are not JSON numbers: a document with one gives one
@@ -500,8 +525,9 @@ class TestNonFiniteNumbers:
 
 
 class TestZeroTotalCost:
-    """A row with no node cost and no power draw has no finite yield: every
-    format rejects it with an error line that names the row."""
+    """A row with no node cost and no power draw, or with a cost beyond a
+    float, has no finite yield: every format rejects it with an error line
+    that names the row."""
 
     FREE_ROW = {"label": "free", "performance_ns_day": 10.0, "node_cost_eur": 0, "power_w": 0}
 
@@ -526,6 +552,17 @@ class TestZeroTotalCost:
         err = self.run_with(capsys, tmp_path, doc, "analyze-costs")
         assert err.startswith("error: row 'free': ")
         assert "production (0 us)" in err
+
+    @pytest.mark.parametrize("argv", [["analyze-costs", "--format", fmt]
+                                      for fmt in ("md", "csv", "json")] + [["recommend"]])
+    def test_energy_cost_overflows(self, tmp_path, capsys, argv):
+        # a finite meter reading whose lifetime energy cost is beyond a float
+        hot = dict(self.FREE_ROW, label="hot", node_cost_eur=100,
+                   power={"kind": "meter_kwh_per_300s", "value": 1e300})
+        del hot["power_w"]
+        doc = {"rows": [*ROWS_DOC["rows"], hot]}
+        err = self.run_with(capsys, tmp_path, doc, *argv)
+        assert err.startswith("error: row 'hot': total cost (inf EUR)")
 
     def test_zero_lifetime(self, tmp_path, capsys):
         doc = {"econ": {"lifetime_years": 0}, "rows": ROWS_DOC["rows"]}
