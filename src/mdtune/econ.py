@@ -129,6 +129,7 @@ def econ_row(
         / 1000.0
     )
     total = energy + node_cost_eur
+    keur = total / 1000.0
     return EconRow(
         performance=performance,
         production_us=prod,
@@ -136,7 +137,7 @@ def econ_row(
         energy_cost_eur=energy,
         node_cost_eur=node_cost_eur,
         trajectory_cost_eur_per_us=total / prod if prod > 0 else math.inf,
-        yield_us_per_keur=prod / (total / 1000.0) if total > 0 else math.inf,
+        yield_us_per_keur=prod / keur if keur > 0 else math.inf,
     )
 
 

@@ -14,7 +14,21 @@ Logs from restarted runs contain several copies of a metric; the last
 occurrence wins, since it reflects the balanced steady state. Parsing is
 stateless and insensitive to unrelated surrounding lines. Numbers must use
 '.' as the decimal separator; a recognized line whose numbers do not parse
-raises LogParseError with the byte offset, it is never silently skipped.
+raises LogParseError with the offset of the number, it is never silently
+skipped.
+
+Each scan starts only where a match can start, so a parse costs about one
+step per line (and per keyword), not one per character:
+
+ - "Performance:", the table's "initial"/"final" rows and its "cost-ratio"
+   line start a line after optional whitespace. Their scans jump from
+   newline to newline; the first line of the text is tried on its own.
+ - "NOTE:" blocks start a line; the scan jumps to each newline-"NOTE:".
+ - the PME load line, the GPU/CPU line and the table header are found by
+   their keywords wherever they stand.
+ - the table's rows and "cost-ratio" line are searched from the last table
+   header on, and the PME wait line only within the four lines after the
+   last PME load line.
 
 Integrity checks (re-deriving the printed GPU/CPU ratio, cube-law check on
 the cutoff scaling) produce warnings in PerfMetrics.notes, not failures:
@@ -25,13 +39,20 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import LogParseError
 
 NUMBER = r"[0-9]+(?:\.[0-9]+)?"
+_NUMBER_RE = re.compile(NUMBER)
+
+# The line boundaries of str.splitlines, and one line without its boundary.
+_EOL = r"(?:\r\n|[\n\r\v\f\x1c-\x1e\x85\u2028\u2029])"
+_LINE = r"[^\n\r\v\f\x1c-\x1e\x85\u2028\u2029]*"
 
 _PME_LOAD_RE = re.compile(r"Average PME mesh/force load:\s*(\S+)")
+# After the load value: newlines skipped, then (group 1) the next four lines.
+_PME_WAIT_WINDOW_RE = re.compile(rf"\n*((?:{_LINE}{_EOL}){{0,3}}{_LINE})")
 _PME_WAIT_RE = re.compile(
     r"spent waiting due to PP/PME imbalance:\s*(\S+)\s*%"
 )
@@ -39,15 +60,21 @@ _GPU_CPU_RE = re.compile(r"Force evaluation time GPU/CPU:(.*)")
 _GPU_CPU_NUMS = re.compile(
     rf"\s*({NUMBER})\s*ms/({NUMBER})\s*ms\s*=\s*({NUMBER})\s*$"
 )
-_PERF_RE = re.compile(r"^\s*Performance:\s+(\S+)", re.MULTILINE)
-_LB_HEADER_RE = re.compile(r"PP/PME load balancing changed the cut-off")
+_LB_HEADER = "PP/PME load balancing changed the cut-off"
+
+# A line pattern is searched from the newline before each line, a literal the
+# regex engine skips to; the first line of a text is matched on its own.
+_PERF = r"[^\S\n]*Performance:\s+(\S+)"
+_PERF_FIRST_RE = re.compile(_PERF)
+_PERF_RE = re.compile("\n" + _PERF)
 _LB_ROW_RE = re.compile(
-    rf"^\s*(initial|final)\s+({NUMBER})\s*nm\s+({NUMBER})\s*nm\s+"
-    rf"(\d+)\s+(\d+)\s+(\d+)\s+({NUMBER})\s*nm\s+({NUMBER})\s*nm",
-    re.MULTILINE,
+    rf"\n[^\S\n]*(initial|final)\s+({NUMBER})\s*nm\s+({NUMBER})\s*nm\s+"
+    rf"(\d+)\s+(\d+)\s+(\d+)\s+({NUMBER})\s*nm\s+({NUMBER})\s*nm"
 )
-_LB_COST_RE = re.compile(r"^\s*cost-ratio\s+(\S+)\s+(\S+)", re.MULTILINE)
-_NOTE_RE = re.compile(r"^NOTE:.*(?:\n[ \t]+\S.*)*", re.MULTILINE)
+_LB_COST_RE = re.compile(r"\n[^\S\n]*cost-ratio\s+(\S+)\s+(\S+)")
+_NOTE = r"(NOTE:.*(?:\n[ \t]+\S.*)*)"
+_NOTE_FIRST_RE = re.compile(_NOTE)
+_NOTE_RE = re.compile("\n" + _NOTE)
 
 RATIO_CHECK_TOLERANCE = 0.001  # printed GPU/CPU ratio vs recomputed quotient
 CUBE_LAW_TOLERANCE = 0.02  # printed PP cost ratio vs cutoff-ratio cubed
@@ -57,21 +84,18 @@ ADVISORY_GPU_UNDERUTILIZED = "gpu_underutilized"
 ADVISORY_OTHER = "other"
 
 
-@dataclass(frozen=True)
-class Advisory:
+class Advisory(NamedTuple):
     kind: str
     text: str
 
 
-@dataclass(frozen=True)
-class GpuCpuRatio:
+class GpuCpuRatio(NamedTuple):
     gpu_ms: float
     cpu_ms: float
     ratio: float  # as printed in the log
 
 
-@dataclass(frozen=True)
-class ParsedLoadBalance:
+class ParsedLoadBalance(NamedTuple):
     initial_rcoulomb: float
     initial_rlist: float
     initial_grid: tuple[int, int, int]
@@ -114,13 +138,30 @@ class PerfMetrics:
     WIRE_NULLS = ("performance", "pme_mesh_force_load", "pp_pme_wait_pct")
 
 
-def _parse_number(raw: str, text: str, what: str) -> float:
-    if not re.fullmatch(NUMBER, raw):
+def _parse_number(raw: str, offset: int, what: str) -> float:
+    """``raw``, found at ``offset`` in the log, as a float."""
+    if not _NUMBER_RE.fullmatch(raw):
         raise LogParseError(
             f"malformed {what}: {raw!r} (only '.' decimal separators are accepted)",
-            offset=text.find(raw),
+            offset=offset,
         )
     return float(raw)
+
+
+def _line_matches(first: re.Pattern, rest: re.Pattern, text: str):
+    """The matches, in order, of a pattern that starts a line: ``first`` at
+    the start of the text, then ``rest`` (the same after a newline) on."""
+    m = first.match(text)
+    if m:
+        yield m
+    yield from rest.finditer(text, m.end() if m else 0)
+
+
+def _last(matches):
+    m = None
+    for m in matches:
+        pass
+    return m
 
 
 def parse_pme_load(text: str) -> Optional[tuple[float, Optional[float]]]:
@@ -129,87 +170,68 @@ def parse_pme_load(text: str) -> Optional[tuple[float, Optional[float]]]:
     The wait line is taken from the few lines following the load line when
     present. Returns None when the log has no such line at all.
     """
-    matches = list(_PME_LOAD_RE.finditer(text))
-    if not matches:
+    m = _last(_PME_LOAD_RE.finditer(text))
+    if m is None:
         return None
-    m = matches[-1]
-    load = _parse_number(m.group(1), text, "PME mesh/force load")
+    load = _parse_number(m[1], m.start(1), "PME mesh/force load")
     # the companion line sits within the next few lines when present
-    window = "\n".join(text[m.end():].lstrip("\n").splitlines()[:4])
+    start, end = _PME_WAIT_WINDOW_RE.match(text, m.end()).span(1)
     wait = None
-    wm = _PME_WAIT_RE.search(window)
+    wm = _PME_WAIT_RE.search(text, start, end)
     if wm:
-        wait = _parse_number(wm.group(1), text, "PP/PME wait percentage")
+        wait = _parse_number(wm[1], wm.start(1), "PP/PME wait percentage")
         if not 0.0 <= wait <= 100.0:
             raise LogParseError(
                 f"PP/PME wait percentage {wait} outside [0, 100]",
-                offset=m.end() + wm.start(),
+                offset=wm.start(1),
             )
     return load, wait
 
 
 def parse_gpu_cpu_ratio(text: str) -> Optional[GpuCpuRatio]:
     """Last "Force evaluation time GPU/CPU" line as (gpu_ms, cpu_ms, ratio)."""
-    matches = list(_GPU_CPU_RE.finditer(text))
-    if not matches:
+    m = _last(_GPU_CPU_RE.finditer(text))
+    if m is None:
         return None
-    m = matches[-1]
-    nums = _GPU_CPU_NUMS.match(m.group(1))
+    nums = _GPU_CPU_NUMS.match(m[1])
     if not nums:
         raise LogParseError(
-            f"malformed GPU/CPU force time line: {m.group(0).strip()!r}",
+            f"malformed GPU/CPU force time line: {m[0].strip()!r}",
             offset=m.start(),
         )
-    gpu_ms, cpu_ms, ratio = (float(g) for g in nums.groups())
-    return GpuCpuRatio(gpu_ms=gpu_ms, cpu_ms=cpu_ms, ratio=ratio)
+    gpu_ms, cpu_ms, ratio = nums.groups()
+    return GpuCpuRatio(float(gpu_ms), float(cpu_ms), float(ratio))
+
+
+def _table_row(m: re.Match) -> tuple:
+    _, rcoulomb, rlist, nx, ny, nz, spacing, inv_beta = m.groups()
+    return (float(rcoulomb), float(rlist), (int(nx), int(ny), int(nz)),
+            float(spacing), float(inv_beta))
 
 
 def parse_load_balance_table(text: str) -> Optional[ParsedLoadBalance]:
     """The cutoff/grid table written after PP/PME (or CPU/GPU) balancing."""
-    headers = list(_LB_HEADER_RE.finditer(text))
-    if not headers:
+    start = text.rfind(_LB_HEADER)
+    if start < 0:
         return None
-    header = headers[-1]
-    block = text[header.start() :]
-    rows = {m.group(1): m for m in _LB_ROW_RE.finditer(block)}
+    rows = {m[1]: m for m in _LB_ROW_RE.finditer(text, start)}
     for required in ("initial", "final"):
         if required not in rows:
             raise LogParseError(
                 f"load balancing table is missing its '{required}' row",
-                offset=header.start(),
+                offset=start,
             )
-    cost = _LB_COST_RE.search(block)
+    cost = _LB_COST_RE.search(text, start)
     if not cost:
         raise LogParseError(
             "load balancing table is missing its 'cost-ratio' row",
-            offset=header.start(),
+            offset=start,
         )
-
-    def row(which: str):
-        m = rows[which]
-        return (
-            float(m.group(2)),
-            float(m.group(3)),
-            (int(m.group(4)), int(m.group(5)), int(m.group(6))),
-            float(m.group(7)),
-            float(m.group(8)),
-        )
-
-    irc, irl, igrid, isp, ib = row("initial")
-    frc, frl, fgrid, fsp, fb = row("final")
     return ParsedLoadBalance(
-        initial_rcoulomb=irc,
-        initial_rlist=irl,
-        initial_grid=igrid,
-        initial_spacing=isp,
-        initial_inv_beta=ib,
-        final_rcoulomb=frc,
-        final_rlist=frl,
-        final_grid=fgrid,
-        final_spacing=fsp,
-        final_inv_beta=fb,
-        cost_ratio_pp=_parse_number(cost.group(1), text, "PP cost ratio"),
-        cost_ratio_pme=_parse_number(cost.group(2), text, "PME cost ratio"),
+        *_table_row(rows["initial"]),
+        *_table_row(rows["final"]),
+        _parse_number(cost[1], cost.start(1), "PP cost ratio"),
+        _parse_number(cost[2], cost.start(2), "PME cost ratio"),
     )
 
 
@@ -224,18 +246,17 @@ def classify_note(text: str) -> str:
 
 def parse_advisories(text: str) -> list[Advisory]:
     """All NOTE blocks, verbatim, classified by what they complain about."""
-    return [Advisory(kind=classify_note(m.group(0)), text=m.group(0)) for m in _NOTE_RE.finditer(text)]
+    return [Advisory(classify_note(m[1]), m[1])
+            for m in _line_matches(_NOTE_FIRST_RE, _NOTE_RE, text)]
 
 
 def parse_performance(text: str) -> Optional[float]:
-    matches = list(_PERF_RE.finditer(text))
-    if not matches:
+    m = _last(_line_matches(_PERF_FIRST_RE, _PERF_RE, text))
+    if m is None:
         return None
-    value = _parse_number(matches[-1].group(1), text, "performance")
+    value = _parse_number(m[1], m.start(1), "performance")
     if value <= 0:
-        raise LogParseError(
-            f"non-positive performance {value}", offset=matches[-1].start()
-        )
+        raise LogParseError(f"non-positive performance {value}", offset=m.start(1))
     return value
 
 

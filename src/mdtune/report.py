@@ -222,14 +222,22 @@ class EconDisplayRow:
 def _check_priced(label: str, production: float, total: float) -> None:
     """Reject a row whose cost per us or yield would not be a finite number.
 
-    The rows schema allows a node cost and a power of 0, and a production
-    that rounds to 0.00 us; dividing by either would crash a table or write
-    ``Infinity`` into a JSON document.
+    The rows schema allows a node cost and a power of 0, a production that
+    rounds to 0.00 us, and any finite cost; a zero divisor, or the quotient
+    of a huge and a tiny value, would crash a table or write ``Infinity``
+    into a JSON document. The yield is checked in ns/kEUR, the larger of
+    its two units, so that every format rejects the same rows.
     """
     if not (0 < production < math.inf and 0 < total < math.inf):
         raise MdtuneError(
             f"row {label!r}: total cost ({total:g} EUR) and production "
             f"({production:g} us) must both be above 0 and finite"
+        )
+    keur = total / 1000.0
+    if not (total / production < math.inf and keur > 0 and 1000.0 * production / keur < math.inf):
+        raise MdtuneError(
+            f"row {label!r}: the cost per us and the yield of {total:g} EUR "
+            f"over {production:g} us must be finite"
         )
 
 

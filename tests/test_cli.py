@@ -570,6 +570,33 @@ class TestZeroTotalCost:
         assert err.startswith("error: econ.lifetime_years: ")
 
 
+class TestQuotientOverflow:
+    """A row whose total cost and production are finite, but whose cost per
+    us or yield is not, gives one error line that names the row in every
+    format, not a traceback or ``Infinity`` in a JSON document."""
+
+    GOLDEN_ROWS = json.loads((DATA / "golden" / "rows.json").read_text())
+    FORMATS = [["analyze-costs", "--format", fmt] for fmt in ("md", "csv", "json")] + [
+        ["analyze-costs", "--yield-unit", "us"], ["recommend"]]
+
+    @pytest.mark.parametrize("argv", FORMATS)
+    @pytest.mark.parametrize("index, edit", [
+        (0, {"node_cost_eur": 1e308, "performance_ns_day": 0.01}),  # cost per us
+        (2, {"node_cost_eur": 1e-306, "power_w": 0}),  # yield
+        (2, {"node_cost_eur": 1e-321, "power_w": 0}),  # total / 1000 rounds to 0
+    ], ids=["cost-per-us", "yield", "yield-divisor"])
+    def test_error_line(self, tmp_path, capsys, argv, index, edit):
+        doc = copy.deepcopy(self.GOLDEN_ROWS)
+        doc["rows"][index].update(edit)
+        path = tmp_path / "rows.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, *argv, "--rows", str(path))
+        assert (code, out) == (1, "")
+        label = doc["rows"][index]["label"]
+        assert err.startswith(f"error: row {label!r}: the cost per us and the yield of ")
+        assert err.count("\n") == 1
+
+
 class TestPathIsADirectory:
     """A path that names a directory gives one error line, not a traceback."""
 

@@ -152,6 +152,54 @@ class TestWholeNumberTokens:
             parse_load_balance_table(text)
 
 
+class TestOffsets:
+    """LogParseError.offset points at the number that failed, in the line
+    that failed: not at an earlier place where the same characters appear,
+    and in a restarted log at the last copy, the one that is parsed."""
+
+    WAIT = " Part of the total run time spent waiting due to PP/PME imbalance: {} %\n"
+
+    def test_performance(self):
+        text = "Step 1,5 of the run\n Performance:     1,5\n"
+        with pytest.raises(LogParseError, match="performance") as err:
+            parse_metrics(text)
+        assert err.value.offset == 38 == text.rindex("1,5")
+
+    def test_pme_load(self):
+        copy = " Average PME mesh/force load: 0,625\n"
+        text = copy + copy  # a restarted run: the last copy is the one parsed
+        with pytest.raises(LogParseError, match="PME mesh/force load") as err:
+            parse_pme_load(text)
+        assert err.value.offset == text.rindex("0,625")
+
+    def test_wait_percentage(self):
+        text = " Wait 8,3 was seen\n Average PME mesh/force load: 0.625\n" + self.WAIT.format("8,3")
+        with pytest.raises(LogParseError, match="wait percentage") as err:
+            parse_pme_load(text)
+        assert err.value.offset == text.rindex("8,3")
+
+    @pytest.mark.parametrize("old, new, what", [("4.10", "4,10", "PP cost ratio"),
+                                                ("0.22", "0,22", "PME cost ratio")])
+    def test_cost_ratio(self, si_load_balance, old, new, what):
+        copy = si_load_balance.replace(old, new)
+        text = copy + copy
+        with pytest.raises(LogParseError, match=what) as err:
+            parse_load_balance_table(text)
+        assert err.value.offset == text.rindex(new)
+
+    def test_non_positive_performance(self):
+        text = "\n\n Performance:     0.0\n"
+        with pytest.raises(LogParseError, match="non-positive") as err:
+            parse_metrics(text)
+        assert err.value.offset == text.index("0.0")
+
+    def test_wait_out_of_range(self):
+        text = " Average PME mesh/force load: 0.625\n" + self.WAIT.format("150")
+        with pytest.raises(LogParseError, match="outside") as err:
+            parse_pme_load(text)
+        assert err.value.offset == text.index("150")
+
+
 class TestAdvisories:
     def test_pme_note_classified(self, si_pme_imbalance):
         notes = parse_advisories(si_pme_imbalance)
