@@ -111,20 +111,25 @@ def balance_cutoff(
     if k < 1:
         raise MdtuneError(f"balance factor k={k} < 1: work only shifts off the CPU")
     box = tuple(float(b) for b in box)
-    scale = k ** (1.0 / 3.0)
-    grid0 = grid_for_spacing(box, spacing0)
-    grid = grid_for_spacing(box, spacing0 * scale)
-    volume_ratio = 1.0
-    for a, b in zip(grid, grid0):
-        volume_ratio *= a / b
+    grid, volume_ratio = _mesh_at(spacing0, box, k, grid_for_spacing(box, spacing0))
     return BalanceState(
-        rcoulomb=rc0 * scale,
+        rcoulomb=rc0 * k ** (1.0 / 3.0),
         grid_spacing=max(length / n for length, n in zip(box, grid)),
         grid_dims=grid,
         box=box,
         pp_cost_ratio=k,
         pme_cost_ratio=volume_ratio,
     )
+
+
+def _mesh_at(spacing0: float, box: tuple[float, float, float], k: float,
+             grid0: tuple[int, int, int]) -> tuple[tuple[int, int, int], float]:
+    """The grid at shift factor k, and its volume relative to the unshifted ``grid0``."""
+    grid = grid_for_spacing(box, spacing0 * k ** (1.0 / 3.0))
+    volume_ratio = 1.0
+    for a, b in zip(grid, grid0):
+        volume_ratio *= a / b
+    return grid, volume_ratio
 
 
 @functools.lru_cache(maxsize=32)
@@ -144,35 +149,28 @@ def grid_ladder(
     ``breaks[i]`` is the smallest float k at which piece i's grid starts,
     and ``ratios[i]`` is that grid's ``pme_cost_ratio``, so for every float
     k in [1, k_max] the piece is ``bisect.bisect_right(breaks, k) - 1``.
-    Each break is found by bisecting down to adjacent floats on the same
-    expression ``balance_cutoff`` evaluates, so the lookup is exact as long
-    as the grid never grows with k.
+    Each break is found by bisecting down to adjacent floats on
+    ``_mesh_at``, which ``balance_cutoff`` evaluates too, so the lookup is
+    exact as long as the grid never grows with k.
     """
     if k_max < 1:
         raise MdtuneError(f"balance factor k={k_max} < 1: work only shifts off the CPU")
     box = tuple(float(b) for b in box)
     grid0 = grid_for_spacing(box, spacing0)
-
-    def grid_at(k: float) -> tuple[int, int, int]:
-        return grid_for_spacing(box, spacing0 * k ** (1.0 / 3.0))
-
     breaks, ratios = [], []
     lo = 1.0
     while True:
-        grid = grid_at(lo)
-        ratio = 1.0
-        for a, b in zip(grid, grid0):
-            ratio *= a / b
+        mesh = _mesh_at(spacing0, box, lo, grid0)
         breaks.append(lo)
-        ratios.append(ratio)
-        if grid_at(k_max) == grid:
+        ratios.append(mesh[1])
+        if _mesh_at(spacing0, box, k_max, grid0) == mesh:
             return tuple(breaks), tuple(ratios)
-        hi = k_max  # grid_at(lo) == grid != grid_at(hi)
+        hi = k_max  # the mesh at lo is mesh, the one at hi is not
         while True:
             mid = 0.5 * (lo + hi)
             if mid == lo or mid == hi:
                 break
-            if grid_at(mid) == grid:
+            if _mesh_at(spacing0, box, mid, grid0) == mesh:
                 lo = mid
             else:
                 hi = mid
@@ -202,7 +200,8 @@ class Workload:
     def __post_init__(self):
         object.__setattr__(self, "box", tuple(self.box))
         if self.benchmark_steps <= self.reset_steps:
-            raise MdtuneError("benchmark_steps must exceed reset_steps")
+            raise MdtuneError(f"benchmark_steps ({self.benchmark_steps}) must exceed "
+                              f"reset_steps ({self.reset_steps})")
 
 
 @dataclass(frozen=True)
@@ -239,8 +238,6 @@ class SyntheticNodeProfile:
         for name in ("cpu_rate", "gpu_rate"):
             if getattr(self, name) <= 0:
                 raise MdtuneError(f"{name} must be positive")
-        if abs(self.thread_efficiency(1) - 1.0) > 1e-12:
-            raise MdtuneError("thread_efficiency(1) must be 1")
 
 
 @dataclass(frozen=True)

@@ -115,8 +115,8 @@ def _read_rows(path: str) -> tuple[dict, EconParams, list[report.EconInput]]:
     """A validated rows document, its econ parameters and its rows."""
     doc = read(path)
     validate(doc, "rows")
-    params = from_doc(EconParams, doc.get("econ", {}))
-    return doc, params, [from_doc(report.EconInput, row) for row in doc["rows"]]
+    rows = [from_doc(report.EconInput, row, f"rows.{i}") for i, row in enumerate(doc["rows"])]
+    return doc, from_doc(EconParams, doc.get("econ", {}), "econ"), rows
 
 
 def _cmd_analyze_costs(args) -> int:
@@ -134,7 +134,8 @@ def _cmd_analyze_costs(args) -> int:
 def _cmd_scaling(args) -> int:
     doc = read(args.rows)
     validate(doc, "series")
-    series = [from_doc(report.ScalingSeries, s) for s in doc["series"]]
+    series = [from_doc(report.ScalingSeries, s, f"series.{i}")
+              for i, s in enumerate(doc["series"])]
     fmt = "csv" if args.format == "csv" else "md"
     sys.stdout.write(report.scaling_report(series, fmt=fmt))
     return 0
@@ -160,8 +161,8 @@ def _cmd_recommend(args) -> int:
     doc, params, inputs = _read_rows(args.rows)
     econ_rows = report.full_precision_rows(inputs, params)
     hardware = [
-        dataclasses.replace(from_doc(HardwareRow, row), econ=econ)
-        for row, econ in zip(doc["rows"], econ_rows)
+        dataclasses.replace(from_doc(HardwareRow, row, f"rows.{i}"), econ=econ)
+        for i, (row, econ) in enumerate(zip(doc["rows"], econ_rows))
     ]
     weights = _parse_weights(args.weights) if args.weights else None
     fmt = "csv" if args.format == "csv" else "md"

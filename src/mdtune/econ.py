@@ -38,7 +38,6 @@ CRITERIA = ("C1", "C2", "C3", "C4", "C5")
 class EconParams:
     lifetime_years: float = 5.0
     energy_price_eur_per_kwh: float = 0.2  # including cooling
-    per_node_network_cost_eur: float = 0.0
 
     def __post_init__(self):
         for name in self.__dataclass_fields__:

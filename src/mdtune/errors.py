@@ -31,8 +31,9 @@ class LogParseError(MdtuneError):
 
 
 class ManifestError(MdtuneError):
-    """An input document (a run manifest, node catalog, rows or series
-    document) failed validation; the message names the field path."""
+    """An input document (a manifest, node, plan, profile, rows or series
+    document) failed validation. ``path``, which the message starts with, is a
+    field the schema rejects or a record whose own check fails (``rows.0.power``)."""
 
     def __init__(self, message, path=""):
         if path:

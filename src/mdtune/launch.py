@@ -479,7 +479,7 @@ def load_plan(path) -> list[LaunchConfig]:
     """The configs of a plan file, validated against ``schema.json#/$defs/plan``."""
     doc = read(path)
     validate(doc, "plan")
-    return [from_doc(LaunchConfig, entry) for entry in doc]
+    return [from_doc(LaunchConfig, entry, str(i)) for i, entry in enumerate(doc)]
 
 
 def plan_to_script(configs: Iterable[LaunchConfig], profile: EngineProfile = EngineProfile(),

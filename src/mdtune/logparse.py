@@ -12,10 +12,10 @@ The interesting lines appear near the end of an engine's metrics log:
 
 Logs from restarted runs contain several copies of a metric; the last
 occurrence wins, since it reflects the balanced steady state. Parsing is
-stateless and insensitive to unrelated surrounding lines. Numbers must use
-'.' as the decimal separator; a recognized line whose numbers do not parse
-raises LogParseError with the offset of the number, it is never silently
-skipped.
+stateless and insensitive to unrelated surrounding lines. A keyword's values
+are read from its own line: a bare keyword (a log cut mid-line) is none.
+Numbers must use '.' as the decimal separator; a recognized line whose
+numbers do not parse raises LogParseError with the offset of the number.
 
 Each scan starts only where a match can start, so a parse costs about one
 step per line (and per keyword), not one per character:
@@ -50,7 +50,7 @@ _NUMBER_RE = re.compile(NUMBER)
 _EOL = r"(?:\r\n|[\n\r\v\f\x1c-\x1e\x85\u2028\u2029])"
 _LINE = r"[^\n\r\v\f\x1c-\x1e\x85\u2028\u2029]*"
 
-_PME_LOAD_RE = re.compile(r"Average PME mesh/force load:\s*(\S+)")
+_PME_LOAD_RE = re.compile(r"Average PME mesh/force load:[^\S\n]*(\S+)")
 # After the load value: newlines skipped, then (group 1) the next four lines.
 _PME_WAIT_WINDOW_RE = re.compile(rf"\n*((?:{_LINE}{_EOL}){{0,3}}{_LINE})")
 _PME_WAIT_RE = re.compile(
@@ -64,14 +64,14 @@ _LB_HEADER = "PP/PME load balancing changed the cut-off"
 
 # A line pattern is searched from the newline before each line, a literal the
 # regex engine skips to; the first line of a text is matched on its own.
-_PERF = r"[^\S\n]*Performance:\s+(\S+)"
+_PERF = r"[^\S\n]*Performance:[^\S\n]+(\S+)"
 _PERF_FIRST_RE = re.compile(_PERF)
 _PERF_RE = re.compile("\n" + _PERF)
 _LB_ROW_RE = re.compile(
     rf"\n[^\S\n]*(initial|final)\s+({NUMBER})\s*nm\s+({NUMBER})\s*nm\s+"
     rf"(\d+)\s+(\d+)\s+(\d+)\s+({NUMBER})\s*nm\s+({NUMBER})\s*nm"
 )
-_LB_COST_RE = re.compile(r"\n[^\S\n]*cost-ratio\s+(\S+)\s+(\S+)")
+_LB_COST_RE = re.compile(r"\n[^\S\n]*cost-ratio[^\S\n]+(\S+)[^\S\n]+(\S+)")
 _NOTE = r"(NOTE:.*(?:\n[ \t]+\S.*)*)"
 _NOTE_FIRST_RE = re.compile(_NOTE)
 _NOTE_RE = re.compile("\n" + _NOTE)

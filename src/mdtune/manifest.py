@@ -2,9 +2,9 @@
 
 A manifest bundles the workload (system size, time step, step counts), the
 node it runs on, sweep options, engine command template, and economics
-parameters. It is validated against ``schema.json#/$defs/manifest`` plus a
-few cross-field rules the schema language cannot express; validation errors
-name the offending field path.
+parameters. It is validated against ``schema.json#/$defs/manifest``; the
+cross-field rules the schema language cannot express are the records' own,
+and ``from_doc`` names the path of the record that breaks one.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .balance import Workload
 from .econ import EconParams
-from .errors import ManifestError, MdtuneError
+from .errors import ManifestError
 from .hardware import NodeSpec
 from .launch import EngineProfile, SweepOptions
 from .wire import from_doc, read, validate
@@ -32,29 +32,16 @@ class RunManifest:
 
     WIRE = {"node_count": "cluster.node_count", "repeats": "sweep.repeats"}
 
+    def __post_init__(self):
+        if (self.sweep.gpus_active or 0) > self.node.n_gpus:
+            raise ManifestError(f"gpus_active ({self.sweep.gpus_active}) exceeds the node's "
+                                f"{self.node.n_gpus} GPU(s)", path="sweep.gpus_active")
+
 
 def manifest_from_json(doc: dict) -> RunManifest:
     """Validate a manifest document and build the typed pieces."""
     validate(doc, "manifest")
-    w = doc["workload"]
-    if w["benchmark_steps"] <= w["reset_steps"]:
-        raise ManifestError(
-            f"benchmark_steps ({w['benchmark_steps']}) must exceed "
-            f"reset_steps ({w['reset_steps']})",
-            path="workload.benchmark_steps",
-        )
-    try:
-        manifest = from_doc(RunManifest, doc)
-    except MdtuneError as exc:
-        # past the schema, only the node's cross-field checks can fail
-        raise ManifestError(str(exc), path="node") from exc
-    if manifest.sweep.gpus_active is not None and manifest.sweep.gpus_active > manifest.node.n_gpus:
-        raise ManifestError(
-            f"gpus_active ({manifest.sweep.gpus_active}) exceeds the node's "
-            f"{manifest.node.n_gpus} GPU(s)",
-            path="sweep.gpus_active",
-        )
-    return manifest
+    return from_doc(RunManifest, doc)
 
 
 def load_manifest(path: Path | str) -> RunManifest:

@@ -20,7 +20,7 @@ Two executors ship with the toolkit:
 The orchestrator does each repeat's deterministic work once too: a log text
 equal to an earlier repeat's is not parsed again, and repeats that agree to
 the last bit have a stdev of exactly 0.0 without the exact arithmetic of
-``statistics.stdev``.
+``_sample_stdev``.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import math
 import os
 import signal
 import statistics
@@ -261,6 +262,26 @@ def _rank_key(row: SweepRow):
     )
 
 
+def _sample_stdev(values: Sequence[float]) -> float:
+    """``statistics.stdev`` as Python 3.11 computes it, to the same bits on 3.10.
+
+    The sample variance is exact, n / m in integers, and its square root is
+    rounded once: to odd in integers at 109 bits, then to the nearest float.
+    (3.10 rounds the variance to a float before ``math.sqrt``, so its last
+    digit can differ.)
+    """
+    ratios = [v.as_integer_ratio() for v in values]
+    scale = max(d for _, d in ratios)  # every denominator is a power of two
+    ints = [a * (scale // d) for a, d in ratios]
+    k = len(ints)
+    n = k * sum(x * x for x in ints) - sum(ints) ** 2
+    m = k * (k - 1) * scale * scale
+    q = (n.bit_length() - m.bit_length() - 109) // 2
+    n, m = (n, m << 2 * q) if q >= 0 else (n << -2 * q, m)
+    root = math.isqrt(n // m)
+    return math.ldexp(root | (root * root * m != n), q)
+
+
 def run_sweep(
     configs: Sequence[LaunchConfig],
     executor: Executor,
@@ -304,7 +325,7 @@ def run_sweep(
                 config=config,
                 mean_performance=statistics.fmean(perfs),
                 stdev=(0.0 if all(p == perfs[0] for p in perfs)
-                       else statistics.stdev(perfs)),
+                       else _sample_stdev(perfs)),
                 repeats=repeats,
                 metrics=best_metrics,
                 advisories=list(best_metrics.notes),

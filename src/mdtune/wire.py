@@ -13,7 +13,10 @@ the caller gave, so outputs echo their inputs exactly. Nested dataclasses,
 enums and tuples are converted by the field's type hint. Validation
 against ``schema.json`` is separate (``validate``), so ``from_doc``
 trusts its input: it ignores keys it does not know, and a missing key
-leaves the field at its default.
+leaves the field at its default. The rules the schema cannot state belong
+to the records' constructors; ``from_doc`` reports what they raise as a
+ManifestError naming the record's path in the document (``rows.0.power``,
+``node.gpus.0``), so no loader restates a rule to name its field.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ import typing
 from collections.abc import Sequence
 from importlib import resources
 
-from .errors import ManifestError
+from .errors import ManifestError, MdtuneError
 
 _MISSING = object()
 
@@ -49,41 +52,43 @@ def _is_record(tp) -> bool:
 
 
 def _converters(tp):
-    """(dump, load) for one field's type hint; None means the value passes as is."""
+    """(dump, load(value, path)) for one field's type hint; None passes the value as is."""
     tp = _unwrap_optional(tp)
     if _is_record(tp):
         return to_doc, functools.partial(from_doc, tp)
     if isinstance(tp, type) and issubclass(tp, enum.Enum):
-        return (lambda v: v.value), tp
+        return (lambda v: v.value), lambda v, _: tp(v)
     origin = typing.get_origin(tp)
     if origin in (list, tuple, Sequence):
         item = typing.get_args(tp)[0]
         container = list if origin is list else tuple
         if _is_record(item):
             return (lambda v: [to_doc(x) for x in v],
-                    lambda v: container(from_doc(item, x) for x in v))
-        return list, container
+                    lambda v, path: container(from_doc(item, x, f"{path}.{i}")
+                                              for i, x in enumerate(v)))
+        return list, lambda v, _: container(v)
     return None, None
 
 
 @functools.cache
 def _plan(cls) -> tuple:
-    """Per field: (attribute, wire key, nested keys, dump, load, keep None)."""
+    """Per field: (attribute, wire name, wire key, nested keys, dump, load, keep None)."""
     hints = typing.get_type_hints(cls)
     names = cls._fields if hasattr(cls, "_fields") else [f.name for f in dataclasses.fields(cls)]
     wire = getattr(cls, "WIRE", {})
     nulls = getattr(cls, "WIRE_NULLS", ())
     plan = []
     for name in names:
-        key, *nested = wire.get(name, name).split(".")
-        plan.append((name, key, tuple(nested), *_converters(hints[name]), name in nulls))
+        where = wire.get(name, name)
+        key, *nested = where.split(".")
+        plan.append((name, where, key, tuple(nested), *_converters(hints[name]), name in nulls))
     return tuple(plan)
 
 
 def to_doc(obj) -> dict:
     """The JSON document (plain dicts, lists and scalars) of a dataclass or NamedTuple."""
     doc: dict = {}
-    for name, key, nested, dump, _, keep_none in _plan(type(obj)):
+    for name, _, key, nested, dump, _, keep_none in _plan(type(obj)):
         value = getattr(obj, name)
         if value is None:
             if not keep_none:
@@ -98,10 +103,13 @@ def to_doc(obj) -> dict:
     return doc
 
 
-def from_doc(cls, doc: dict):
-    """Build ``cls`` from its JSON document; the inverse of ``to_doc``."""
+def from_doc(cls, doc: dict, path: str = ""):
+    """Build ``cls`` from its JSON document at ``path``; the inverse of ``to_doc``.
+
+    A constructor's MdtuneError becomes a ManifestError naming its record's path.
+    """
     kwargs = {}
-    for name, key, nested, _, load, _ in _plan(cls):
+    for name, where, key, nested, _, load, _ in _plan(cls):
         value = doc.get(key, _MISSING)
         for part in nested:
             if value is _MISSING:
@@ -110,9 +118,14 @@ def from_doc(cls, doc: dict):
         if value is _MISSING:
             continue
         if value is not None and load is not None:
-            value = load(value)
+            value = load(value, f"{path}.{where}" if path else where)
         kwargs[name] = value
-    return cls(**kwargs)
+    try:
+        return cls(**kwargs)
+    except ManifestError:
+        raise
+    except MdtuneError as exc:
+        raise ManifestError(str(exc), path=path) from exc
 
 
 _escape = json.encoder.encode_basestring_ascii  # raises TypeError on a non-str key

@@ -611,3 +611,64 @@ class TestPathIsADirectory:
         assert (code, out) == (1, "")
         assert err.startswith("error: ") and err.count("\n") == 1
         assert str(tmp_path) in err
+
+
+class TestRecordRuleErrors:
+    """A rule a record checks itself (across its fields) gives one error line
+    that names the record's path in the document."""
+
+    def write(self, tmp_path, doc):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    @pytest.mark.parametrize("command", ["analyze-costs", "recommend"])
+    def test_rows_power_reading(self, tmp_path, capsys, command):
+        doc = json.loads((DATA / "golden" / "rows.json").read_text())
+        doc["rows"][0]["power"].update(gpus_installed=1, gpus_active=2)
+        code, out, err = run_cli(capsys, command, "--rows", self.write(tmp_path, doc))
+        assert (code, out) == (1, "")
+        assert err == "error: rows.0.power: gpus_active cannot exceed gpus_installed\n"
+
+    def test_plan_entry(self, tmp_path, capsys):
+        plan = self.write(tmp_path, [{"n_rank": 2, "n_pme": 2}])
+        code, out, err = run_cli(capsys, "sweep", "--manifest", MANIFEST, "--plan", plan)
+        assert (code, out) == (1, "")
+        assert err == "error: 0: n_pme must be in [0, n_rank)\n"
+
+    @pytest.mark.parametrize("section, field, value, line", [
+        ("node.gpus.0", "max_app_clock_mhz", 500,
+         "node.gpus.0: GTX 980: max_app_clock_mhz below base clock"),
+        ("workload", "reset_steps", 5000,
+         "workload: benchmark_steps (5000) must exceed reset_steps (5000)"),
+        ("sweep", "gpus_active", 3,
+         "sweep.gpus_active: gpus_active (3) exceeds the node's 2 GPU(s)"),
+    ], ids=["gpu", "workload", "gpus_active"])
+    @pytest.mark.parametrize("command", ["plan", "sweep"])
+    def test_manifest(self, tmp_path, capsys, command, section, field, value, line):
+        doc = json.loads((DATA / "manifest_mem.json").read_text())
+        target = doc
+        for part in section.split("."):
+            target = target[int(part)] if isinstance(target, list) else target[part]
+        target[field] = value
+        code, out, err = run_cli(capsys, command, "--manifest", self.write(tmp_path, doc))
+        assert (code, out) == (1, "")
+        assert err == f"error: {line}\n"
+
+
+class TestEconNetworkCost:
+    """``econ.per_node_network_cost_eur`` was accepted and read by no command."""
+
+    @pytest.mark.parametrize("command, option, source", [
+        ("analyze-costs", "--rows", DATA / "golden" / "rows.json"),
+        ("plan", "--manifest", DATA / "manifest_mem.json"),
+    ], ids=["rows", "manifest"])
+    def test_refused(self, tmp_path, capsys, command, option, source):
+        doc = json.loads(source.read_text())
+        doc.setdefault("econ", {})["per_node_network_cost_eur"] = 1e6
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, command, option, str(path))
+        assert (code, out) == (1, "")
+        assert err == ("error: econ: Additional properties are not allowed "
+                       "('per_node_network_cost_eur' was unexpected)\n")

@@ -152,6 +152,39 @@ class TestWholeNumberTokens:
             parse_load_balance_table(text)
 
 
+class TestValueOnTheKeywordsLine:
+    """A keyword's value is read from its own line: a keyword with nothing
+    after it (a log cut off mid-line) is not a metric line, and the next
+    line's tokens are never taken for its value."""
+
+    def test_bare_performance_before_a_full_line(self):
+        assert parse_metrics(" Performance:\n Performance:     4.96\n").performance == 4.96
+
+    @pytest.mark.parametrize("eol", ["\n", "\r\n"])
+    def test_bare_performance_reads_nothing_below(self, eol):
+        assert parse_metrics(f" Performance:{eol}{eol}   12.5 ns{eol}").performance is None
+
+    def test_bare_pme_load_before_a_full_line(self):
+        text = " Average PME mesh/force load:\n Average PME mesh/force load: 0.9\n"
+        assert parse_pme_load(text) == (0.9, None)
+
+    def test_bare_pme_load_reads_nothing_below(self):
+        assert parse_pme_load(" Average PME mesh/force load:\n 0.9\n") is None
+
+    def test_bare_cost_ratio_before_a_full_line(self, si_load_balance):
+        text = si_load_balance.replace(" cost-ratio", " cost-ratio\n cost-ratio", 1)
+        assert parse_load_balance_table(text) == parse_load_balance_table(si_load_balance)
+
+    def test_cost_ratio_values_from_one_line(self, si_load_balance):
+        text = si_load_balance.replace("4.10             0.22", "4.10\n 0.22")
+        with pytest.raises(LogParseError, match="missing its 'cost-ratio' row"):
+            parse_load_balance_table(text)
+
+    def test_malformed_value_on_the_line_still_raises(self):
+        with pytest.raises(LogParseError, match="malformed performance: '4,96'"):
+            parse_metrics(" Performance:\n Performance:     4,96\n")
+
+
 class TestOffsets:
     """LogParseError.offset points at the number that failed, in the line
     that failed: not at an earlier place where the same characters appear,

@@ -7,8 +7,12 @@ and the PME wait line searched in a window rebuilt from ``splitlines()``.
 Its one change is where ``LogParseError.offset`` points: at the number that
 does not parse or is out of range. The old parser reported the first place
 the same characters appeared anywhere in the log for the one, and the start
-of the match (or of the wait line's window) for the other. Both parsers
-must agree on the offset too, since it is part of the message.
+of the match (or of the wait line's window) for the other. Its second
+change: the values of "Performance:", the PME load line and "cost-ratio"
+are read from the keyword's own line, where the old patterns let their
+whitespace run over line ends and took the next line's tokens after a bare
+keyword. Both parsers must agree
+on the offset too, since it is part of the message.
 
 The logs are built from keyword-line fragments: odd whitespace before a
 keyword, keywords with nothing after them, NOTE blocks with continuation
@@ -39,18 +43,18 @@ from mdtune.wire import to_doc
 
 NUMBER = r"[0-9]+(?:\.[0-9]+)?"
 
-_PME_LOAD_RE = re.compile(r"Average PME mesh/force load:\s*(\S+)")
+_PME_LOAD_RE = re.compile(r"Average PME mesh/force load:[^\S\n]*(\S+)")
 _PME_WAIT_RE = re.compile(r"spent waiting due to PP/PME imbalance:\s*(\S+)\s*%")
 _GPU_CPU_RE = re.compile(r"Force evaluation time GPU/CPU:(.*)")
 _GPU_CPU_NUMS = re.compile(rf"\s*({NUMBER})\s*ms/({NUMBER})\s*ms\s*=\s*({NUMBER})\s*$")
-_PERF_RE = re.compile(r"^\s*Performance:\s+(\S+)", re.MULTILINE)
+_PERF_RE = re.compile(r"^\s*Performance:[^\S\n]+(\S+)", re.MULTILINE)
 _LB_HEADER_RE = re.compile(r"PP/PME load balancing changed the cut-off")
 _LB_ROW_RE = re.compile(
     rf"^\s*(initial|final)\s+({NUMBER})\s*nm\s+({NUMBER})\s*nm\s+"
     rf"(\d+)\s+(\d+)\s+(\d+)\s+({NUMBER})\s*nm\s+({NUMBER})\s*nm",
     re.MULTILINE,
 )
-_LB_COST_RE = re.compile(r"^\s*cost-ratio\s+(\S+)\s+(\S+)", re.MULTILINE)
+_LB_COST_RE = re.compile(r"^\s*cost-ratio[^\S\n]+(\S+)[^\S\n]+(\S+)", re.MULTILINE)
 _NOTE_RE = re.compile(r"^NOTE:.*(?:\n[ \t]+\S.*)*", re.MULTILINE)
 
 

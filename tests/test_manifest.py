@@ -75,7 +75,8 @@ class TestInvalidManifest:
 
     def test_node_cross_field_check_named(self, manifest_doc):
         manifest_doc["node"]["gpus"][0]["max_app_clock_mhz"] = 1000
-        with pytest.raises(ManifestError, match="^node: .*max_app_clock_mhz below base clock"):
+        with pytest.raises(ManifestError,
+                           match=r"^node\.gpus\.0: .*max_app_clock_mhz below base clock"):
             manifest_from_json(manifest_doc)
 
     def test_non_json_file(self, tmp_path):

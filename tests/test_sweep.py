@@ -1,11 +1,14 @@
+import math
 import os
 import signal
 import stat
 import statistics
 import subprocess
+import sys
 import time
 from collections import Counter
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -173,21 +176,45 @@ class TestRepeatsDoneOnce:
            | st.floats(min_value=0.001, max_value=1e4).flatmap(
                lambda p: st.lists(st.just(p), min_size=1, max_size=5)))
     def test_stdev_is_statistics_stdev_or_zero(self, perfs):
-        logs = iter([render_log(PerfMetrics(performance=p)) for p in perfs])
-
-        class ScriptedExecutor:
-            exclusive = False
-
-            def run(self, config, workload):
-                return next(logs)
-
-        result = run_sweep([LaunchConfig(n_rank=1, n_th=1)], ScriptedExecutor(), Workload(),
-                           repeats=len(perfs))
-        stdev = result.rows[0].stdev
+        # statistics.stdev as of Python 3.11: the float nearest the root of the
+        # exact sample variance, checked here without the statistics module
+        stdev = sweep_stdev(perfs)
         if len(set(perfs)) == 1:
             assert stdev.hex() == (0.0).hex()
         else:
-            assert stdev.hex() == statistics.stdev(perfs).hex()
+            mean = sum(map(Fraction, perfs)) / len(perfs)
+            variance = sum((Fraction(p) - mean) ** 2 for p in perfs) / (len(perfs) - 1)
+            below, above = (Fraction(math.nextafter(stdev, to)) for to in (0.0, math.inf))
+            exact = Fraction(stdev)
+            assert ((exact + below) / 2) ** 2 <= variance <= ((exact + above) / 2) ** 2
+
+    # Python 3.10's statistics.stdev rounds the variance to a float before its
+    # square root and gives the neighbouring float for each of these.
+    @pytest.mark.parametrize("perfs, stdev", [
+        ([58.463, 104.133], "0x1.0259397f0f3fdp+5"),
+        ([99.727, 82.127, 49.891], "0x1.9460e6b9ec242p+4"),
+        ([108.978, 84.718], "0x1.1278772816b40p+4"),
+        ([65.154, 41.819, 58.491], "0x1.80a353ddaa896p+3"),
+    ])
+    def test_stdev_same_bits_on_every_python(self, perfs, stdev):
+        assert sweep_stdev(perfs).hex() == stdev
+        if sys.version_info >= (3, 11):
+            assert statistics.stdev(perfs).hex() == stdev
+
+
+def sweep_stdev(perfs: list[float]) -> float:
+    """The stdev ``run_sweep`` reports for one config whose repeats read ``perfs``."""
+    logs = iter([render_log(PerfMetrics(performance=p)) for p in perfs])
+
+    class ScriptedExecutor:
+        exclusive = False
+
+        def run(self, config, workload):
+            return next(logs)
+
+    result = run_sweep([LaunchConfig(n_rank=1, n_th=1)], ScriptedExecutor(), Workload(),
+                       repeats=len(perfs))
+    return result.rows[0].stdev
 
 
 class TestSelectBest:
