@@ -50,12 +50,11 @@ _NUMBER_RE = re.compile(NUMBER)
 _EOL = r"(?:\r\n|[\n\r\v\f\x1c-\x1e\x85\u2028\u2029])"
 _LINE = r"[^\n\r\v\f\x1c-\x1e\x85\u2028\u2029]*"
 
-_PME_LOAD_RE = re.compile(r"Average PME mesh/force load:[^\S\n]*(\S+)")
+_SP = r"[^\S\n]"  # whitespace within a line: values never run over a line end
+_PME_LOAD_RE = re.compile(rf"Average PME mesh/force load:{_SP}*(\S+)")
 # After the load value: newlines skipped, then (group 1) the next four lines.
 _PME_WAIT_WINDOW_RE = re.compile(rf"\n*((?:{_LINE}{_EOL}){{0,3}}{_LINE})")
-_PME_WAIT_RE = re.compile(
-    r"spent waiting due to PP/PME imbalance:\s*(\S+)\s*%"
-)
+_PME_WAIT_RE = re.compile(rf"spent waiting due to PP/PME imbalance:{_SP}*(\S+){_SP}*%")
 _GPU_CPU_RE = re.compile(r"Force evaluation time GPU/CPU:(.*)")
 _GPU_CPU_NUMS = re.compile(
     rf"\s*({NUMBER})\s*ms/({NUMBER})\s*ms\s*=\s*({NUMBER})\s*$"
@@ -64,14 +63,14 @@ _LB_HEADER = "PP/PME load balancing changed the cut-off"
 
 # A line pattern is searched from the newline before each line, a literal the
 # regex engine skips to; the first line of a text is matched on its own.
-_PERF = r"[^\S\n]*Performance:[^\S\n]+(\S+)"
+_PERF = rf"{_SP}*Performance:{_SP}+(\S+)"
 _PERF_FIRST_RE = re.compile(_PERF)
 _PERF_RE = re.compile("\n" + _PERF)
 _LB_ROW_RE = re.compile(
-    rf"\n[^\S\n]*(initial|final)\s+({NUMBER})\s*nm\s+({NUMBER})\s*nm\s+"
-    rf"(\d+)\s+(\d+)\s+(\d+)\s+({NUMBER})\s*nm\s+({NUMBER})\s*nm"
+    rf"\n{_SP}*(initial|final){_SP}+({NUMBER}){_SP}*nm{_SP}+({NUMBER}){_SP}*nm"
+    rf"{_SP}+(\d+){_SP}+(\d+){_SP}+(\d+){_SP}+({NUMBER}){_SP}*nm{_SP}+({NUMBER}){_SP}*nm"
 )
-_LB_COST_RE = re.compile(r"\n[^\S\n]*cost-ratio[^\S\n]+(\S+)[^\S\n]+(\S+)")
+_LB_COST_RE = re.compile(rf"\n{_SP}*cost-ratio{_SP}+(\S+){_SP}+(\S+)")
 _NOTE = r"(NOTE:.*(?:\n[ \t]+\S.*)*)"
 _NOTE_FIRST_RE = re.compile(_NOTE)
 _NOTE_RE = re.compile("\n" + _NOTE)

@@ -180,6 +180,22 @@ class TestValueOnTheKeywordsLine:
         with pytest.raises(LogParseError, match="missing its 'cost-ratio' row"):
             parse_load_balance_table(text)
 
+    def test_bare_pme_wait_reads_nothing_below(self):
+        text = (" Average PME mesh/force load: 0.9\n"
+                " spent waiting due to PP/PME imbalance:\n 5.0 %\n")
+        assert parse_pme_load(text) == (0.9, None)
+
+    def test_pme_wait_percent_sign_on_its_line(self):
+        text = (" Average PME mesh/force load: 0.9\n"
+                " spent waiting due to PP/PME imbalance: 5.0\n %\n")
+        assert parse_pme_load(text) == (0.9, None)
+
+    def test_table_row_values_from_one_line(self, si_load_balance):
+        text = si_load_balance.replace("   final ", "   final\n", 1)
+        assert "   final\n" in text
+        with pytest.raises(LogParseError, match="missing its 'final' row"):
+            parse_load_balance_table(text)
+
     def test_malformed_value_on_the_line_still_raises(self):
         with pytest.raises(LogParseError, match="malformed performance: '4,96'"):
             parse_metrics(" Performance:\n Performance:     4,96\n")

@@ -8,11 +8,11 @@ Its one change is where ``LogParseError.offset`` points: at the number that
 does not parse or is out of range. The old parser reported the first place
 the same characters appeared anywhere in the log for the one, and the start
 of the match (or of the wait line's window) for the other. Its second
-change: the values of "Performance:", the PME load line and "cost-ratio"
-are read from the keyword's own line, where the old patterns let their
-whitespace run over line ends and took the next line's tokens after a bare
-keyword. Both parsers must agree
-on the offset too, since it is part of the message.
+change: a keyword's values ("Performance:", the PME load and wait lines,
+the table's rows and "cost-ratio") are read from the keyword's own line,
+where the old patterns let their whitespace run over line ends and took the
+next line's tokens after a bare keyword. Both parsers must agree on the
+offset too, since it is part of the message.
 
 The logs are built from keyword-line fragments: odd whitespace before a
 keyword, keywords with nothing after them, NOTE blocks with continuation
@@ -44,14 +44,15 @@ from mdtune.wire import to_doc
 NUMBER = r"[0-9]+(?:\.[0-9]+)?"
 
 _PME_LOAD_RE = re.compile(r"Average PME mesh/force load:[^\S\n]*(\S+)")
-_PME_WAIT_RE = re.compile(r"spent waiting due to PP/PME imbalance:\s*(\S+)\s*%")
+_PME_WAIT_RE = re.compile(r"spent waiting due to PP/PME imbalance:[^\S\n]*(\S+)[^\S\n]*%")
 _GPU_CPU_RE = re.compile(r"Force evaluation time GPU/CPU:(.*)")
 _GPU_CPU_NUMS = re.compile(rf"\s*({NUMBER})\s*ms/({NUMBER})\s*ms\s*=\s*({NUMBER})\s*$")
 _PERF_RE = re.compile(r"^\s*Performance:[^\S\n]+(\S+)", re.MULTILINE)
 _LB_HEADER_RE = re.compile(r"PP/PME load balancing changed the cut-off")
+_SP = r"[^\S\n]"  # whitespace within one line
 _LB_ROW_RE = re.compile(
-    rf"^\s*(initial|final)\s+({NUMBER})\s*nm\s+({NUMBER})\s*nm\s+"
-    rf"(\d+)\s+(\d+)\s+(\d+)\s+({NUMBER})\s*nm\s+({NUMBER})\s*nm",
+    rf"^\s*(initial|final){_SP}+({NUMBER}){_SP}*nm{_SP}+({NUMBER}){_SP}*nm{_SP}+"
+    rf"(\d+){_SP}+(\d+){_SP}+(\d+){_SP}+({NUMBER}){_SP}*nm{_SP}+({NUMBER}){_SP}*nm",
     re.MULTILINE,
 )
 _LB_COST_RE = re.compile(r"^\s*cost-ratio[^\S\n]+(\S+)[^\S\n]+(\S+)", re.MULTILINE)
@@ -232,6 +233,8 @@ noise_lines = st.sampled_from([
     "Writing checkpoint, step 1234",
     "x Performance: 7.0",
     "               Core t (s)   Wall t (s)        (%)",
+    "   5.0 %",  # what a bare wait keyword or table row must not take
+    "   1.5 nm  1.5 nm     96 96 96   0.12 nm  0.38 nm",
     "",
 ])
 
@@ -267,8 +270,10 @@ def keyword_line(draw, kind: str, nums) -> str:
         ]), max_size=3))
         return "\n".join([body, *more])
     if kind == "bare":  # a keyword with nothing after it
-        return draw(st.sampled_from(["Performance:", "Average PME mesh/force load:",
-                                     "cost-ratio", "initial", "NOTE:"]))
+        return draw(st.sampled_from([
+            "Performance:", "Average PME mesh/force load:", "cost-ratio", "initial",
+            "NOTE:", "Part of the total run time spent waiting due to PP/PME imbalance:",
+        ]))
     return draw(noise_lines)
 
 
@@ -300,7 +305,8 @@ def fragments(draw) -> str:
         return block(draw, ["header", "noise", "initial", "final", "cost"])
     if kind == "pme_block":
         # the wait line is read from the four lines after the load line
-        return block(draw, ["pme_load", *["noise"] * draw(st.integers(0, 4)), "pme_wait"])
+        middle = draw(st.lists(st.sampled_from(["noise", "bare"]), max_size=4))
+        return block(draw, ["pme_load", *middle, "pme_wait"])
     return block(draw, [kind])
 
 
