@@ -28,13 +28,12 @@ from __future__ import annotations
 import bisect
 import functools
 import math
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import MdtuneError
 from .hardware import NodeSpec
 from .launch import LaunchConfig, rank_threads, validate_config
-from .wire import from_doc, read, validate
+from .wire import checked, from_doc, read, validate
 
 # Mesh grid dimensions must factor into these primes for fast transforms.
 FFT_GRID_FACTORS = (2, 3, 5, 7)
@@ -69,8 +68,7 @@ def next_fft_friendly_below(n: int) -> int:
     return max(m, 1)
 
 
-@dataclass(frozen=True)
-class BalanceState:
+class BalanceState(NamedTuple):
     """Cutoff/grid state after shifting short-range work by a factor.
 
     pp_cost_ratio is the short-range work relative to the unshifted state
@@ -182,8 +180,8 @@ def grid_ladder(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Workload:
+@checked
+class Workload(NamedTuple):
     """The simulated system, as far as performance modeling cares."""
 
     name: str = "bench"
@@ -197,15 +195,15 @@ class Workload:
 
     WIRE = {"rc0": "rc0_nm", "spacing0": "spacing0_nm", "box": "box_nm"}
 
-    def __post_init__(self):
-        object.__setattr__(self, "box", tuple(self.box))
+    def _check(self):
         if self.benchmark_steps <= self.reset_steps:
             raise MdtuneError(f"benchmark_steps ({self.benchmark_steps}) must exceed "
                               f"reset_steps ({self.reset_steps})")
+        return self if type(self.box) is tuple else self._replace(box=tuple(self.box))
 
 
-@dataclass(frozen=True)
-class SyntheticNodeProfile:
+@checked
+class SyntheticNodeProfile(NamedTuple):
     """Analytic cost model of one node type.
 
     Rates are in abstract work-units per second; only ratios matter. The
@@ -234,14 +232,14 @@ class SyntheticNodeProfile:
         """Per-thread efficiency of an n_th-wide rank; equals 1 at n_th = 1."""
         return 1.0 / (1.0 + self.thread_efficiency_decay * (n_th - 1))
 
-    def __post_init__(self):
+    def _check(self):
         for name in ("cpu_rate", "gpu_rate"):
             if getattr(self, name) <= 0:
                 raise MdtuneError(f"{name} must be positive")
+        return self
 
 
-@dataclass(frozen=True)
-class PredictedRun:
+class PredictedRun(NamedTuple):
     """predict_performance plus the internals a log renderer needs."""
 
     ns_per_day: float

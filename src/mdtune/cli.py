@@ -10,7 +10,6 @@ Set MDTUNE_LOG=info for progress on stderr.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import logging
 import math
 import os
@@ -161,7 +160,7 @@ def _cmd_recommend(args) -> int:
     doc, params, inputs = _read_rows(args.rows)
     econ_rows = report.full_precision_rows(inputs, params)
     hardware = [
-        dataclasses.replace(from_doc(HardwareRow, row, f"rows.{i}"), econ=econ)
+        from_doc(HardwareRow, row, f"rows.{i}")._replace(econ=econ)
         for i, (row, econ) in enumerate(zip(doc["rows"], econ_rows))
     ]
     weights = _parse_weights(args.weights) if args.weights else None

@@ -14,11 +14,11 @@ Conventions:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from statistics import linear_regression
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import MdtuneError, MissingDatumError
+from .wire import checked
 
 HOURS_PER_YEAR = 365 * 24
 
@@ -34,19 +34,20 @@ CRITERIA = ("C1", "C2", "C3", "C4", "C5")
 # (parallel performance), C4 energy / lifetime yield, C5 rack space.
 
 
-@dataclass(frozen=True)
-class EconParams:
+@checked
+class EconParams(NamedTuple):
     lifetime_years: float = 5.0
     energy_price_eur_per_kwh: float = 0.2  # including cooling
 
-    def __post_init__(self):
-        for name in self.__dataclass_fields__:
-            if getattr(self, name) < 0:
+    def _check(self):
+        for name, value in zip(self._fields, self):
+            if value < 0:
                 raise MdtuneError(f"{name} must be >= 0")
+        return self
 
 
-@dataclass(frozen=True)
-class PowerReading:
+@checked
+class PowerReading(NamedTuple):
     """A node power measurement, possibly taken with idle GPUs installed.
 
     Cards that sit idle in the chassis during a run still draw power; the
@@ -60,15 +61,15 @@ class PowerReading:
     gpus_active: int = 0
     idle_gpu_power_w: Optional[float] = None
 
-    def __post_init__(self):
+    def _check(self):
         if self.kind not in (METER_KWH_PER_300S, DIRECT_WATTS):
             raise MdtuneError(f"unknown power reading kind {self.kind!r}")
         if self.gpus_active > self.gpus_installed:
             raise MdtuneError("gpus_active cannot exceed gpus_installed")
+        return self
 
 
-@dataclass(frozen=True)
-class EconRow:
+class EconRow(NamedTuple):
     performance: float  # ns/day
     production_us: float
     effective_power_w: float
@@ -181,8 +182,7 @@ def multi_sim_gain(perf_single: float, perf_per_replica: float) -> float:
     return 100.0 * (perf_per_replica / perf_single - 1.0)
 
 
-@dataclass(frozen=True)
-class ClockFit:
+class ClockFit(NamedTuple):
     slope: float  # ns/day per MHz
     intercept: float
     default_clock_mhz: float
@@ -234,8 +234,7 @@ def normalize_compiler(performance: float, from_ratio: float, to_ratio: float) -
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class HardwareRow:
+class HardwareRow(NamedTuple):
     """One ranked candidate: an econ row plus whatever criteria it has data for."""
 
     label: str

@@ -12,12 +12,11 @@ early.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import MdtuneError
-from .wire import from_doc, validate
+from .wire import checked, from_doc, validate
 
 DESKTOP = "desktop"  # rack_units value for desktop-chassis machines
 
@@ -29,8 +28,8 @@ class Interconnect(Enum):
     OTHER = "other"
 
 
-@dataclass(frozen=True)
-class GpuSpec:
+@checked
+class GpuSpec(NamedTuple):
     """One GPU board.
 
     ``base_clock`` is the core clock in MHz the board runs benchmarks at;
@@ -47,7 +46,7 @@ class GpuSpec:
     idle_power_w: Optional[float] = None
     supports_app_clocks: bool = False
 
-    def __post_init__(self):
+    def _check(self):
         if self.cuda_cores <= 0:
             raise MdtuneError(f"{self.model_name}: cuda_cores must be positive")
         if self.base_clock_mhz <= 0:
@@ -56,17 +55,18 @@ class GpuSpec:
             raise MdtuneError(
                 f"{self.model_name}: max_app_clock_mhz below base clock"
             )
+        return self
 
 
-@dataclass(frozen=True)
-class CpuSpec:
+@checked
+class CpuSpec(NamedTuple):
     model_name: str
     sockets: int
     cores_per_socket: int
     hardware_threads_per_core: int = 1
     base_clock_mhz: float = 0.0
 
-    def __post_init__(self):
+    def _check(self):
         if self.sockets < 1:
             raise MdtuneError(f"{self.model_name}: sockets must be >= 1")
         if self.cores_per_socket < 1:
@@ -75,14 +75,15 @@ class CpuSpec:
             raise MdtuneError(
                 f"{self.model_name}: hardware_threads_per_core must be 1 or 2"
             )
+        return self
 
     @property
     def total_cores(self) -> int:
         return self.sockets * self.cores_per_socket
 
 
-@dataclass(frozen=True)
-class NodeSpec:
+@checked
+class NodeSpec(NamedTuple):
     """A compute node: one CPU spec plus an ordered list of GPUs.
 
     GPU order defines the numeric GPU ids 0..G-1 used in rank-to-GPU
@@ -99,27 +100,28 @@ class NodeSpec:
 
     WIRE = {"node_price_eur": "node_price"}
 
-    def __post_init__(self):
-        object.__setattr__(self, "gpus", tuple(self.gpus))
+    def _check(self):
         if self.node_price_eur < 0:
             raise MdtuneError("node_price_eur must be >= 0")
         if isinstance(self.rack_units, str) and self.rack_units != DESKTOP:
             raise MdtuneError(f"rack_units must be a count or {DESKTOP!r}")
+        return self if type(self.gpus) is tuple else self._replace(gpus=tuple(self.gpus))
 
     @property
     def n_gpus(self) -> int:
         return len(self.gpus)
 
 
-@dataclass(frozen=True)
-class ClusterSpec:
+@checked
+class ClusterSpec(NamedTuple):
     node: NodeSpec
     node_count: int
     per_node_network_cost_eur: float = 0.0
 
-    def __post_init__(self):
+    def _check(self):
         if self.node_count < 1:
             raise MdtuneError("node_count must be >= 1")
+        return self
 
 
 def sp_throughput(gpu: GpuSpec) -> float:

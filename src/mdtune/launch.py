@@ -10,12 +10,11 @@ hyper-threading). Everything here is a pure function over immutable inputs.
 from __future__ import annotations
 
 import shlex
-from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional, Sequence
 
 from .errors import InvalidConfigError
 from .hardware import NodeSpec, total_hw_threads
-from .wire import dumps, from_doc, read, to_doc, validate
+from .wire import checked, dumps, from_doc, read, to_doc, validate
 
 if TYPE_CHECKING:  # balance imports this module
     from .balance import Workload
@@ -30,8 +29,8 @@ MAX_MAPPED_GPUS = 10
 DLB_VALUES = ("on", "off", "auto")
 
 
-@dataclass(frozen=True)
-class LaunchConfig:
+@checked
+class LaunchConfig(NamedTuple):
     """One candidate run.
 
     ``n_rank`` counts all ranks across all nodes, ``n_pme`` of which are
@@ -52,7 +51,7 @@ class LaunchConfig:
     dd_grid: Optional[tuple[int, int, int]] = None
     nodes: int = 1
 
-    def __post_init__(self):
+    def _check(self):
         if self.n_rank < 1:
             raise InvalidConfigError("n_rank must be >= 1")
         if self.n_th < 0:
@@ -69,8 +68,9 @@ class LaunchConfig:
             raise InvalidConfigError("nodes must be >= 1")
         if self.gpu_id and not self.gpu_id.isdigit():
             raise InvalidConfigError("gpu_id must be a digit string")
-        if self.dd_grid is not None:
-            object.__setattr__(self, "dd_grid", tuple(self.dd_grid))
+        if self.dd_grid is None or type(self.dd_grid) is tuple:
+            return self
+        return self._replace(dd_grid=tuple(self.dd_grid))
 
     @property
     def n_pp(self) -> int:
@@ -146,8 +146,7 @@ def gpu_id_string(n_gpus: int, n_pp_ranks: int) -> str:
     return "".join(str(i * n_gpus // n_pp_ranks) for i in range(n_pp_ranks))
 
 
-@dataclass(frozen=True)
-class SweepOptions:
+class SweepOptions(NamedTuple):
     """Knobs for single-node enumeration.
 
     ``gpus_active=None`` uses every GPU of the node; ``ht=None`` tries both
@@ -264,7 +263,7 @@ def enumerate_plan(
                     nodes, ranks_per_node, n_gpus,
                     n_th=pp_th, n_th_pme=pme_th, use_ht=use_ht,
                 )
-                configs.append(replace(layout, nstlist=nstlist))
+                configs.append(layout._replace(nstlist=nstlist))
     return configs
 
 
@@ -303,8 +302,7 @@ def interleaved_pme_layout(
     )
 
 
-@dataclass(frozen=True)
-class MultiSimPlan:
+class MultiSimPlan(NamedTuple):
     """Placement plan for M independent replicas of the same system."""
 
     replicas: int
@@ -380,8 +378,7 @@ def plan_multi_sim(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EngineProfile:
+class EngineProfile(NamedTuple):
     """How to spell a run command for a particular engine build.
 
     ``thread_mpi`` selects the single-node built-in MPI flavor (-ntmpi)

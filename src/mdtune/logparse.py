@@ -38,7 +38,6 @@ printed values carry rounding of their own.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 from .errors import LogParseError
@@ -122,8 +121,7 @@ class ParsedLoadBalance(NamedTuple):
         return self.final_rcoulomb < self.initial_rcoulomb
 
 
-@dataclass
-class PerfMetrics:
+class PerfMetrics(NamedTuple):
     """Everything a single log contributes to a sweep row."""
 
     performance: Optional[float] = None  # ns/day
@@ -131,7 +129,7 @@ class PerfMetrics:
     pp_pme_wait_pct: Optional[float] = None
     gpu_cpu: Optional[GpuCpuRatio] = None
     load_balance: Optional[ParsedLoadBalance] = None
-    notes: list[Advisory] = field(default_factory=list)
+    notes: tuple[Advisory, ...] = ()
 
     WIRE = {"performance": "performance_ns_day"}
     WIRE_NULLS = ("performance", "pme_mesh_force_load", "pp_pme_wait_pct")
@@ -261,32 +259,28 @@ def parse_performance(text: str) -> Optional[float]:
 
 def parse_metrics(text: str) -> PerfMetrics:
     """Full metric extraction from one log, with integrity warnings attached."""
-    metrics = PerfMetrics()
-    metrics.performance = parse_performance(text)
-    pme = parse_pme_load(text)
-    if pme:
-        metrics.pme_mesh_force_load, metrics.pp_pme_wait_pct = pme
-    metrics.gpu_cpu = parse_gpu_cpu_ratio(text)
-    metrics.load_balance = parse_load_balance_table(text)
-    metrics.notes = parse_advisories(text)
+    performance = parse_performance(text)
+    pme = parse_pme_load(text) or (None, None)
+    gpu_cpu = parse_gpu_cpu_ratio(text)
+    lb = parse_load_balance_table(text)
+    notes = parse_advisories(text)
 
-    if metrics.gpu_cpu and metrics.gpu_cpu.cpu_ms > 0:
-        recomputed = metrics.gpu_cpu.gpu_ms / metrics.gpu_cpu.cpu_ms
-        if abs(recomputed - metrics.gpu_cpu.ratio) > RATIO_CHECK_TOLERANCE:
-            metrics.notes.append(
+    if gpu_cpu and gpu_cpu.cpu_ms > 0:
+        recomputed = gpu_cpu.gpu_ms / gpu_cpu.cpu_ms
+        if abs(recomputed - gpu_cpu.ratio) > RATIO_CHECK_TOLERANCE:
+            notes.append(
                 Advisory(
                     kind=ADVISORY_OTHER,
                     text=(
-                        f"integrity: printed GPU/CPU ratio {metrics.gpu_cpu.ratio} "
+                        f"integrity: printed GPU/CPU ratio {gpu_cpu.ratio} "
                         f"differs from recomputed {recomputed:.4f}"
                     ),
                 )
             )
-    lb = metrics.load_balance
     if lb and lb.initial_rcoulomb > 0 and lb.cost_ratio_pp > 0:
         cube = (lb.final_rcoulomb / lb.initial_rcoulomb) ** 3
         if abs(cube / lb.cost_ratio_pp - 1.0) > CUBE_LAW_TOLERANCE:
-            metrics.notes.append(
+            notes.append(
                 Advisory(
                     kind=ADVISORY_OTHER,
                     text=(
@@ -296,7 +290,7 @@ def parse_metrics(text: str) -> PerfMetrics:
                     ),
                 )
             )
-    return metrics
+    return PerfMetrics(performance, *pme, gpu_cpu, lb, tuple(notes))
 
 
 # ---------------------------------------------------------------------------

@@ -9,19 +9,19 @@ and ``from_doc`` names the path of the record that breaks one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .balance import Workload
 from .econ import EconParams
 from .errors import ManifestError
 from .hardware import NodeSpec
 from .launch import EngineProfile, SweepOptions
-from .wire import from_doc, read, validate
+from .wire import checked, from_doc, read, validate
 
 
-@dataclass(frozen=True)
-class RunManifest:
+@checked
+class RunManifest(NamedTuple):
     workload: Workload
     node: NodeSpec
     sweep: SweepOptions = SweepOptions()
@@ -32,10 +32,11 @@ class RunManifest:
 
     WIRE = {"node_count": "cluster.node_count", "repeats": "sweep.repeats"}
 
-    def __post_init__(self):
+    def _check(self):
         if (self.sweep.gpus_active or 0) > self.node.n_gpus:
             raise ManifestError(f"gpus_active ({self.sweep.gpus_active}) exceeds the node's "
                                 f"{self.node.n_gpus} GPU(s)", path="sweep.gpus_active")
+        return self
 
 
 def manifest_from_json(doc: dict) -> RunManifest:

@@ -12,7 +12,6 @@ from __future__ import annotations
 import io
 import csv
 import math
-from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
 from .econ import (
@@ -29,7 +28,7 @@ from .econ import (
 from .errors import MdtuneError
 from .logparse import PerfMetrics
 from .sweep import SweepResult
-from .wire import lookup, to_doc
+from .wire import checked, lookup, to_doc
 
 YIELD_NS = "ns_per_keur"
 YIELD_US = "us_per_keur"
@@ -184,9 +183,9 @@ def sweep_table(result: SweepResult) -> str:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EconInput:
-    """Raw columns for one economics table row."""
+@checked
+class EconInput(NamedTuple):
+    """Raw columns for one economics table row; its power must give a draw."""
 
     label: str
     performance: float  # ns/day
@@ -204,9 +203,12 @@ class EconInput:
             return self.power_w
         raise MdtuneError(f"row {self.label!r} declares no power reading")
 
+    def _check(self):
+        self.effective_power_w()
+        return self
 
-@dataclass(frozen=True)
-class EconDisplayRow:
+
+class EconDisplayRow(NamedTuple):
     """Economics row rounded the way the cost tables print it."""
 
     label: str
@@ -337,8 +339,7 @@ class ScalingPoint(NamedTuple):
     WIRE = {"performance": "performance_ns_day"}
 
 
-@dataclass(frozen=True)
-class ScalingSeries:
+class ScalingSeries(NamedTuple):
     label: str
     points: tuple[ScalingPoint, ...]  # single node first
 

@@ -33,7 +33,6 @@ import os
 import signal
 import statistics
 import subprocess
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple, Optional, Protocol, Sequence
 
@@ -95,11 +94,11 @@ class SyntheticExecutor:
             pred = predict_run(self.profile, self.node, config, workload)
         except InvalidConfigError as exc:
             raise RunFailure(str(exc)) from exc
-        metrics = PerfMetrics(performance=pred.ns_per_day)
+        load_balance, gpu_cpu, wait, notes = None, None, None, ()
         state = pred.balance
         if state.pp_cost_ratio > 1.0:
             st0 = balance_cutoff(workload.rc0, workload.spacing0, workload.box, 1.0)
-            metrics.load_balance = ParsedLoadBalance(
+            load_balance = ParsedLoadBalance(
                 initial_rcoulomb=workload.rc0,
                 initial_rlist=workload.rc0 + 0.012,
                 initial_grid=st0.grid_dims,
@@ -117,15 +116,14 @@ class SyntheticExecutor:
             cpu_ms = pred.cpu_overlap_time_s * 1000.0
             gpu_ms = pred.gpu_time_s * 1000.0
             if cpu_ms > 0:
-                metrics.gpu_cpu = GpuCpuRatio(
+                gpu_cpu = GpuCpuRatio(
                     gpu_ms=gpu_ms, cpu_ms=cpu_ms, ratio=gpu_ms / cpu_ms
                 )
-        if pred.pme_mesh_force_load is not None:
-            metrics.pme_mesh_force_load = pred.pme_mesh_force_load
-            imbalance = abs(1.0 - pred.pme_mesh_force_load) / (1.0 + pred.pme_mesh_force_load)
-            metrics.pp_pme_wait_pct = round(100.0 * imbalance, 1)
-            if pred.pme_mesh_force_load < PME_OVERPROVISION_THRESHOLD:
-                metrics.notes.append(
+        load = pred.pme_mesh_force_load
+        if load is not None:
+            wait = round(100.0 * (abs(1.0 - load) / (1.0 + load)), 1)
+            if load < PME_OVERPROVISION_THRESHOLD:
+                notes = (
                     Advisory(
                         kind=ADVISORY_PME_OVERPROVISIONED,
                         text=(
@@ -134,9 +132,9 @@ class SyntheticExecutor:
                             "      You might want to decrease the number of PME nodes\n"
                             "      or decrease the cut-off and the grid spacing."
                         ),
-                    )
+                    ),
                 )
-        return render_log(metrics)
+        return render_log(PerfMetrics(pred.ns_per_day, load, wait, gpu_cpu, load_balance, notes))
 
 
 class ShellExecutor:
@@ -214,14 +212,13 @@ class ShellExecutor:
         return log_path.read_text(errors="replace")
 
 
-@dataclass
-class SweepRow:
+class SweepRow(NamedTuple):
     config: LaunchConfig
     mean_performance: float
     stdev: float
     repeats: int
     metrics: PerfMetrics  # of the best repeat
-    advisories: list[Advisory] = field(default_factory=list)
+    advisories: tuple[Advisory, ...] = ()
 
     WIRE = {"mean_performance": "mean_performance_ns_day", "stdev": "stdev_ns_day"}
 
@@ -233,8 +230,7 @@ class Failure(NamedTuple):
     error: str
 
 
-@dataclass
-class SweepResult:
+class SweepResult(NamedTuple):
     rows: list[SweepRow]
     failures: list[Failure]
     best_index: Optional[int]
@@ -328,7 +324,7 @@ def run_sweep(
                        else _sample_stdev(perfs)),
                 repeats=repeats,
                 metrics=best_metrics,
-                advisories=list(best_metrics.notes),
+                advisories=best_metrics.notes,
             )
         )
     best_index = None

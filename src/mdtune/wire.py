@@ -1,27 +1,30 @@
-"""Dataclasses to and from JSON documents, and document validation.
+"""Records to and from JSON documents, and document validation.
 
 Every document mdtune reads or writes (manifests, node catalogs, plans,
-sweep results, parsed metrics, cost rows) maps onto its dataclasses field
-by field. A field's wire name is its attribute name unless the class
-renames it in ``WIRE``; a dotted wire name nests the value
-(``initial_rcoulomb`` -> ``{"initial": {"rcoulomb_nm": ...}}``). A field
-that is None is left out of the document, unless the class lists it in
-``WIRE_NULLS``, in which case it is written as null.
+sweep results, parsed metrics, cost rows) maps onto its records, which are
+``typing.NamedTuple``s, field by field. A field's wire name is its attribute
+name unless the class renames it in ``WIRE``; a dotted wire name nests the
+value (``initial_rcoulomb`` -> ``{"initial": {"rcoulomb_nm": ...}}``). A
+field that is None is left out of the document, unless the class lists it
+in ``WIRE_NULLS``, in which case it is written as null.
 
 Values are not coerced: a number stays the int or float the document or
-the caller gave, so outputs echo their inputs exactly. Nested dataclasses,
+the caller gave, so outputs echo their inputs exactly. Nested records,
 enums and tuples are converted by the field's type hint. Validation
 against ``schema.json`` is separate (``validate``), so ``from_doc``
 trusts its input: it ignores keys it does not know, and a missing key
 leaves the field at its default. The rules the schema cannot state belong
-to the records' constructors; ``from_doc`` reports what they raise as a
-ManifestError naming the record's path in the document (``rows.0.power``,
-``node.gpus.0``), so no loader restates a rule to name its field.
+to the records' ``_check()``, which ``checked`` runs however a record is
+built; ``from_doc`` reports what it raises as a ManifestError naming the
+record's path in the document (``rows.0.power``, ``node.gpus.0``), so no
+loader restates a rule to name its field.
+
+A record is a tuple: it equals a tuple (or record) of the same items, and it
+iterates and sorts. ``dumps`` refuses a record not passed through ``to_doc``.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import enum
 import functools
 import json
@@ -47,8 +50,17 @@ def _unwrap_optional(tp):
 
 
 def _is_record(tp) -> bool:
-    """A dataclass or a NamedTuple: something with named, typed fields."""
-    return isinstance(tp, type) and (dataclasses.is_dataclass(tp) or hasattr(tp, "_fields"))
+    """A NamedTuple: something with named, typed fields."""
+    return isinstance(tp, type) and hasattr(tp, "_fields")
+
+
+def checked(cls):
+    """Run ``_check()``, which raises or returns the record or a coerced copy, on
+    every record built: by ``cls(...)``, or by ``_make``, which ``_replace`` calls."""
+    new, make = cls.__new__, cls._make.__func__
+    cls.__new__ = lambda klass, *args, **kwargs: new(klass, *args, **kwargs)._check()
+    cls._make = classmethod(lambda klass, iterable: make(klass, iterable)._check())
+    return cls
 
 
 def _converters(tp):
@@ -74,11 +86,10 @@ def _converters(tp):
 def _plan(cls) -> tuple:
     """Per field: (attribute, wire name, wire key, nested keys, dump, load, keep None)."""
     hints = typing.get_type_hints(cls)
-    names = cls._fields if hasattr(cls, "_fields") else [f.name for f in dataclasses.fields(cls)]
     wire = getattr(cls, "WIRE", {})
     nulls = getattr(cls, "WIRE_NULLS", ())
     plan = []
-    for name in names:
+    for name in cls._fields:
         where = wire.get(name, name)
         key, *nested = where.split(".")
         plan.append((name, where, key, tuple(nested), *_converters(hints[name]), name in nulls))
@@ -86,10 +97,9 @@ def _plan(cls) -> tuple:
 
 
 def to_doc(obj) -> dict:
-    """The JSON document (plain dicts, lists and scalars) of a dataclass or NamedTuple."""
+    """The JSON document (plain dicts, lists and scalars) of a record."""
     doc: dict = {}
-    for name, _, key, nested, dump, _, keep_none in _plan(type(obj)):
-        value = getattr(obj, name)
+    for value, (_, _, key, nested, dump, _, keep_none) in zip(obj, _plan(type(obj))):
         if value is None:
             if not keep_none:
                 continue

@@ -1,7 +1,6 @@
 import bisect
 import json
 import math
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -253,12 +252,12 @@ PINNED_RUNS = {
          1.3469827586206897, 1.0, (90, 90, 80))),
     "gpu_interleaved_2_nodes": (
         make_node(n_gpus=2),
-        replace(interleaved_pme_layout(2, 4, 2, n_th=4, n_th_pme=6, use_ht=True), nstlist=40),
+        interleaved_pme_layout(2, 4, 2, n_th=4, n_th_pme=6, use_ht=True)._replace(nstlist=40),
         (289.6943543254529, 0.0005964907407407406, 0.0003319004444311661,
          0.0003407407407407407, None, 1.1333333333182196, (80, 80, 72))),
     "gpu_interleaved_4_nodes": (
         make_node(n_gpus=2),
-        replace(interleaved_pme_layout(4, 4, 2, n_th=3, n_th_pme=2), dlb="on"),
+        interleaved_pme_layout(4, 4, 2, n_th=3, n_th_pme=2)._replace(dlb="on"),
         (255.00500823638131, 0.0006776337500000001, 0.0002807291666666659,
          0.0002807291666666667, None, 1.3945980776612374, (70, 63, 60))),
 }

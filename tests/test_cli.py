@@ -630,6 +630,23 @@ class TestRecordRuleErrors:
         assert (code, out) == (1, "")
         assert err == "error: rows.0.power: gpus_active cannot exceed gpus_installed\n"
 
+    @pytest.mark.parametrize("change, line", [
+        (lambda row: row["power"].update(value=0.0001),
+         "effective power came out negative (-46.8 W); reading inconsistent"),
+        (lambda row: row["power"].pop("idle_gpu_power_w"),
+         "2 idle GPU(s) installed but no idle_gpu_power_w declared"),
+        (lambda row: row.pop("power"),
+         "row '2xE5-2670v2 + 2x780Ti' declares no power reading"),
+    ], ids=["negative", "idle-power", "no-power"])
+    @pytest.mark.parametrize("command", ["analyze-costs", "recommend"])
+    def test_rows_effective_power(self, tmp_path, capsys, command, change, line):
+        """The effective power is the row's own rule, checked when the row is read."""
+        doc = json.loads((DATA / "golden" / "rows.json").read_text())
+        change(doc["rows"][0])
+        code, out, err = run_cli(capsys, command, "--rows", self.write(tmp_path, doc))
+        assert (code, out) == (1, "")
+        assert err == f"error: rows.0: {line}\n"
+
     def test_plan_entry(self, tmp_path, capsys):
         plan = self.write(tmp_path, [{"n_rank": 2, "n_pme": 2}])
         code, out, err = run_cli(capsys, "sweep", "--manifest", MANIFEST, "--plan", plan)

@@ -301,12 +301,13 @@ class TestRoundTrip:
         gpu_ms=st.one_of(st.none(), plain_floats),
     )
     def test_random_metrics_round_trip(self, performance, load, wait, gpu_ms):
-        metrics = PerfMetrics(performance=performance)
-        if load is not None:
-            metrics.pme_mesh_force_load = load
-            metrics.pp_pme_wait_pct = wait
-        if gpu_ms is not None:
-            metrics.gpu_cpu = GpuCpuRatio(gpu_ms=gpu_ms, cpu_ms=2 * gpu_ms, ratio=0.5)
+        metrics = PerfMetrics(
+            performance=performance,
+            pme_mesh_force_load=load,
+            pp_pme_wait_pct=wait if load is not None else None,
+            gpu_cpu=(GpuCpuRatio(gpu_ms=gpu_ms, cpu_ms=2 * gpu_ms, ratio=0.5)
+                     if gpu_ms is not None else None),
+        )
         parsed = parse_metrics(render_log(metrics))
         assert parsed.performance == metrics.performance
         assert parsed.pme_mesh_force_load == metrics.pme_mesh_force_load

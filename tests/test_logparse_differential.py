@@ -177,33 +177,29 @@ def ref_parse_performance(text: str) -> Optional[float]:
 
 
 def ref_parse_metrics(text: str) -> PerfMetrics:
-    metrics = PerfMetrics()
-    metrics.performance = ref_parse_performance(text)
-    pme = ref_parse_pme_load(text)
-    if pme:
-        metrics.pme_mesh_force_load, metrics.pp_pme_wait_pct = pme
-    metrics.gpu_cpu = ref_parse_gpu_cpu_ratio(text)
-    metrics.load_balance = ref_parse_load_balance_table(text)
-    metrics.notes = ref_parse_advisories(text)
-    if metrics.gpu_cpu and metrics.gpu_cpu.cpu_ms > 0:
-        recomputed = metrics.gpu_cpu.gpu_ms / metrics.gpu_cpu.cpu_ms
-        if abs(recomputed - metrics.gpu_cpu.ratio) > logparse.RATIO_CHECK_TOLERANCE:
-            metrics.notes.append(Advisory(
+    performance = ref_parse_performance(text)
+    pme = ref_parse_pme_load(text) or (None, None)
+    gpu_cpu = ref_parse_gpu_cpu_ratio(text)
+    lb = ref_parse_load_balance_table(text)
+    notes = ref_parse_advisories(text)
+    if gpu_cpu and gpu_cpu.cpu_ms > 0:
+        recomputed = gpu_cpu.gpu_ms / gpu_cpu.cpu_ms
+        if abs(recomputed - gpu_cpu.ratio) > logparse.RATIO_CHECK_TOLERANCE:
+            notes.append(Advisory(
                 kind=ADVISORY_OTHER,
-                text=(f"integrity: printed GPU/CPU ratio {metrics.gpu_cpu.ratio} "
+                text=(f"integrity: printed GPU/CPU ratio {gpu_cpu.ratio} "
                       f"differs from recomputed {recomputed:.4f}"),
             ))
-    lb = metrics.load_balance
     if lb and lb.initial_rcoulomb > 0 and lb.cost_ratio_pp > 0:
         cube = (lb.final_rcoulomb / lb.initial_rcoulomb) ** 3
         if abs(cube / lb.cost_ratio_pp - 1.0) > logparse.CUBE_LAW_TOLERANCE:
-            metrics.notes.append(Advisory(
+            notes.append(Advisory(
                 kind=ADVISORY_OTHER,
                 text=(f"integrity: cutoff ratio cubed {cube:.3f} is more than "
                       f"{logparse.CUBE_LAW_TOLERANCE:.0%} away from printed cost ratio "
                       f"{lb.cost_ratio_pp}"),
             ))
-    return metrics
+    return PerfMetrics(performance, *pme, gpu_cpu, lb, tuple(notes))
 
 
 # parser under test -> its reference

@@ -7,7 +7,6 @@ import subprocess
 import sys
 import time
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -368,7 +367,7 @@ class TestShellExecutor:
         else:
             m = load_manifest(DATA / "manifest_mem.json")
             executor, workload = ShellExecutor(tmp_path / "runs", m.engine), m.workload
-        short = replace(workload, benchmark_steps=2000, reset_steps=500)
+        short = workload._replace(benchmark_steps=2000, reset_steps=500)
         executor.run(LaunchConfig(n_rank=1, n_th=1), short)
         [args] = (tmp_path / "runs").glob("run_*/args")
         assert args.read_text() == "-ntmpi 1 -ntomp 1 -s in.tpr -nsteps 2000 -resetstep 500\n"
@@ -376,7 +375,7 @@ class TestShellExecutor:
     def test_shortened_run_has_its_own_directory(self, tmp_path, mdrun_on_path):
         executor = ShellExecutor(tmp_path / "runs")
         config = LaunchConfig(n_rank=1, n_th=1)
-        for workload in (Workload(), replace(Workload(), benchmark_steps=2000, reset_steps=500)):
+        for workload in (Workload(), Workload()._replace(benchmark_steps=2000, reset_steps=500)):
             executor.run(config, workload)
         keys = {p.name.rsplit("_", 1)[0] for p in (tmp_path / "runs").iterdir()}
         assert len(keys) == 2
