@@ -19,7 +19,7 @@ from mdtune.balance import Workload
 from mdtune.errors import InvalidConfigError, MdtuneError
 from mdtune.launch import LaunchConfig
 from mdtune.sweep import SyntheticExecutor, result_from_json, result_to_json, run_sweep
-from mdtune.wire import dumps, to_doc
+from mdtune.wire import dumps
 
 from conftest import make_node
 
@@ -113,9 +113,3 @@ class TestDumpsRefusesRecords:
     def test_type_error(self, doc):
         with pytest.raises(TypeError, match="not JSON serializable"):
             dumps(doc)
-
-    def test_its_document_is_written(self):
-        assert dumps(to_doc(LaunchConfig(n_rank=2))) == dumps({"n_rank": 2, "n_th": 0,
-                                                               "n_pme": 0, "dlb": "auto",
-                                                               "gpu_id": "", "use_ht": False,
-                                                               "nodes": 1})
