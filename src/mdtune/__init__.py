@@ -6,35 +6,11 @@ configuration enumeration and rendering (``launch``), engine log parsing
 (``logparse``), load-balance math and a synthetic performance model
 (``balance``), sweep orchestration (``sweep``), economics (``econ``),
 report rendering (``report``), and the ``mdtune`` CLI (``cli``).
-"""
 
-from .hardware import ClusterSpec, CpuSpec, GpuSpec, NodeSpec, sp_throughput, total_hw_threads
-from .launch import (
-    EngineProfile,
-    LaunchConfig,
-    MultiSimPlan,
-    SweepOptions,
-    enumerate_single_node,
-    gpu_id_string,
-    interleaved_pme_layout,
-    plan_multi_sim,
-    render_command,
-)
-from .logparse import PerfMetrics, parse_metrics
-from .balance import BalanceState, SyntheticNodeProfile, Workload, balance_cutoff, predict_performance
-from .sweep import ShellExecutor, SweepResult, SyntheticExecutor, run_sweep, select_best
-from .econ import (
-    EconParams,
-    EconRow,
-    PowerReading,
-    clock_perf_fit,
-    econ_row,
-    effective_power,
-    multi_sim_gain,
-    normalize_compiler,
-    parallel_efficiency,
-    perf_per_price,
-    rank_hardware,
-)
+Import names from their modules (``from mdtune.sweep import run_sweep``).
+This package imports none of them, so that each ``mdtune`` command loads
+only the layers it runs; ``mdtune.cli`` resolves its own names through the
+module on first use, where a benchmark's tracer can replace them.
+"""
 
 __version__ = "0.1.0"

@@ -4,35 +4,54 @@ Subcommands: plan, sweep, parse-log, analyze-costs, scaling, recommend,
 multi-plan. All output is deterministic for identical inputs; advisories
 never change the exit code (0 means no errors).
 
-Set MDTUNE_LOG=info for progress on stderr.
+Set MDTUNE_LOG=info (or debug) for progress on stderr.
+
+Each command is a fresh process. The layers it runs (``report``,
+``run_sweep``, ...) are attributes of this module that ``__getattr__``
+imports on first use, so ``parse-log`` never loads the sweep. Commands call
+them through the module (``_cli.run_sweep``), never a local import, so a
+caller that replaces the attribute, as a benchmark's tracer does, sees them.
 """
 
 from __future__ import annotations
 
 import argparse
-import logging
 import math
 import os
 import sys
 from pathlib import Path
 
-from . import report
-from .balance import SyntheticNodeProfile, load_profile
-from .econ import EconParams, HardwareRow
 from .errors import MdtuneError
-from .launch import (
-    enumerate_plan,
-    load_plan,
-    plan_multi_sim,
-    plan_to_json,
-    plan_to_script,
-)
-from .logparse import parse_metrics
-from .manifest import load_manifest
-from .sweep import ShellExecutor, SyntheticExecutor, result_to_json, run_sweep
 from .wire import dumps, from_doc, read, to_doc, validate
 
-log = logging.getLogger("mdtune")
+# the module of this package that defines each name ("report" is the module)
+_LAYERS = {name: module for module, names in (
+    ("report", "report"),
+    ("manifest", "load_manifest"),
+    ("launch", "enumerate_plan load_plan plan_to_json plan_to_script plan_multi_sim"),
+    ("logparse", "parse_metrics"),
+    ("sweep", "run_sweep result_to_json SyntheticExecutor ShellExecutor"),
+    ("balance", "SyntheticNodeProfile load_profile"),
+    ("econ", "EconParams HardwareRow"),
+) for name in names.split()}
+
+
+def __getattr__(name: str):
+    if name not in _LAYERS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import importlib
+
+    module = importlib.import_module(f".{_LAYERS[name]}", __package__)
+    value = globals()[name] = module if name == "report" else getattr(module, name)
+    return value
+
+
+_cli = sys.modules[__name__]
+
+
+def _info(message: str) -> None:
+    if os.environ.get("MDTUNE_LOG", "").lower() in ("info", "debug"):
+        print(f"mdtune: {message}", file=sys.stderr)
 
 
 def _write(path: str | None, text: str) -> None:
@@ -40,29 +59,29 @@ def _write(path: str | None, text: str) -> None:
         sys.stdout.write(text)
     else:
         Path(path).write_text(text)
-        log.info("wrote %s", path)
+        _info(f"wrote {path}")
 
 
 def _cmd_plan(args) -> int:
-    manifest = load_manifest(args.manifest)
-    configs = enumerate_plan(manifest.node, manifest.sweep, nodes=manifest.node_count)
+    manifest = _cli.load_manifest(args.manifest)
+    configs = _cli.enumerate_plan(manifest.node, manifest.sweep, nodes=manifest.node_count)
     if args.dry_run:
-        sys.stdout.write(plan_to_script(configs, manifest.engine, manifest.workload))
+        sys.stdout.write(_cli.plan_to_script(configs, manifest.engine, manifest.workload))
         return 0
-    _write(args.out, plan_to_json(configs))
+    _write(args.out, _cli.plan_to_json(configs))
     if args.script:
-        _write(args.script, plan_to_script(configs, manifest.engine, manifest.workload))
+        _write(args.script, _cli.plan_to_script(configs, manifest.engine, manifest.workload))
     return 0
 
 
 def _cmd_sweep(args) -> int:
-    manifest = load_manifest(args.manifest)
+    manifest = _cli.load_manifest(args.manifest)
     if args.plan:
-        configs = load_plan(args.plan)
+        configs = _cli.load_plan(args.plan)
     else:
-        configs = enumerate_plan(manifest.node, manifest.sweep, nodes=manifest.node_count)
+        configs = _cli.enumerate_plan(manifest.node, manifest.sweep, nodes=manifest.node_count)
     if args.dry_run:
-        sys.stdout.write(plan_to_script(configs, manifest.engine, manifest.workload))
+        sys.stdout.write(_cli.plan_to_script(configs, manifest.engine, manifest.workload))
         return 0
     if args.out and args.out != "-":
         # raise now, not after every run, what writing the result would; keep an existing file
@@ -71,29 +90,29 @@ def _cmd_sweep(args) -> int:
         if not existed:
             os.remove(args.out)
     if args.executor == "synthetic":
-        profile = load_profile(args.profile) if args.profile else SyntheticNodeProfile()
-        executor = SyntheticExecutor(manifest.node, profile)
+        profile = _cli.load_profile(args.profile) if args.profile else _cli.SyntheticNodeProfile()
+        executor = _cli.SyntheticExecutor(manifest.node, profile)
     else:
-        executor = ShellExecutor(Path(args.workdir), manifest.engine)
+        executor = _cli.ShellExecutor(Path(args.workdir), manifest.engine)
     repeats = args.repeats if args.repeats is not None else manifest.repeats
-    result = run_sweep(configs, executor, manifest.workload, repeats=repeats)
+    result = _cli.run_sweep(configs, executor, manifest.workload, repeats=repeats)
     if args.format == "json":
-        text = result_to_json(result)
+        text = _cli.result_to_json(result)
     elif args.format == "csv":
-        text = report.sweep_csv(result)
+        text = _cli.report.sweep_csv(result)
     elif args.format == "md":
-        text = report.sweep_report(
+        text = _cli.report.sweep_report(
             result,
             node_cost_eur=manifest.node.node_price_eur or None,
             fmt="md",
         )
     else:
-        text = report.sweep_table(result)
+        text = _cli.report.sweep_table(result)
     if args.out:
-        _write(args.out, text if args.format == "json" else result_to_json(result))
+        _write(args.out, text if args.format == "json" else _cli.result_to_json(result))
     if not args.out or args.format != "json":
         sys.stdout.write(text)
-    log.info("%d rows, %d failures", len(result.rows), len(result.failures))
+    _info(f"{len(result.rows)} rows, {len(result.failures)} failures")
     return 0
 
 
@@ -101,9 +120,9 @@ def _cmd_parse_log(args) -> int:
     all_metrics = []
     for path in args.logs:
         text = Path(path).read_text(errors="replace")
-        all_metrics.append(parse_metrics(text))
+        all_metrics.append(_cli.parse_metrics(text))
     if args.format == "csv":
-        sys.stdout.write(report.metrics_csv(all_metrics))
+        sys.stdout.write(_cli.report.metrics_csv(all_metrics))
     else:
         docs = [to_doc(m) for m in all_metrics]
         sys.stdout.write(dumps(docs if len(docs) > 1 else docs[0]))
@@ -114,29 +133,30 @@ def _read_rows(path: str) -> tuple[dict, EconParams, list[report.EconInput]]:
     """A validated rows document, its econ parameters and its rows."""
     doc = read(path)
     validate(doc, "rows")
-    rows = [from_doc(report.EconInput, row, f"rows.{i}") for i, row in enumerate(doc["rows"])]
-    return doc, from_doc(EconParams, doc.get("econ", {}), "econ"), rows
+    rows = [from_doc(_cli.report.EconInput, row, f"rows.{i}")
+            for i, row in enumerate(doc["rows"])]
+    return doc, from_doc(_cli.EconParams, doc.get("econ", {}), "econ"), rows
 
 
 def _cmd_analyze_costs(args) -> int:
     _, params, inputs = _read_rows(args.rows)
-    yield_unit = report.YIELD_US if args.yield_unit == "us" else report.YIELD_NS
+    yield_unit = _cli.report.YIELD_US if args.yield_unit == "us" else _cli.report.YIELD_NS
     if args.format == "json":
-        rows = report.full_precision_rows(inputs, params)
+        rows = _cli.report.full_precision_rows(inputs, params)
         out = [to_doc(r) | {"label": i.label} for r, i in zip(rows, inputs)]
         sys.stdout.write(dumps(out))
     else:
-        sys.stdout.write(report.econ_report(inputs, params, yield_unit, fmt=args.format))
+        sys.stdout.write(_cli.report.econ_report(inputs, params, yield_unit, fmt=args.format))
     return 0
 
 
 def _cmd_scaling(args) -> int:
     doc = read(args.rows)
     validate(doc, "series")
-    series = [from_doc(report.ScalingSeries, s, f"series.{i}")
+    series = [from_doc(_cli.report.ScalingSeries, s, f"series.{i}")
               for i, s in enumerate(doc["series"])]
     fmt = "csv" if args.format == "csv" else "md"
-    sys.stdout.write(report.scaling_report(series, fmt=fmt))
+    sys.stdout.write(_cli.report.scaling_report(series, fmt=fmt))
     return 0
 
 
@@ -158,20 +178,20 @@ def _parse_weights(text: str) -> dict[str, float]:
 
 def _cmd_recommend(args) -> int:
     doc, params, inputs = _read_rows(args.rows)
-    econ_rows = report.full_precision_rows(inputs, params)
+    econ_rows = _cli.report.full_precision_rows(inputs, params)
     hardware = [
-        from_doc(HardwareRow, row, f"rows.{i}")._replace(econ=econ)
+        from_doc(_cli.HardwareRow, row, f"rows.{i}")._replace(econ=econ)
         for i, (row, econ) in enumerate(zip(doc["rows"], econ_rows))
     ]
     weights = _parse_weights(args.weights) if args.weights else None
     fmt = "csv" if args.format == "csv" else "md"
-    sys.stdout.write(report.recommend_report(hardware, weights, fmt=fmt))
+    sys.stdout.write(_cli.report.recommend_report(hardware, weights, fmt=fmt))
     return 0
 
 
 def _cmd_multi_plan(args) -> int:
-    manifest = load_manifest(args.manifest)
-    plan = plan_multi_sim(
+    manifest = _cli.load_manifest(args.manifest)
+    plan = _cli.plan_multi_sim(
         manifest.node,
         replicas=args.replicas,
         nodes=args.nodes,
@@ -246,12 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    level = os.environ.get("MDTUNE_LOG", "warning").upper()
-    logging.basicConfig(
-        level=getattr(logging, level, logging.WARNING),
-        format="mdtune: %(message)s",
-        stream=sys.stderr,
-    )
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

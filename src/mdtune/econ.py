@@ -14,7 +14,6 @@ Conventions:
 from __future__ import annotations
 
 import math
-from statistics import linear_regression
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import MdtuneError, MissingDatumError
@@ -213,6 +212,8 @@ def clock_perf_fit(
     perfs = [p[1] for p in points]
     if max(clocks) == min(clocks):
         raise MdtuneError("all clock values identical; cannot fit a slope")
+    from statistics import linear_regression  # only here, not at every command's start
+
     slope, intercept = linear_regression(clocks, perfs)
     return ClockFit(
         slope=slope,

@@ -12,7 +12,7 @@ from __future__ import annotations
 import io
 import csv
 import math
-from typing import NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
 from .econ import (
     EconParams,
@@ -26,9 +26,11 @@ from .econ import (
     rank_hardware,
 )
 from .errors import MdtuneError
-from .logparse import PerfMetrics
-from .sweep import SweepResult
 from .wire import checked, lookup, to_doc
+
+if TYPE_CHECKING:  # annotations only: the cost commands load no sweep or log layer
+    from .logparse import PerfMetrics
+    from .sweep import SweepResult
 
 YIELD_NS = "ns_per_keur"
 YIELD_US = "us_per_keur"

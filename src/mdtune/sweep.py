@@ -31,7 +31,6 @@ import json
 import math
 import os
 import signal
-import statistics
 import subprocess
 from pathlib import Path
 from typing import NamedTuple, Optional, Protocol, Sequence
@@ -319,7 +318,7 @@ def run_sweep(
         rows.append(
             SweepRow(
                 config=config,
-                mean_performance=statistics.fmean(perfs),
+                mean_performance=math.fsum(perfs) / len(perfs),
                 stdev=(0.0 if all(p == perfs[0] for p in perfs)
                        else _sample_stdev(perfs)),
                 repeats=repeats,

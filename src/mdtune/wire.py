@@ -30,11 +30,11 @@ import functools
 import json
 import math
 import operator
+import os
 import re
 import types
 import typing
 from collections.abc import Sequence
-from importlib import resources
 
 from .errors import ManifestError, MdtuneError
 
@@ -361,7 +361,8 @@ def _load_schema(root: dict) -> dict:
 
 @functools.cache
 def _schemas() -> dict:
-    return _load_schema(json.loads(resources.files("mdtune").joinpath("schema.json").read_text()))
+    with open(os.path.join(os.path.dirname(__file__), "schema.json"), encoding="utf-8") as f:
+        return _load_schema(json.load(f))
 
 
 def validate(doc, name: str) -> None:
