@@ -318,7 +318,7 @@ def run_sweep(
         rows.append(
             SweepRow(
                 config=config,
-                mean_performance=math.fsum(perfs) / len(perfs),
+                mean_performance=math.fsum(perfs) / len(perfs),  # statistics.fmean's formula
                 stdev=(0.0 if all(p == perfs[0] for p in perfs)
                        else _sample_stdev(perfs)),
                 repeats=repeats,
