@@ -9,7 +9,6 @@ hyper-threading). Everything here is a pure function over immutable inputs.
 
 from __future__ import annotations
 
-import shlex
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional, Sequence
 
 from .errors import InvalidConfigError
@@ -426,41 +425,6 @@ def render_command(config: LaunchConfig, profile: EngineProfile = EngineProfile(
         parts += ["-nsteps", str(workload.benchmark_steps),
                   "-resetstep", str(workload.reset_steps)]
     return " ".join(parts)
-
-
-_FLAG_FIELDS = {
-    "-ntmpi": ("n_rank", int),
-    "-np": ("n_rank", int),
-    "-ntomp": ("n_th", int),
-    "-npme": ("n_pme", int),
-    "-ntomp_pme": ("n_th_pme", int),
-    "-nstlist": ("nstlist", int),
-    "-gpu_id": ("gpu_id", str),
-}
-
-
-def parse_command(text: str) -> LaunchConfig:
-    """Recover the config fields encoded in a rendered command line."""
-    tokens = shlex.split(text)
-    fields: dict = {}
-    i = 0
-    while i < len(tokens):
-        tok = tokens[i]
-        if tok in _FLAG_FIELDS:
-            name, conv = _FLAG_FIELDS[tok]
-            fields[name] = conv(tokens[i + 1])
-            i += 2
-        elif tok == "-dlb":
-            fields["dlb"] = "on" if tokens[i + 1] == "yes" else "off"
-            i += 2
-        elif tok == "-dd":
-            fields["dd_grid"] = tuple(int(t) for t in tokens[i + 1 : i + 4])
-            i += 4
-        else:
-            i += 1
-    if "n_rank" not in fields:
-        raise InvalidConfigError(f"no rank count found in command: {text!r}")
-    return LaunchConfig(**fields)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,8 @@
 """Run launch configurations through an executor and pick the winner.
 
-An executor takes (config, workload) and returns raw log text; the
-orchestrator parses each log, aggregates repeats into mean/stdev, attaches
-advisories, and selects the best configuration. Failed runs are recorded
-and never abort the sweep.
+An executor takes (config, workload) and returns raw log text; ``run_sweep``
+parses each log into a ``Run`` entry; the pure ``aggregate`` folds the entries
+into rows and the winner. Failed runs are recorded and never abort the sweep.
 
 Two executors ship with the toolkit:
 
@@ -17,10 +16,10 @@ Two executors ship with the toolkit:
    it renders each (config, workload) once and answers every repeat with
    the same log; the memo lives on the instance, so it lasts one sweep.
 
-The orchestrator does each repeat's deterministic work once too: a log text
-equal to an earlier repeat's is not parsed again, and repeats that agree to
-the last bit have a stdev of exactly 0.0 without the exact arithmetic of
-``_sample_stdev``.
+``run_sweep`` runs each config's repeats in a row, in plan order, and does
+their deterministic work once too: a log text equal to an earlier repeat's
+is not parsed again. In ``aggregate``, repeats that agree to the last bit
+have a stdev of exactly 0.0 without the exact arithmetic of ``_sample_stdev``.
 """
 
 from __future__ import annotations
@@ -277,55 +276,76 @@ def _sample_stdev(values: Sequence[float]) -> float:
     return math.ldexp(root | (root * root * m != n), q)
 
 
+class Run(NamedTuple):
+    """A finished run of ``configs[index]``: its metrics, or why it failed."""
+
+    index: int
+    config: LaunchConfig
+    metrics: Optional[PerfMetrics] = None
+    error: Optional[str] = None
+
+
 def run_sweep(
     configs: Sequence[LaunchConfig],
     executor: Executor,
     workload: Workload,
     repeats: int = 2,
 ) -> SweepResult:
-    """Execute every config ``repeats`` times and aggregate.
+    """Execute every config ``repeats`` times and ``aggregate`` the runs.
 
     The mean of the repeats ranks configurations (engines scatter by a few
     percent run to run, so single samples are not trusted); the stdev is
-    reported alongside, 0.0 when every repeat gives the same figure. A log
-    text equal to an earlier repeat's of the same config is parsed once. A
+    reported alongside, 0.0 when every repeat gives the same figure. A
     failed repeat (the executor raised RunFailure, or the log is malformed)
-    fails the whole row, which is recorded in ``failures`` without stopping
-    the sweep.
+    is that config's last run and fails the whole row, which is recorded in
+    ``failures`` without stopping the sweep.
     """
     if repeats < 1:
         raise MdtuneError("repeats must be >= 1")
-    rows: list[SweepRow] = []
-    failures: list[Failure] = []
-    for config in configs:
-        perfs: list[float] = []
+    runs: list[Run] = []
+    for index, config in enumerate(configs):
         parsed: dict[str, PerfMetrics] = {}
-        best_metrics: Optional[PerfMetrics] = None
-        try:
-            for _ in range(repeats):
+        for _ in range(repeats):
+            try:
                 log_text = executor.run(config, workload)
                 metrics = parsed.get(log_text)
                 if metrics is None:
                     metrics = parsed[log_text] = parse_metrics(log_text)
                 if metrics.performance is None:
                     raise RunFailure("log contained no performance figure")
-                perfs.append(metrics.performance)
-                if best_metrics is None or metrics.performance >= best_metrics.performance:
-                    best_metrics = metrics
-        except (RunFailure, LogParseError) as exc:
-            failures.append(Failure(config, str(exc)))
-            continue
-        rows.append(
-            SweepRow(
-                config=config,
-                mean_performance=math.fsum(perfs) / len(perfs),  # statistics.fmean's formula
-                stdev=(0.0 if all(p == perfs[0] for p in perfs)
-                       else _sample_stdev(perfs)),
-                repeats=repeats,
-                metrics=best_metrics,
-                advisories=best_metrics.notes,
-            )
-        )
+            except (RunFailure, LogParseError) as exc:
+                runs.append(Run(index, config, error=str(exc)))
+                break
+            runs.append(Run(index, config, metrics))
+    return aggregate(runs)
+
+
+def aggregate(runs: Sequence[Run]) -> SweepResult:
+    """Fold runs into rows, failures and the winner, with no executor or I/O.
+
+    Consecutive runs of one ``index`` are one row's repeats, and the best
+    repeat is the last of the equal maxima. A row with a failed run is one
+    ``Failure`` instead, with the first failed run's error.
+    """
+    rows: list[SweepRow] = []
+    failures: list[Failure] = []
+    end, n = 0, len(runs)
+    while end < n:
+        start, index = end, runs[end].index
+        while end < n and runs[end].index == index:
+            end += 1
+        perfs, best = [], None
+        for _, config, metrics, error in runs[start:end]:
+            if error is not None:
+                failures.append(Failure(config, error))
+                break
+            perfs.append(metrics.performance)
+            if best is None or metrics.performance >= best.performance:
+                best = metrics
+        else:
+            mean = math.fsum(perfs) / len(perfs)  # statistics.fmean's formula
+            stdev = 0.0 if perfs.count(perfs[0]) == len(perfs) else _sample_stdev(perfs)
+            rows.append(SweepRow(config, mean, stdev, len(perfs), best, best.notes))
     best_index = None
     if rows:
         best_index = min(range(len(rows)), key=lambda i: (_rank_key(rows[i]), i))

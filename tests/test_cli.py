@@ -158,6 +158,21 @@ class TestSweep:
         assert sorted(perf) == ["00", "1", "11"]
         assert perf["11"] == perf["00"]
 
+    def test_config_listed_twice_gives_one_row_per_plan_entry(self, tmp_path, capsys):
+        doc = json.loads((DATA / "manifest_mem.json").read_text())
+        doc["sweep"]["nstlist"] = [40, 40]
+        manifest = tmp_path / "twice.json"
+        manifest.write_text(json.dumps(doc))
+        code, plan, _ = run_cli(capsys, "plan", "--manifest", str(manifest))
+        assert code == 0
+        code, out, _ = run_cli(capsys, "sweep", "--manifest", str(manifest),
+                               "--repeats", "1", "--format", "json")
+        assert code == 0
+        rows = json.loads(out)["rows"]
+        assert [row["config"] for row in rows] == json.loads(plan)
+        assert len(rows) == 56 and len({json.dumps(row["config"]) for row in rows}) == 28
+        assert {row["repeats"] for row in rows} == {1}
+
     @pytest.mark.parametrize("out", ["{tmp}", "{tmp}/missing/result.json"],
                              ids=["directory", "missing parent"])
     def test_unwritable_out_fails_before_any_run(self, tmp_path, capsys, out):

@@ -12,7 +12,6 @@ from mdtune.launch import (
     gpu_id_string,
     interleaved_pme_layout,
     load_plan,
-    parse_command,
     plan_multi_sim,
     plan_to_json,
     plan_to_script,
@@ -279,35 +278,6 @@ class TestRenderCommand:
         workload = Workload(benchmark_steps=5000, reset_steps=1000)
         command = render_command(LaunchConfig(n_rank=4), EngineProfile(), workload)
         assert command.endswith("-s in.tpr -nsteps 5000 -resetstep 1000")
-
-    @settings(max_examples=100, deadline=None)
-    @given(
-        n_rank=st.integers(1, 64),
-        n_th=st.integers(0, 8),
-        pme_fraction=st.sampled_from([0, 2, 4]),
-        dlb=st.sampled_from(["on", "off", "auto"]),
-        nstlist=st.sampled_from([None, 10, 25, 40]),
-        n_gpus=st.integers(0, 4),
-    )
-    def test_round_trip(self, n_rank, n_th, pme_fraction, dlb, nstlist, n_gpus):
-        n_pme = n_rank // pme_fraction if pme_fraction else 0
-        pp = n_rank - n_pme
-        config = LaunchConfig(
-            n_rank=n_rank,
-            n_th=n_th,
-            n_pme=n_pme,
-            dlb=dlb,
-            nstlist=nstlist,
-            gpu_id=gpu_id_string(n_gpus, pp) if 0 < n_gpus <= pp else "",
-        )
-        parsed = parse_command(render_command(config))
-        assert parsed.n_rank == config.n_rank
-        assert parsed.n_th == config.n_th
-        assert parsed.n_pme == config.n_pme
-        assert parsed.gpu_id == config.gpu_id
-        assert parsed.nstlist == config.nstlist
-        if dlb != "auto":
-            assert parsed.dlb == dlb
 
 
 class TestPlanSerialization:

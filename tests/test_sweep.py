@@ -29,16 +29,19 @@ from mdtune.logparse import ADVISORY_PME_OVERPROVISIONED
 from mdtune.manifest import load_manifest
 from mdtune.report import sweep_csv as result_to_csv, sweep_table as result_to_table
 from mdtune.sweep import (
+    Failure,
+    Run,
     ShellExecutor,
     SweepResult,
     SweepRow,
     SyntheticExecutor,
+    aggregate,
     result_from_json,
     result_to_json,
     run_sweep,
     select_best,
 )
-from mdtune.logparse import PerfMetrics, render_log
+from mdtune.logparse import Advisory, PerfMetrics, parse_metrics, render_log
 
 from conftest import DATA, make_node, profiles
 
@@ -310,6 +313,107 @@ class TestAccounting:
     def test_bad_repeats_rejected(self, gpu_node):
         with pytest.raises(MdtuneError):
             run_sweep([], SyntheticExecutor(gpu_node), Workload(), repeats=0)
+
+
+class RecordingExecutor:
+    """Answers each call from ``script[config]``, one item per repeat, and
+    records the configs it was called with."""
+
+    exclusive = False
+
+    def __init__(self, script):
+        self.script = {config: iter(items) for config, items in script.items()}
+        self.calls = []
+
+    def run(self, config, workload):
+        self.calls.append(config)
+        item = next(self.script[config])
+        if isinstance(item, Exception):
+            raise item
+        return item
+
+
+class TestRunOrder:
+    def test_config_major_and_a_failed_repeat_ends_its_config(self, gpu_node):
+        a, b, c, d = ranklist_configs(gpu_node)[:4]
+        log = render_log(PerfMetrics(performance=5.0))
+        executor = RecordingExecutor({
+            a: [log] * 3,
+            b: [log, RunFailure("boom on repeat 2"), log],
+            c: ["no figures here\n", log, log],
+            d: [log] * 3,
+        })
+        result = run_sweep([a, b, c, d], executor, Workload(), repeats=3)
+        assert executor.calls == [a, a, a, b, b, c, d, d, d]
+        assert result.failures == [Failure(b, "boom on repeat 2"),
+                                   Failure(c, "log contained no performance figure")]
+        assert [row.config for row in result.rows] == [a, d]
+        assert all(row.repeats == 3 for row in result.rows)
+
+    @pytest.mark.parametrize("repeats", [1, 2])
+    def test_a_config_listed_twice_gives_two_rows(self, gpu_node, repeats):
+        a, b = ranklist_configs(gpu_node)[:2]
+        plan = [a, b, b, a]
+        result = run_sweep(plan, SyntheticExecutor(gpu_node), Workload(), repeats=repeats)
+        assert [row.config for row in result.rows] == plan
+        assert all(row.repeats == repeats for row in result.rows)
+
+
+class TestAggregate:
+    """The fold alone, on hand-built runs: no executor, no log."""
+
+    config = LaunchConfig(n_rank=4, n_th=2)
+    other = LaunchConfig(n_rank=2, n_th=4)
+
+    def runs(self, *perfs, index=0, config=config):
+        return [Run(index, config, PerfMetrics(performance=p)) for p in perfs]
+
+    def test_mean(self):
+        (row,) = aggregate(self.runs(1.0, 2.0, 4.0)).rows
+        assert row.mean_performance == 7.0 / 3
+        assert math.isclose(row.stdev, statistics.stdev([1.0, 2.0, 4.0]))
+        assert row.repeats == 3
+
+    def test_equal_repeats_have_zero_stdev(self):
+        (row,) = aggregate(self.runs(0.1, 0.1, 0.1)).rows
+        assert row.stdev.hex() == (0.0).hex()
+
+    def test_best_is_the_last_of_equal_maxima(self):
+        notes = (Advisory(kind="note", text="NOTE: last"),)
+        runs = [Run(0, self.config, PerfMetrics(performance=p, notes=n))
+                for p, n in [(5.0, ()), (3.0, ()), (5.0, notes), (4.0, ())]]
+        (row,) = aggregate(runs).rows
+        assert row.metrics is runs[2].metrics
+        assert row.advisories == notes
+
+    def test_failed_run_in_the_middle_of_a_group(self):
+        runs = (self.runs(1.0) + [Run(0, self.config, error="first"),
+                                  Run(0, self.config, error="second")]
+                + self.runs(2.0) + self.runs(3.0, index=1, config=self.other))
+        result = aggregate(runs)
+        assert result.failures == [Failure(self.config, "first")]
+        assert [row.config for row in result.rows] == [self.other]
+        assert result.best_index == 0
+
+    def test_groups_by_index_not_config(self):
+        runs = self.runs(1.0, 1.0) + self.runs(2.0, 2.0, index=1)
+        assert [row.repeats for row in aggregate(runs).rows] == [2, 2]
+
+    def test_no_runs(self):
+        assert aggregate([]) == SweepResult([], [], None)
+
+    def test_equals_run_sweep_over_the_same_logs(self, gpu_node):
+        configs = ranklist_configs(gpu_node) + [LaunchConfig(n_rank=64, n_th=4, use_ht=True)]
+        executor = SyntheticExecutor(gpu_node)
+        runs = []
+        for index, config in enumerate(configs):
+            try:
+                runs += [Run(index, config, parse_metrics(executor.run(config, Workload())))] * 2
+            except RunFailure as exc:
+                runs.append(Run(index, config, error=str(exc)))
+        swept = run_sweep(configs, SyntheticExecutor(gpu_node), Workload(), repeats=2)
+        assert len(swept.failures) == 1
+        assert aggregate(runs) == swept
 
 
 @pytest.fixture
