@@ -58,7 +58,7 @@ def _write(path: str | None, text: str) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
     else:
-        Path(path).write_text(text)
+        Path(path).write_text(text, encoding="utf-8")
         _info(f"wrote {path}")
 
 
@@ -86,7 +86,7 @@ def _cmd_sweep(args) -> int:
     if args.out and args.out != "-":
         # raise now, not after every run, what writing the result would; keep an existing file
         existed = os.path.exists(args.out)
-        open(args.out, "a").close()
+        open(args.out, "a", encoding="utf-8").close()
         if not existed:
             os.remove(args.out)
     if args.executor == "synthetic":
@@ -119,7 +119,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_parse_log(args) -> int:
     all_metrics = []
     for path in args.logs:
-        text = Path(path).read_text(errors="replace")
+        text = Path(path).read_text(encoding="utf-8", errors="replace")
         all_metrics.append(_cli.parse_metrics(text))
     if args.format == "csv":
         sys.stdout.write(_cli.report.metrics_csv(all_metrics))
@@ -129,17 +129,17 @@ def _cmd_parse_log(args) -> int:
     return 0
 
 
-def _read_rows(path: str) -> tuple[dict, EconParams, list[report.EconInput]]:
-    """A validated rows document, its econ parameters and its rows."""
+def _read_rows(path: str) -> tuple[EconParams, list[report.EconInput]]:
+    """The econ parameters and the rows of a validated rows document."""
     doc = read(path)
     validate(doc, "rows")
     rows = [from_doc(_cli.report.EconInput, row, f"rows.{i}")
             for i, row in enumerate(doc["rows"])]
-    return doc, from_doc(_cli.EconParams, doc.get("econ", {}), "econ"), rows
+    return from_doc(_cli.EconParams, doc.get("econ", {}), "econ"), rows
 
 
 def _cmd_analyze_costs(args) -> int:
-    _, params, inputs = _read_rows(args.rows)
+    params, inputs = _read_rows(args.rows)
     yield_unit = _cli.report.YIELD_US if args.yield_unit == "us" else _cli.report.YIELD_NS
     if args.format == "json":
         rows = _cli.report.full_precision_rows(inputs, params)
@@ -177,11 +177,13 @@ def _parse_weights(text: str) -> dict[str, float]:
 
 
 def _cmd_recommend(args) -> int:
-    doc, params, inputs = _read_rows(args.rows)
+    params, inputs = _read_rows(args.rows)
     econ_rows = _cli.report.full_precision_rows(inputs, params)
     hardware = [
-        from_doc(_cli.HardwareRow, row, f"rows.{i}")._replace(econ=econ)
-        for i, (row, econ) in enumerate(zip(doc["rows"], econ_rows))
+        _cli.HardwareRow(i.label, econ, perf_per_price=i.perf_per_price,
+                         performance=i.performance, rack_units=i.rack_units,
+                         parallel_performance=i.parallel_performance)
+        for i, econ in zip(inputs, econ_rows)
     ]
     weights = _parse_weights(args.weights) if args.weights else None
     fmt = "csv" if args.format == "csv" else "md"

@@ -28,11 +28,6 @@ KWH_PER_300S_TO_WATTS = 12000.0
 METER_KWH_PER_300S = "meter_kwh_per_300s"
 DIRECT_WATTS = "direct_watts"
 
-CRITERIA = ("C1", "C2", "C3", "C4", "C5")
-# C1 performance-to-price, C2 single-node performance, C3 time-to-solution
-# (parallel performance), C4 energy / lifetime yield, C5 rack space.
-
-
 @checked
 class EconParams(NamedTuple):
     lifetime_years: float = 5.0
@@ -245,24 +240,18 @@ class HardwareRow(NamedTuple):
     parallel_performance: Optional[float] = None  # C3, ns/day at scale
     rack_units: Optional[int] = None  # C5, smaller is better
 
-    # its row in a rows document (``econ`` is computed from the row)
-    WIRE = {"performance": "performance_ns_day",
-            "parallel_performance": "parallel_performance_ns_day"}
 
-    def criterion(self, name: str) -> Optional[float]:
-        """Criterion value oriented so that larger is always better."""
-        if name == "C1":
-            return self.perf_per_price
-        if name == "C2":
-            return self.performance
-        if name == "C3":
-            return self.parallel_performance
-        if name == "C4":
-            return self.econ.yield_us_per_keur if self.econ else None
-        if name == "C5":
-            return -self.rack_units if self.rack_units is not None else None
-        raise MdtuneError(f"unknown criterion {name!r} (expected one of {CRITERIA})")
-
+# Each criterion's value for a row, oriented so that larger is always better:
+# C1 performance-to-price, C2 single-node performance, C3 time-to-solution
+# (parallel performance), C4 energy / lifetime yield, C5 rack space.
+_CRITERIA = {
+    "C1": lambda row: row.perf_per_price,
+    "C2": lambda row: row.performance,
+    "C3": lambda row: row.parallel_performance,
+    "C4": lambda row: row.econ.yield_us_per_keur if row.econ else None,
+    "C5": lambda row: -row.rack_units if row.rack_units is not None else None,
+}
+CRITERIA = tuple(_CRITERIA)
 
 LIFETIME_YIELD_PRESET = {"C4": 1.0}
 
@@ -278,36 +267,28 @@ def rank_hardware(
     single criterion this reduces to plain argsort. Ties keep input order.
     The default preset ranks by lifetime yield alone.
     """
-    weights = dict(weights) if weights else dict(LIFETIME_YIELD_PRESET)
+    weights = weights or LIFETIME_YIELD_PRESET
     active = [(c, w) for c, w in sorted(weights.items()) if w != 0]
     if not active:
         raise MdtuneError("no criterion has a non-zero weight")
-    for name, _ in active:
-        if name not in CRITERIA:
+    scores = [0.0] * len(rows)
+    for name, weight in active:
+        if name not in _CRITERIA:
             raise MdtuneError(f"unknown criterion {name!r} (expected one of {CRITERIA})")
-        for row in rows:
-            if row.criterion(name) is None:
+        values = [_CRITERIA[name](row) for row in rows]
+        for row, value in zip(rows, values):
+            if value is None:
                 raise MissingDatumError(
                     f"row {row.label!r} has no data for weighted criterion {name}"
                 )
-
-    scores = [0.0] * len(rows)
-    for name, weight in active:
-        values = [row.criterion(name) for row in rows]
-        # average rank of each value, 0 = worst; equal values share a rank
-        order = sorted(range(len(rows)), key=lambda i: values[i])
-        rank_of = [0.0] * len(rows)
-        i = 0
-        while i < len(order):
-            j = i
-            while j + 1 < len(order) and values[order[j + 1]] == values[order[i]]:
-                j += 1
-            avg = (i + j) / 2.0
-            for pos in range(i, j + 1):
-                rank_of[order[pos]] = avg
-            i = j + 1
-        for idx in range(len(rows)):
-            scores[idx] += weight * rank_of[idx]
+        # a value's rank is the mean of its first and last position in
+        # sorted order, 0 = worst: equal values share it
+        first, last = {}, {}
+        for pos, value in enumerate(sorted(values)):
+            first.setdefault(value, pos)
+            last[value] = pos
+        for idx, value in enumerate(values):
+            scores[idx] += weight * ((first[value] + last[value]) / 2.0)
 
     indexed = sorted(range(len(rows)), key=lambda i: (-scores[i], i))
     return [rows[i] for i in indexed]

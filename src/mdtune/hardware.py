@@ -1,4 +1,4 @@
-"""Typed descriptions of CPUs, GPUs, nodes, and clusters.
+"""Typed descriptions of CPUs, GPUs and nodes.
 
 All types are immutable value objects, safe to share across threads. Prices
 and idle powers are optional: the hardware market moves fast, so anything
@@ -110,18 +110,6 @@ class NodeSpec(NamedTuple):
     @property
     def n_gpus(self) -> int:
         return len(self.gpus)
-
-
-@checked
-class ClusterSpec(NamedTuple):
-    node: NodeSpec
-    node_count: int
-    per_node_network_cost_eur: float = 0.0
-
-    def _check(self):
-        if self.node_count < 1:
-            raise MdtuneError("node_count must be >= 1")
-        return self
 
 
 def sp_throughput(gpu: GpuSpec) -> float:

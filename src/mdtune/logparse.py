@@ -117,7 +117,7 @@ class ParsedLoadBalance(NamedTuple):
 
     @property
     def shrunk(self) -> bool:
-        """True when balancing reduced the cutoff (unusual, flagged upstream)."""
+        """True when balancing reduced the cutoff (unusual; no advisory flags it)."""
         return self.final_rcoulomb < self.initial_rcoulomb
 
 

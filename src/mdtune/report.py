@@ -23,6 +23,7 @@ from .econ import (
     effective_power,
     parallel_efficiency,
     perf_per_price,
+    production_us,
     rank_hardware,
 )
 from .errors import MdtuneError
@@ -34,6 +35,7 @@ if TYPE_CHECKING:  # annotations only: the cost commands load no sweep or log la
 
 YIELD_NS = "ns_per_keur"
 YIELD_US = "us_per_keur"
+PRICE_UNIT_EUR = 1000.0  # the sweep table's performance to price is per this many EUR
 
 
 def _md_table(header: list[str], rows: list[list[str]]) -> str:
@@ -87,7 +89,6 @@ def _dd_grid_text(config) -> str:
 def sweep_report(
     result: SweepResult,
     node_cost_eur: Optional[float] = None,
-    normalizer_eur: float = 1000.0,
     fmt: str = "md",
 ) -> str:
     """Ranked configuration table, optionally with performance per price."""
@@ -95,7 +96,7 @@ def sweep_report(
               "P (ns/day)", "stdev", "advisories"]
     with_cost = node_cost_eur is not None
     if with_cost:
-        header += ["cost (EUR)", f"ns/day per {normalizer_eur:g} EUR"]
+        header += ["cost (EUR)", f"ns/day per {PRICE_UNIT_EUR:g} EUR"]
     rows = []
     for i, row in enumerate(result.ranked(), start=1):
         c = row.config
@@ -114,7 +115,7 @@ def sweep_report(
         if with_cost:
             cells += [
                 f"{node_cost_eur:.0f}",
-                f"{perf_per_price(row.mean_performance, node_cost_eur, normalizer_eur):.2f}",
+                f"{perf_per_price(row.mean_performance, node_cost_eur, PRICE_UNIT_EUR):.2f}",
             ]
         rows.append(cells)
     return _render(header, rows, fmt)
@@ -187,7 +188,8 @@ def sweep_table(result: SweepResult) -> str:
 
 @checked
 class EconInput(NamedTuple):
-    """Raw columns for one economics table row; its power must give a draw."""
+    """One row of a rows document: the raw columns of an economics table
+    row and the criteria a recommendation ranks by. Its power must give a draw."""
 
     label: str
     performance: float  # ns/day
@@ -195,8 +197,11 @@ class EconInput(NamedTuple):
     power: Optional[PowerReading] = None
     power_w: Optional[float] = None  # pre-corrected draw, alternative to power
     rack_units: Optional[int] = None
+    perf_per_price: Optional[float] = None
+    parallel_performance: Optional[float] = None  # ns/day at scale
 
-    WIRE = {"performance": "performance_ns_day"}  # a row of the rows document
+    WIRE = {"performance": "performance_ns_day",
+            "parallel_performance": "parallel_performance_ns_day"}
 
     def effective_power_w(self) -> float:
         if self.power is not None:
@@ -257,7 +262,7 @@ def econ_display_row(
     cost tables chain their cells.
     """
     power = inp.effective_power_w()
-    production = round(inp.performance * 0.365 * params.lifetime_years, 2)
+    production = round(production_us(inp.performance, params.lifetime_years), 2)
     energy = params.lifetime_years * power * 365 * 24 * params.energy_price_eur_per_kwh / 1000.0
     if math.isfinite(energy):  # round() raises on an overflowed cost; _check_priced names it
         energy = round(energy)
@@ -351,8 +356,6 @@ def scaling_report(series: Sequence[ScalingSeries], fmt: str = "md") -> str:
     header = ["hardware", "nodes", "P (ns/day)", "E"]
     rows = []
     for s in series:
-        if not s.points:
-            continue
         base_nodes, base_perf = s.points[0]
         if base_nodes != 1:
             raise MdtuneError(

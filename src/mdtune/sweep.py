@@ -184,7 +184,7 @@ class ShellExecutor:
             cwd=rundir,
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
-            text=True,
+            encoding="utf-8",
             errors="replace",
             start_new_session=True,
         ) as proc:
@@ -207,7 +207,7 @@ class ShellExecutor:
         log_path = rundir / self.engine.log_file
         if not log_path.exists():
             raise RunFailure(f"run left no log file at {log_path}")
-        return log_path.read_text(errors="replace")
+        return log_path.read_text(encoding="utf-8", errors="replace")
 
 
 class SweepRow(NamedTuple):

@@ -401,7 +401,7 @@ def read(path):
     is not finite: Python reads ``NaN``, ``Infinity`` and ``1e999``, but
     JSON has no such numbers and no schema range check rejects NaN.
     """
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
         except ValueError as exc:

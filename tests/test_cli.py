@@ -302,6 +302,13 @@ class TestScaling:
         assert code == 0
         assert "| 2 | 27.218 | 0.66 |" in out
 
+    def test_empty_series_is_error(self, tmp_path, capsys):
+        doc = {"series": [*SERIES_DOC["series"], {"label": "b", "points": []}]}
+        rows = tmp_path / "scaling.json"
+        rows.write_text(json.dumps(doc))
+        assert run_cli(capsys, "scaling", "--rows", str(rows)) == (
+            1, "", "error: series.1.points: [] should be non-empty\n")
+
 
 class TestRecommend:
     def test_default_ranks_by_yield(self, econ_rows_file, capsys):

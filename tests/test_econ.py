@@ -5,9 +5,11 @@ from hypothesis import given, settings, strategies as st
 
 import benchdata as bd
 from mdtune.econ import (
+    CRITERIA,
     DIRECT_WATTS,
     METER_KWH_PER_300S,
     EconParams,
+    EconRow,
     HardwareRow,
     PowerReading,
     clock_perf_fit,
@@ -218,17 +220,6 @@ class TestClusterCost:
     def test_cluster_pays_adapter_per_node(self):
         assert cluster_hardware_cost(4400, 4, 370) == 4 * 4400 + 4 * 370
 
-    def test_cluster_spec_fields_carry_through(self):
-        from mdtune.hardware import ClusterSpec
-        from conftest import make_node
-
-        cluster = ClusterSpec(node=make_node(), node_count=8,
-                              per_node_network_cost_eur=600)
-        total = cluster_hardware_cost(cluster.node.node_price_eur,
-                                      cluster.node_count,
-                                      cluster.per_node_network_cost_eur)
-        assert total == 8 * 4400 + 8 * 600
-
     def test_zero_nodes_rejected(self):
         with pytest.raises(MdtuneError):
             cluster_hardware_cost(4400, 0, 370)
@@ -325,3 +316,58 @@ class TestRankHardware:
         # a and b each win one criterion and lose the other; c is runner-up
         # on both and wins on summed ranks, a beats b on input order
         assert once == ["c", "a", "b", "d"]
+
+
+def loop_rank(rows, weights):
+    """rank_hardware as it was written before its closed form: an if-chain
+    per criterion and a loop that averages the positions of equal values."""
+    def criterion(row, name):
+        if name == "C1":
+            return row.perf_per_price
+        if name == "C2":
+            return row.performance
+        if name == "C3":
+            return row.parallel_performance
+        if name == "C4":
+            return row.econ.yield_us_per_keur if row.econ else None
+        return -row.rack_units if row.rack_units is not None else None
+
+    scores = [0.0] * len(rows)
+    for name, weight in sorted(weights.items()):
+        values = [criterion(row, name) for row in rows]
+        order = sorted(range(len(rows)), key=lambda i: values[i])
+        rank_of = [0.0] * len(rows)
+        i = 0
+        while i < len(order):
+            j = i
+            while j + 1 < len(order) and values[order[j + 1]] == values[order[i]]:
+                j += 1
+            avg = (i + j) / 2.0
+            for pos in range(i, j + 1):
+                rank_of[order[pos]] = avg
+            i = j + 1
+        for idx in range(len(rows)):
+            scores[idx] += weight * rank_of[idx]
+    return [rows[i] for i in sorted(range(len(rows)), key=lambda i: (-scores[i], i))]
+
+
+# few distinct values, so that most lists hold ties: ints equal to floats, both zeros, infinities
+POOL = [-math.inf, -1.5, -0.0, 0.0, 0, 1, 1.0, 2.5, 3, math.inf]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    values=st.lists(st.tuples(st.sampled_from(POOL), st.sampled_from(POOL),
+                              st.sampled_from(POOL), st.sampled_from(POOL),
+                              st.integers(min_value=1, max_value=3)),
+                    min_size=1, max_size=8),
+    weights=st.dictionaries(st.sampled_from(CRITERIA),
+                            st.sampled_from([-1.0, 0.25, 0.5, 1, 2.0, 3]),
+                            min_size=1, max_size=3),
+)
+def test_rank_matches_the_tie_averaging_loop(values, weights):
+    rows = [hw(str(i), perf_per_price=c1, performance=c2, parallel_performance=c3,
+               econ=EconRow(*[0.0] * 6, yield_us_per_keur=c4), rack_units=c5)
+            for i, (c1, c2, c3, c4, c5) in enumerate(values)]
+    assert ([r.label for r in rank_hardware(rows, weights)]
+            == [r.label for r in loop_rank(rows, weights)])

@@ -13,7 +13,7 @@ import pytest
 
 from mdtune import wire
 from mdtune.balance import SyntheticNodeProfile, Workload
-from mdtune.econ import EconParams, HardwareRow
+from mdtune.econ import EconParams
 from mdtune.errors import ManifestError
 from mdtune.hardware import NodeSpec
 from mdtune.launch import LaunchConfig
@@ -72,7 +72,7 @@ READERS = {
     "econ": [EconParams],
     "plan": [LaunchConfig],
     "profile": [SyntheticNodeProfile],
-    "rows": {"econ": [EconParams], "rows": [EconInput, HardwareRow]},
+    "rows": {"econ": [EconParams], "rows": [EconInput]},
     "series": {"series": [ScalingSeries]},
 }
 
