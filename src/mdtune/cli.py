@@ -180,10 +180,10 @@ def _cmd_recommend(args) -> int:
     params, inputs = _read_rows(args.rows)
     econ_rows = _cli.report.full_precision_rows(inputs, params)
     hardware = [
-        _cli.HardwareRow(i.label, econ, perf_per_price=i.perf_per_price,
-                         performance=i.performance, rack_units=i.rack_units,
-                         parallel_performance=i.parallel_performance)
-        for i, econ in zip(inputs, econ_rows)
+        _cli.HardwareRow(inp.label, econ, perf_per_price=inp.perf_per_price,
+                         performance=inp.performance, rack_units=inp.rack_units,
+                         parallel_performance=inp.parallel_performance)
+        for inp, econ in zip(inputs, econ_rows)
     ]
     weights = _parse_weights(args.weights) if args.weights else None
     fmt = "csv" if args.format == "csv" else "md"
