@@ -7,13 +7,14 @@ to FFT-friendly sizes.
 
 Because of that quantization the mesh cost is piecewise constant in k: as
 k grows the grid steps down a discrete ladder of FFT-friendly sizes, as the
-engine's PP-PME tuner does. ``grid_ladder`` enumerates that ladder once per
-(spacing, box, k range) and caches it. The model's search for the balanced
-shift keeps its 48 bisection steps and comparisons, so its results stay the
-same to the last bit; each step only looks its grid up on the ladder instead
-of rebuilding it. The unshifted (k = 1) state every search starts from is
-cached per workload too (``unshifted_state``), so a run without a shift
-computes no cutoff state of its own.
+engine's PP-PME tuner does. ``grid_ladder`` enumerates that ladder with each
+piece's grid once per (spacing, box, k range) and caches it, as
+``unshifted_state`` caches the k = 1 state, so a run builds no cutoff state
+of its own. The balance search keeps its 48 bisection steps, so its results
+stay the same to the last bit. GPU time grows with k and the mesh cost only
+shrinks, so a step's test (is the GPU still faster at k?) holds below one
+threshold and fails from there on: the search finds that threshold on the
+ladder once, and each step compares its midpoint against it.
 
 The synthetic half is a small analytic node model used as a stand-in
 executor: it maps a launch configuration to a deterministic ns/day figure
@@ -108,8 +109,14 @@ def balance_cutoff(
         raise MdtuneError("rc0 and spacing0 must be positive")
     if k < 1:
         raise MdtuneError(f"balance factor k={k} < 1: work only shifts off the CPU")
+    return _state(rc0, box, k, _mesh_at(spacing0, box, k, grid_for_spacing(box, spacing0)))
+
+
+def _state(rc0: float, box: tuple[float, float, float], k: float,
+           mesh: tuple[tuple[int, int, int], float]) -> BalanceState:
+    """The state at shift factor k, given ``_mesh_at``'s (grid, volume ratio) there."""
     box = tuple(float(b) for b in box)
-    grid, volume_ratio = _mesh_at(spacing0, box, k, grid_for_spacing(box, spacing0))
+    grid, volume_ratio = mesh
     return BalanceState(
         rcoulomb=rc0 * k ** (1.0 / 3.0),
         grid_spacing=max(length / n for length, n in zip(box, grid)),
@@ -141,28 +148,28 @@ def unshifted_state(
 @functools.lru_cache(maxsize=32)
 def grid_ladder(
     spacing0: float, box: tuple[float, float, float], k_max: float
-) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """The grids ``balance_cutoff`` visits for k in [1, k_max], as (breaks, ratios).
+) -> tuple[tuple[float, ...], tuple[tuple[tuple[int, int, int], float], ...]]:
+    """The grids ``balance_cutoff`` visits for k in [1, k_max], as (breaks, meshes).
 
-    ``breaks[i]`` is the smallest float k at which piece i's grid starts,
-    and ``ratios[i]`` is that grid's ``pme_cost_ratio``, so for every float
-    k in [1, k_max] the piece is ``bisect.bisect_right(breaks, k) - 1``.
-    Each break is found by bisecting down to adjacent floats on
-    ``_mesh_at``, which ``balance_cutoff`` evaluates too, so the lookup is
-    exact as long as the grid never grows with k.
+    ``breaks[i]`` is the smallest float k at which piece i's grid starts and
+    ``meshes[i]`` the (grid, volume ratio) that ``_mesh_at`` gives in it, so
+    ``_state(rc0, box, k, meshes[bisect.bisect_right(breaks, k) - 1])`` is
+    ``balance_cutoff(rc0, spacing0, box, k)`` for every float k in [1, k_max].
+    Breaks are bisected down to adjacent floats, so the lookup is exact while
+    the grid never grows with k; the volume ratios then fall piece by piece.
     """
     if k_max < 1:
         raise MdtuneError(f"balance factor k={k_max} < 1: work only shifts off the CPU")
     box = tuple(float(b) for b in box)
     grid0 = grid_for_spacing(box, spacing0)
-    breaks, ratios = [], []
+    breaks, meshes = [], []
     lo = 1.0
     while True:
         mesh = _mesh_at(spacing0, box, lo, grid0)
         breaks.append(lo)
-        ratios.append(mesh[1])
+        meshes.append(mesh)
         if _mesh_at(spacing0, box, k_max, grid0) == mesh:
-            return tuple(breaks), tuple(ratios)
+            return tuple(breaks), tuple(meshes)
         hi = k_max  # the mesh at lo is mesh, the one at hi is not
         while True:
             mid = 0.5 * (lo + hi)
@@ -319,20 +326,27 @@ def predict_run(
     state, t_gpu, t_cpu_overlap, pme_load = times(
         unshifted_state(workload.rc0, workload.spacing0, workload.box))
     if n_gpus and t_gpu < t_cpu_overlap:  # GPU has headroom: shift work toward it
-        breaks, ratios = grid_ladder(workload.spacing0, workload.box, k_hi)
-        t_cpu_of_piece = [None] * len(ratios)
+        # Work shifts below one threshold (see the module docstring), found in
+        # the last piece i that shifts at its first k: the smallest float there
+        # that does not shift, else the piece's end (for the last, past k_hi).
+        breaks, meshes = grid_ladder(workload.spacing0, workload.box, k_hi)
+        i = bisect.bisect_left(range(len(breaks)), True, 1, key=lambda j: (
+            w_sr * breaks[j] / gpu_cap >= cpu_times(meshes[j][1])[0])) - 1
+        t_c = cpu_times(meshes[i][1])[0]
+        end = (*breaks[1:], math.nextafter(k_hi, math.inf))[i]
+        k = min(max(t_c * gpu_cap / w_sr if w_sr else end, breaks[i]), end)
+        while k < end and w_sr * k / gpu_cap < t_c:
+            k = math.nextafter(k, end)
+        while not w_sr * math.nextafter(k, 0.0) / gpu_cap < t_c:
+            k = math.nextafter(k, 0.0)
         for _ in range(48):
             k_mid = 0.5 * (k_lo + k_hi)
-            piece = bisect.bisect_right(breaks, k_mid) - 1
-            t_c = t_cpu_of_piece[piece]
-            if t_c is None:
-                t_c = t_cpu_of_piece[piece] = cpu_times(ratios[piece])[0]
-            if w_sr * k_mid / gpu_cap < t_c:
+            if k_mid < k:
                 k_lo = k_mid
             else:
                 k_hi = k_mid
-        state, t_gpu, t_cpu_overlap, _ = times(
-            balance_cutoff(workload.rc0, workload.spacing0, workload.box, k_lo))
+        state, t_gpu, t_cpu_overlap, _ = times(_state(
+            workload.rc0, workload.box, k_lo, meshes[bisect.bisect_right(breaks, k_lo) - 1]))
     step = max(t_gpu, t_cpu_overlap) + w_nonoverlap / cpu_cap
     # CPU nodes want dynamic balancing; with GPUs, DD resizing caps the cutoff shift
     if config.dlb == ("on" if n_gpus else "off"):

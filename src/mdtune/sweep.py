@@ -34,7 +34,8 @@ import subprocess
 from pathlib import Path
 from typing import NamedTuple, Optional, Protocol, Sequence
 
-from .balance import SyntheticNodeProfile, Workload, balance_cutoff, predict_run
+from .balance import (  # perfbench traces mdtune.sweep.balance_cutoff
+    SyntheticNodeProfile, Workload, balance_cutoff, predict_run, unshifted_state)
 from .errors import ExecutorError, InvalidConfigError, LogParseError, MdtuneError, RunFailure
 from .hardware import NodeSpec
 from .launch import EngineProfile, LaunchConfig, render_command
@@ -95,7 +96,7 @@ class SyntheticExecutor:
         load_balance, gpu_cpu, wait, notes = None, None, None, ()
         state = pred.balance
         if state.pp_cost_ratio > 1.0:
-            st0 = balance_cutoff(workload.rc0, workload.spacing0, workload.box, 1.0)
+            st0 = unshifted_state(workload.rc0, workload.spacing0, workload.box)
             load_balance = ParsedLoadBalance(
                 initial_rcoulomb=workload.rc0,
                 initial_rlist=workload.rc0 + 0.012,
@@ -205,9 +206,12 @@ class ShellExecutor:
                 f"command failed with exit {proc.returncode}: {command}\n{stderr.strip()}"
             )
         log_path = rundir / self.engine.log_file
-        if not log_path.exists():
-            raise RunFailure(f"run left no log file at {log_path}")
-        return log_path.read_text(encoding="utf-8", errors="replace")
+        try:
+            return log_path.read_text(encoding="utf-8", errors="replace")
+        except FileNotFoundError:
+            raise RunFailure(f"run left no log file at {log_path}") from None
+        except OSError as exc:
+            raise RunFailure(f"cannot read log file {log_path}: {exc}") from exc
 
 
 class SweepRow(NamedTuple):

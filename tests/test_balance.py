@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import mdtune.balance
+import mdtune.sweep
 from mdtune.balance import (
     PredictedRun,
     SyntheticNodeProfile,
@@ -19,6 +20,7 @@ from mdtune.balance import (
     next_fft_friendly_below,
     predict_performance,
     predict_run,
+    unshifted_state,
 )
 from mdtune.errors import InvalidConfigError, MdtuneError
 from mdtune.launch import (
@@ -29,6 +31,7 @@ from mdtune.launch import (
     rank_threads,
     validate_config,
 )
+from mdtune.sweep import SyntheticExecutor
 from mdtune.wire import from_doc, to_doc
 
 from conftest import make_node, profiles
@@ -280,10 +283,12 @@ class TestGridLadder:
         fraction=st.floats(min_value=0.0, max_value=1.0),
     )
     def test_piece_matches_balance_cutoff(self, box, spacing0, k_max, fraction):
-        breaks, ratios = grid_ladder(spacing0, box, k_max)
+        breaks, meshes = grid_ladder(spacing0, box, k_max)
         assert breaks[0] == 1.0
         grids = [balance_cutoff(1.0, spacing0, box, k).grid_dims for k in breaks]
         assert all(a != b for a, b in zip(grids, grids[1:]))
+        # the mesh cost only shrinks with k, which the balance threshold relies on
+        assert all(a[1] > b[1] for a, b in zip(meshes, meshes[1:]))
         # a drawn k, both ends of the range, and both sides of every break
         ks = [min(k_max, 1.0 + fraction * (k_max - 1.0)), 1.0, k_max]
         for k in breaks[1:]:
@@ -291,7 +296,8 @@ class TestGridLadder:
         for k in ks:
             piece = bisect.bisect_right(breaks, k) - 1
             state = balance_cutoff(1.0, spacing0, box, k)
-            assert (grids[piece], ratios[piece]) == (state.grid_dims, state.pme_cost_ratio)
+            assert grids[piece] == state.grid_dims
+            assert meshes[piece] == (state.grid_dims, state.pme_cost_ratio)
 
     def test_k_max_below_one_rejected(self):
         with pytest.raises(MdtuneError):
@@ -393,16 +399,36 @@ class TestBisectionOnTheLadder:
         assert repr(predict_run(profile, node, config, workload)) == repr(
             bisection_oracle(profile, node, config, workload))
 
-    def test_balance_cutoff_called_at_most_twice(self, monkeypatch, gpu_node):
+    @pytest.mark.parametrize("profile", [
+        SyntheticNodeProfile(),
+        SyntheticNodeProfile(max_balance=1.0),  # a one-piece ladder
+        SyntheticNodeProfile(gpu_rate=3e8, max_balance=16.0),
+        # no short-range work: GPU time is 0 at every k, so every step shifts
+        SyntheticNodeProfile(offload_fraction_base=0.0),
+        # k_max two floats above 1, so a midpoint lands on k_max itself
+        SyntheticNodeProfile(max_balance=1.0 + 2.0 * 2.0 ** -52),
+    ], ids=["default", "one_piece", "fast_gpu", "no_short_range", "k_max_at_adjacent_floats"])
+    def test_every_config_matches_full_bisection(self, profile):
+        for node, config in GPU_CONFIGS:
+            for workload in WORKLOADS:
+                assert repr(predict_run(profile, node, config, workload)) == repr(
+                    bisection_oracle(profile, node, config, workload)), (config, workload)
+
+    def test_balance_cutoff_not_called_once_the_workload_is_cached(self, monkeypatch,
+                                                                   gpu_node):
         calls = []
 
         def counted(*args):
             calls.append(args)
             return balance_cutoff(*args)
 
+        workload = Workload()
+        unshifted_state(workload.rc0, workload.spacing0, workload.box)
         monkeypatch.setattr(mdtune.balance, "balance_cutoff", counted)
+        monkeypatch.setattr(mdtune.sweep, "balance_cutoff", counted)
         config = LaunchConfig(n_rank=8, n_th=5, gpu_id=gpu_id_string(2, 8),
                               use_ht=True, nstlist=40)
-        run = predict_run(SyntheticNodeProfile(), gpu_node, config, Workload())
+        run = predict_run(SyntheticNodeProfile(), gpu_node, config, workload)
         assert run.balance.pp_cost_ratio > 1.0  # the bisection ran
-        assert len(calls) <= 2
+        assert "final" in SyntheticExecutor(gpu_node).run(config, workload)
+        assert calls == []

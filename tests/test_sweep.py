@@ -581,6 +581,17 @@ class TestShellExecutor:
         assert len(result.failures) == 1
         assert "no log file" in result.failures[0][1]
 
+    def test_unreadable_log_is_a_failure(self, tmp_path):
+        # the one-rank run leaves a directory where its log should be
+        engine = EngineProfile(mdrun="f() { if [ $2 = 1 ]; then mkdir md.log; "
+                                     "else echo 'Performance: 12.0' > md.log; fi; }; f")
+        configs = [LaunchConfig(n_rank=1, n_th=1), LaunchConfig(n_rank=2, n_th=1)]
+        result = run_sweep(configs, ShellExecutor(tmp_path, engine), Workload(), repeats=1)
+        assert [(row.config, row.mean_performance) for row in result.rows] == [(configs[1], 12.0)]
+        [failure] = result.failures
+        assert failure.config == configs[0]
+        assert failure.error.startswith(f"cannot read log file {tmp_path}")
+
 
 class TestSerialization:
     def test_json_round_trip(self, gpu_node):
