@@ -124,8 +124,7 @@ def _cmd_parse_log(args) -> int:
     if args.format == "csv":
         sys.stdout.write(_cli.report.metrics_csv(all_metrics))
     else:
-        docs = [to_doc(m) for m in all_metrics]
-        sys.stdout.write(dumps(docs if len(docs) > 1 else docs[0]))
+        sys.stdout.write(dumps(all_metrics if len(all_metrics) > 1 else all_metrics[0]))
     return 0
 
 
@@ -199,7 +198,7 @@ def _cmd_multi_plan(args) -> int:
         nodes=args.nodes,
         placement=args.placement,
     )
-    sys.stdout.write(dumps(to_doc(plan)))
+    sys.stdout.write(dumps(plan))
     if plan.leftover_threads:
         print(
             f"note: {plan.leftover_threads} hardware thread(s) stay idle "

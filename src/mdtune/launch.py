@@ -13,7 +13,7 @@ from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional, Sequence
 
 from .errors import InvalidConfigError
 from .hardware import NodeSpec, total_hw_threads
-from .wire import checked, dumps, from_doc, read, to_doc, validate
+from .wire import checked, dumps, from_doc, read, validate
 
 if TYPE_CHECKING:  # balance imports this module
     from .balance import Workload
@@ -433,7 +433,7 @@ def render_command(config: LaunchConfig, profile: EngineProfile = EngineProfile(
 
 
 def plan_to_json(configs: Iterable[LaunchConfig]) -> str:
-    return dumps([to_doc(c) for c in configs])
+    return dumps(list(configs))
 
 
 def load_plan(path) -> list[LaunchConfig]:

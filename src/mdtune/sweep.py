@@ -48,7 +48,7 @@ from .logparse import (
     parse_metrics,
     render_log,
 )
-from .wire import dumps, from_doc, to_doc
+from .wire import dumps, from_doc
 
 # A mesh/force load this far below 1 means the mesh ranks mostly idle.
 PME_OVERPROVISION_THRESHOLD = 0.9
@@ -373,7 +373,7 @@ def select_best(result: SweepResult) -> LaunchConfig:
 
 
 def result_to_json(result: SweepResult) -> str:
-    return dumps(to_doc(result))
+    return dumps(result)
 
 
 def result_from_json(text: str) -> SweepResult:

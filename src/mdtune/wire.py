@@ -20,7 +20,8 @@ record's path in the document (``rows.0.power``, ``node.gpus.0``), so no
 loader restates a rule to name its field.
 
 A record is a tuple: it equals a tuple (or record) of the same items, and it
-iterates and sorts. ``dumps`` refuses a record not passed through ``to_doc``.
+iterates and sorts. ``dumps`` writes a record wherever it meets one, straight
+from its fields, to the same text as the record's ``to_doc``.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from collections.abc import Sequence
 from .errors import ManifestError, MdtuneError
 
 _MISSING = object()
+_enum_value = operator.attrgetter("value")
 
 
 def _unwrap_optional(tp):
@@ -50,7 +52,7 @@ def _unwrap_optional(tp):
 
 
 def _is_record(tp) -> bool:
-    """A NamedTuple: something with named, typed fields."""
+    """A NamedTuple: something with named fields; an untyped field passes as it is."""
     return isinstance(tp, type) and hasattr(tp, "_fields")
 
 
@@ -69,7 +71,7 @@ def _converters(tp):
     if _is_record(tp):
         return to_doc, functools.partial(from_doc, tp)
     if isinstance(tp, type) and issubclass(tp, enum.Enum):
-        return (lambda v: v.value), lambda v, _: tp(v)
+        return _enum_value, lambda v, _: tp(v)
     origin = typing.get_origin(tp)
     if origin in (list, tuple, Sequence):
         item = typing.get_args(tp)[0]
@@ -92,7 +94,7 @@ def _plan(cls) -> tuple:
     for name in cls._fields:
         where = wire.get(name, name)
         key, *nested = where.split(".")
-        plan.append((name, where, key, tuple(nested), *_converters(hints[name]), name in nulls))
+        plan.append((name, where, key, tuple(nested), *_converters(hints.get(name)), name in nulls))
     return tuple(plan)
 
 
@@ -147,10 +149,11 @@ _SCALAR_TEXT = {str: _escape, int: int.__repr__, type(None): lambda _: "null",
 
 
 def dumps(doc) -> str:
-    """``json.dumps(doc, indent=2, sort_keys=True) + "\\n"``, byte for byte.
+    """``json.dumps(doc, indent=2, sort_keys=True) + "\\n"``, byte for byte, each record
+    in ``doc`` written straight from its fields as the text of its ``to_doc``.
 
-    Built in one list, where ``json`` with ``indent`` runs a generator per
-    container. A non-``str`` key or a value that is not plain JSON raises TypeError.
+    Built in one list, where ``json`` with ``indent`` runs a generator per container.
+    A non-``str`` key or a value that is neither JSON nor a record raises TypeError.
     """
     scalar = _SCALAR_TEXT.get(type(doc))
     if scalar is not None:
@@ -160,27 +163,75 @@ def dumps(doc) -> str:
     return "".join(out) + "\n"
 
 
+@functools.cache
+def _layout(cls):
+    """A record's members in document order: (key text, field index, enum dump,
+    keep None), or (key text, None, members, True) for a dotted group; None
+    when a field's key also names a group, as RunManifest's ``sweep`` does."""
+    tree: dict = {}
+    for index, (_, _, key, nested, dump, _, keep_none) in enumerate(_plan(cls)):
+        node = tree
+        for part in nested:
+            node, key = node.setdefault(key, {}), part
+            if type(node) is not dict:
+                return None
+        if key in node:
+            return None
+        node[key] = (index, dump if dump is _enum_value else None, keep_none)
+
+    def members(node):
+        return tuple((_escape(key) + ": ", *(entry if type(entry) is tuple
+                                              else (None, members(entry), True)))
+                     for key, entry in sorted(node.items()))
+    return members(tree)
+
+
 def _emit(value, append, newline: str) -> None:
-    """Append a container's text; ``newline`` starts a line at its indent."""
-    kind = type(value)
-    if kind is not dict and kind is not list and kind is not tuple:
+    """Append a container's or a record's text; ``newline`` starts a line at its indent."""
+    kind, brackets = type(value), "{}"
+    if hasattr(kind, "_fields"):  # a record
+        if (layout := _layout(kind)) is None:
+            return _emit(to_doc(value), append, newline)
+    elif kind is dict:
+        layout = [(_escape(key) + ": ", key, None, True) for key in sorted(value)]
+    elif kind is list or kind is tuple:
+        if not value:
+            return append("[]")
+        layout, brackets = [("", index, None, True) for index in range(len(value))], "[]"
+    else:
         raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
-    is_dict = kind is dict
-    if not value:
-        return append("{}" if is_dict else "[]")
+    if not _members(value, layout, append, newline, *brackets):
+        append(brackets)
+
+
+def _members(obj, layout, append, newline: str, opening: str, closing: str) -> bool:
+    """Append ``opening``, the members of ``obj`` that ``layout`` writes, and ``closing``;
+    or nothing, returning False, when it writes none of them."""
     inner = newline + "  "
-    separator = ("{" if is_dict else "[") + inner
-    for item in sorted(value) if is_dict else value:  # sorted keys: as sorted(items), faster
-        if is_dict:
-            separator, item = separator + _escape(item) + ": ", value[item]
-        scalar = _SCALAR_TEXT.get(type(item))
-        if scalar is None:
-            append(separator)
-            _emit(item, append, inner)
+    comma = "," + inner
+    separator = opening + inner
+    for key, index, dump, keep_none in layout:
+        if index is None:  # a dotted group, written when one of its members is
+            if _members(obj, dump, append, inner, separator + key + "{", "}"):
+                separator = comma
+            continue
+        value = obj[index]
+        if value is None and not keep_none:
+            continue
+        if dump is not None:
+            value = dump(value)
+        kind = type(value)
+        if kind is float:  # the commonest scalar, formatted inline
+            append(f"{separator}{key}{_NON_FINITE.get(text := float.__repr__(value), text)}")
+        elif (scalar := _SCALAR_TEXT.get(kind)) is not None:
+            append(f"{separator}{key}{scalar(value)}")
         else:
-            append(separator + scalar(item))
-        separator = "," + inner
-    append(newline + ("}" if is_dict else "]"))
+            append(separator + key)
+            _emit(value, append, inner)
+        separator = comma
+    if separator is comma:
+        append(newline + closing)
+    return separator is comma
 
 
 def lookup(doc: dict, path: str):
