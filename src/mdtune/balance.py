@@ -243,6 +243,8 @@ class SyntheticNodeProfile(NamedTuple):
         for name in ("cpu_rate", "gpu_rate"):
             if getattr(self, name) <= 0:
                 raise MdtuneError(f"{name} must be positive")
+        if self.max_balance < 1:
+            raise MdtuneError("max_balance must be >= 1")
         return self
 
 

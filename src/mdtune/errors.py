@@ -20,12 +20,14 @@ class MissingDatumError(MdtuneError):
 class LogParseError(MdtuneError):
     """A recognized log line or block is present but malformed.
 
-    Carries the byte offset of the offending text when known.
+    Carries the character offset of the offending text in the decoded log
+    when known: a log decoded with replacement characters has no exact byte
+    offset.
     """
 
     def __init__(self, message, offset=None):
         if offset is not None:
-            message = f"{message} (byte offset {offset})"
+            message = f"{message} (character offset {offset})"
         super().__init__(message)
         self.offset = offset
 

@@ -67,6 +67,8 @@ class LaunchConfig(NamedTuple):
             raise InvalidConfigError("nodes must be >= 1")
         if self.gpu_id and not self.gpu_id.isdigit():
             raise InvalidConfigError("gpu_id must be a digit string")
+        if self.dd_grid is not None and (len(self.dd_grid) != 3 or min(self.dd_grid) < 1):
+            raise InvalidConfigError("dd_grid must be three counts >= 1")
         if self.dd_grid is None or type(self.dd_grid) is tuple:
             return self
         return self._replace(dd_grid=tuple(self.dd_grid))
@@ -146,11 +148,12 @@ def gpu_id_string(n_gpus: int, n_pp_ranks: int) -> str:
 
 
 class SweepOptions(NamedTuple):
-    """Knobs for single-node enumeration.
+    """Knobs for single-node enumeration, and the runs per config.
 
     ``gpus_active=None`` uses every GPU of the node; ``ht=None`` tries both
     settings when the CPU has hyper-threading. ``dlb=None`` picks the
     engine-appropriate default set (on+off with GPUs, on without).
+    ``repeats`` is how often a sweep runs each config; enumeration ignores it.
     """
 
     gpus_active: Optional[int] = None
@@ -158,6 +161,7 @@ class SweepOptions(NamedTuple):
     dlb: Optional[Sequence[str]] = None
     nstlist: Sequence[Optional[int]] = (None,)
     pme_variants: bool = True
+    repeats: int = 2
 
 
 def _divisors_desc(n: int) -> list[int]:

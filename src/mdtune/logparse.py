@@ -93,32 +93,29 @@ class GpuCpuRatio(NamedTuple):
     ratio: float  # as printed in the log
 
 
+class CutoffSetting(NamedTuple):
+    """One row of the load-balancing table: the cutoffs and PME grid it names."""
+
+    rcoulomb: float
+    rlist: float
+    grid: tuple[int, int, int]
+    spacing: float
+    inv_beta: float
+
+    WIRE = {"rcoulomb": "rcoulomb_nm", "rlist": "rlist_nm", "spacing": "spacing_nm",
+            "inv_beta": "inv_beta_nm"}
+
+
 class ParsedLoadBalance(NamedTuple):
-    initial_rcoulomb: float
-    initial_rlist: float
-    initial_grid: tuple[int, int, int]
-    initial_spacing: float
-    initial_inv_beta: float
-    final_rcoulomb: float
-    final_rlist: float
-    final_grid: tuple[int, int, int]
-    final_spacing: float
-    final_inv_beta: float
+    initial: CutoffSetting
+    final: CutoffSetting
     cost_ratio_pp: float
     cost_ratio_pme: float
-
-    # initial_rcoulomb -> {"initial": {"rcoulomb_nm": ...}}, and so on
-    WIRE = {
-        f"{end}_{name}": f"{end}.{name}{unit}"
-        for end in ("initial", "final")
-        for name, unit in (("rcoulomb", "_nm"), ("rlist", "_nm"), ("grid", ""),
-                           ("spacing", "_nm"), ("inv_beta", "_nm"))
-    }
 
     @property
     def shrunk(self) -> bool:
         """True when balancing reduced the cutoff (unusual; no advisory flags it)."""
-        return self.final_rcoulomb < self.initial_rcoulomb
+        return self.final.rcoulomb < self.initial.rcoulomb
 
 
 class PerfMetrics(NamedTuple):
@@ -200,10 +197,10 @@ def parse_gpu_cpu_ratio(text: str) -> Optional[GpuCpuRatio]:
     return GpuCpuRatio(float(gpu_ms), float(cpu_ms), float(ratio))
 
 
-def _table_row(m: re.Match) -> tuple:
+def _table_row(m: re.Match) -> CutoffSetting:
     _, rcoulomb, rlist, nx, ny, nz, spacing, inv_beta = m.groups()
-    return (float(rcoulomb), float(rlist), (int(nx), int(ny), int(nz)),
-            float(spacing), float(inv_beta))
+    return CutoffSetting(float(rcoulomb), float(rlist), (int(nx), int(ny), int(nz)),
+                         float(spacing), float(inv_beta))
 
 
 def parse_load_balance_table(text: str) -> Optional[ParsedLoadBalance]:
@@ -225,8 +222,8 @@ def parse_load_balance_table(text: str) -> Optional[ParsedLoadBalance]:
             offset=start,
         )
     return ParsedLoadBalance(
-        *_table_row(rows["initial"]),
-        *_table_row(rows["final"]),
+        _table_row(rows["initial"]),
+        _table_row(rows["final"]),
         _parse_number(cost[1], cost.start(1), "PP cost ratio"),
         _parse_number(cost[2], cost.start(2), "PME cost ratio"),
     )
@@ -277,8 +274,8 @@ def parse_metrics(text: str) -> PerfMetrics:
                     ),
                 )
             )
-    if lb and lb.initial_rcoulomb > 0 and lb.cost_ratio_pp > 0:
-        cube = (lb.final_rcoulomb / lb.initial_rcoulomb) ** 3
+    if lb and lb.initial.rcoulomb > 0 and lb.cost_ratio_pp > 0:
+        cube = (lb.final.rcoulomb / lb.initial.rcoulomb) ** 3
         if abs(cube / lb.cost_ratio_pp - 1.0) > CUBE_LAW_TOLERANCE:
             notes.append(
                 Advisory(
@@ -327,14 +324,10 @@ def render_log(metrics: PerfMetrics) -> str:
             " PP/PME load balancing changed the cut-off and PME settings:",
             "           particle-particle                    PME",
             "            rcoulomb  rlist            grid      spacing   1/beta",
-            "   initial  {} nm  {} nm     {} {} {}   {} nm  {} nm".format(
-                _fmt(lb.initial_rcoulomb), _fmt(lb.initial_rlist), *lb.initial_grid,
-                _fmt(lb.initial_spacing), _fmt(lb.initial_inv_beta)
-            ),
-            "   final    {} nm  {} nm     {} {} {}   {} nm  {} nm".format(
-                _fmt(lb.final_rcoulomb), _fmt(lb.final_rlist), *lb.final_grid,
-                _fmt(lb.final_spacing), _fmt(lb.final_inv_beta)
-            ),
+            *("   {:<8} {} nm  {} nm     {} {} {}   {} nm  {} nm".format(
+                end, _fmt(row.rcoulomb), _fmt(row.rlist), *row.grid,
+                _fmt(row.spacing), _fmt(row.inv_beta))
+              for end, row in (("initial", lb.initial), ("final", lb.final))),
             " cost-ratio           {}             {}".format(
                 _fmt(lb.cost_ratio_pp), _fmt(lb.cost_ratio_pme)
             ),

@@ -20,6 +20,12 @@ from .launch import EngineProfile, SweepOptions
 from .wire import checked, from_doc, read, validate
 
 
+class Cluster(NamedTuple):
+    """The nodes a plan spans."""
+
+    node_count: int = 1
+
+
 @checked
 class RunManifest(NamedTuple):
     workload: Workload
@@ -27,10 +33,15 @@ class RunManifest(NamedTuple):
     sweep: SweepOptions = SweepOptions()
     econ: EconParams = EconParams()
     engine: EngineProfile = EngineProfile()
-    node_count: int = 1
-    repeats: int = 2
+    cluster: Cluster = Cluster()
 
-    WIRE = {"node_count": "cluster.node_count", "repeats": "sweep.repeats"}
+    @property
+    def node_count(self) -> int:
+        return self.cluster.node_count
+
+    @property
+    def repeats(self) -> int:
+        return self.sweep.repeats
 
     def _check(self):
         if (self.sweep.gpus_active or 0) > self.node.n_gpus:

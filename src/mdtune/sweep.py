@@ -42,6 +42,7 @@ from .launch import EngineProfile, LaunchConfig, render_command
 from .logparse import (
     ADVISORY_PME_OVERPROVISIONED,
     Advisory,
+    CutoffSetting,
     PerfMetrics,
     GpuCpuRatio,
     ParsedLoadBalance,
@@ -98,19 +99,9 @@ class SyntheticExecutor:
         if state.pp_cost_ratio > 1.0:
             st0 = unshifted_state(workload.rc0, workload.spacing0, workload.box)
             load_balance = ParsedLoadBalance(
-                initial_rcoulomb=workload.rc0,
-                initial_rlist=workload.rc0 + 0.012,
-                initial_grid=st0.grid_dims,
-                initial_spacing=st0.grid_spacing,
-                initial_inv_beta=workload.rc0 * 0.289,
-                final_rcoulomb=state.rcoulomb,
-                final_rlist=state.rcoulomb + 0.012,
-                final_grid=state.grid_dims,
-                final_spacing=state.grid_spacing,
-                final_inv_beta=state.rcoulomb * 0.289,
-                cost_ratio_pp=state.pp_cost_ratio,
-                cost_ratio_pme=state.pme_cost_ratio,
-            )
+                *(CutoffSetting(s.rcoulomb, s.rcoulomb + 0.012, s.grid_dims, s.grid_spacing,
+                                s.rcoulomb * 0.289) for s in (st0, state)),
+                state.pp_cost_ratio, state.pme_cost_ratio)
         if config.gpu_id:
             cpu_ms = pred.cpu_overlap_time_s * 1000.0
             gpu_ms = pred.gpu_time_s * 1000.0

@@ -2,11 +2,11 @@
 
 Every document mdtune reads or writes (manifests, node catalogs, plans,
 sweep results, parsed metrics, cost rows) maps onto its records, which are
-``typing.NamedTuple``s, field by field. A field's wire name is its attribute
-name unless the class renames it in ``WIRE``; a dotted wire name nests the
-value (``initial_rcoulomb`` -> ``{"initial": {"rcoulomb_nm": ...}}``). A
-field that is None is left out of the document, unless the class lists it
-in ``WIRE_NULLS``, in which case it is written as null.
+``typing.NamedTuple``s, field by field: each field is one key of its
+record's document, its attribute name unless the class renames it in
+``WIRE``. A document nests only where a record holds a record. A field
+that is None is left out of the document, unless the class lists it in
+``WIRE_NULLS``, in which case it is written as null.
 
 Values are not coerced: a number stays the int or float the document or
 the caller gave, so outputs echo their inputs exactly. Nested records,
@@ -86,32 +86,24 @@ def _converters(tp):
 
 @functools.cache
 def _plan(cls) -> tuple:
-    """Per field: (attribute, wire name, wire key, nested keys, dump, load, keep None)."""
+    """Per field: (attribute, wire key, dump, load, keep None)."""
     hints = typing.get_type_hints(cls)
     wire = getattr(cls, "WIRE", {})
     nulls = getattr(cls, "WIRE_NULLS", ())
-    plan = []
-    for name in cls._fields:
-        where = wire.get(name, name)
-        key, *nested = where.split(".")
-        plan.append((name, where, key, tuple(nested), *_converters(hints.get(name)), name in nulls))
-    return tuple(plan)
+    return tuple((name, wire.get(name, name), *_converters(hints.get(name)), name in nulls)
+                 for name in cls._fields)
 
 
 def to_doc(obj) -> dict:
     """The JSON document (plain dicts, lists and scalars) of a record."""
     doc: dict = {}
-    for value, (_, _, key, nested, dump, _, keep_none) in zip(obj, _plan(type(obj))):
+    for value, (_, key, dump, _, keep_none) in zip(obj, _plan(type(obj))):
         if value is None:
             if not keep_none:
                 continue
         elif dump is not None:
             value = dump(value)
-        target = doc
-        for part in nested:
-            target = target.setdefault(key, {})
-            key = part
-        target[key] = value
+        doc[key] = value
     return doc
 
 
@@ -121,16 +113,12 @@ def from_doc(cls, doc: dict, path: str = ""):
     A constructor's MdtuneError becomes a ManifestError naming its record's path.
     """
     kwargs = {}
-    for name, where, key, nested, _, load, _ in _plan(cls):
+    for name, key, _, load, _ in _plan(cls):
         value = doc.get(key, _MISSING)
-        for part in nested:
-            if value is _MISSING:
-                break
-            value = value.get(part, _MISSING)
         if value is _MISSING:
             continue
         if value is not None and load is not None:
-            value = load(value, f"{path}.{where}" if path else where)
+            value = load(value, f"{path}.{key}" if path else key)
         kwargs[name] = value
     try:
         return cls(**kwargs)
@@ -164,57 +152,30 @@ def dumps(doc) -> str:
 
 
 @functools.cache
-def _layout(cls):
-    """A record's members in document order: (key text, field index, enum dump,
-    keep None), or (key text, None, members, True) for a dotted group; None
-    when a field's key also names a group, as RunManifest's ``sweep`` does."""
-    tree: dict = {}
-    for index, (_, _, key, nested, dump, _, keep_none) in enumerate(_plan(cls)):
-        node = tree
-        for part in nested:
-            node, key = node.setdefault(key, {}), part
-            if type(node) is not dict:
-                return None
-        if key in node:
-            return None
-        node[key] = (index, dump if dump is _enum_value else None, keep_none)
-
-    def members(node):
-        return tuple((_escape(key) + ": ", *(entry if type(entry) is tuple
-                                              else (None, members(entry), True)))
-                     for key, entry in sorted(node.items()))
-    return members(tree)
+def _layout(cls) -> tuple:
+    """A record's members in document order: (key text, field index, enum dump, keep None)."""
+    fields = sorted(enumerate(_plan(cls)), key=lambda field: field[1][1])
+    return tuple((_escape(key) + ": ", index, dump if dump is _enum_value else None, keep_none)
+                 for index, (_, key, dump, _, keep_none) in fields)
 
 
-def _emit(value, append, newline: str) -> None:
+def _emit(obj, append, newline: str) -> None:
     """Append a container's or a record's text; ``newline`` starts a line at its indent."""
-    kind, brackets = type(value), "{}"
+    kind, brackets = type(obj), "{}"
     if hasattr(kind, "_fields"):  # a record
-        if (layout := _layout(kind)) is None:
-            return _emit(to_doc(value), append, newline)
+        layout = _layout(kind)
     elif kind is dict:
-        layout = [(_escape(key) + ": ", key, None, True) for key in sorted(value)]
+        layout = [(_escape(key) + ": ", key, None, True) for key in sorted(obj)]
     elif kind is list or kind is tuple:
-        if not value:
+        if not obj:
             return append("[]")
-        layout, brackets = [("", index, None, True) for index in range(len(value))], "[]"
+        layout, brackets = [("", index, None, True) for index in range(len(obj))], "[]"
     else:
         raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
-    if not _members(value, layout, append, newline, *brackets):
-        append(brackets)
-
-
-def _members(obj, layout, append, newline: str, opening: str, closing: str) -> bool:
-    """Append ``opening``, the members of ``obj`` that ``layout`` writes, and ``closing``;
-    or nothing, returning False, when it writes none of them."""
     inner = newline + "  "
     comma = "," + inner
-    separator = opening + inner
+    separator = brackets[0] + inner
     for key, index, dump, keep_none in layout:
-        if index is None:  # a dotted group, written when one of its members is
-            if _members(obj, dump, append, inner, separator + key + "{", "}"):
-                separator = comma
-            continue
         value = obj[index]
         if value is None and not keep_none:
             continue
@@ -229,9 +190,7 @@ def _members(obj, layout, append, newline: str, opening: str, closing: str) -> b
             append(separator + key)
             _emit(value, append, inner)
         separator = comma
-    if separator is comma:
-        append(newline + closing)
-    return separator is comma
+    append(newline + brackets[1] if separator is comma else brackets)
 
 
 def lookup(doc: dict, path: str):

@@ -141,12 +141,12 @@ class TestCriterion3LogParsing:
         gpu = parse_gpu_cpu_ratio(read_log("si_gpu_force.log"))
         assert (gpu.gpu_ms, gpu.cpu_ms, gpu.ratio) == (5.673, 8.301, 0.683)
         lb = parse_load_balance_table(read_log("si_load_balance.log"))
-        assert (lb.initial_rcoulomb, lb.final_rcoulomb) == (1.000, 1.607)
-        assert lb.initial_grid == (240, 240, 240)
-        assert lb.final_grid == (144, 144, 144)
-        assert (lb.initial_spacing, lb.final_spacing) == (0.130, 0.217)
-        assert (lb.initial_rlist, lb.final_rlist) == (1.012, 1.619)
-        assert (lb.initial_inv_beta, lb.final_inv_beta) == (0.289, 0.465)
+        assert (lb.initial.rcoulomb, lb.final.rcoulomb) == (1.000, 1.607)
+        assert lb.initial.grid == (240, 240, 240)
+        assert lb.final.grid == (144, 144, 144)
+        assert (lb.initial.spacing, lb.final.spacing) == (0.130, 0.217)
+        assert (lb.initial.rlist, lb.final.rlist) == (1.012, 1.619)
+        assert (lb.initial.inv_beta, lb.final.inv_beta) == (0.289, 0.465)
         assert (lb.cost_ratio_pp, lb.cost_ratio_pme) == (4.10, 0.22)
         ok("criterion 3 log fragments parse bit-exactly")
 

@@ -156,6 +156,10 @@ class TestSyntheticProfile:
         with pytest.raises(MdtuneError):
             SyntheticNodeProfile(cpu_rate=0)
 
+    def test_max_balance_below_one_rejected(self):
+        with pytest.raises(MdtuneError, match="max_balance must be >= 1"):
+            SyntheticNodeProfile(max_balance=0.5)
+
 
 class TestPredictPerformance:
     def test_deterministic_bit_identical(self, gpu_node):

@@ -85,12 +85,12 @@ def _records_in(tp) -> list:
 
 
 def _wire_keys(classes) -> dict:
-    """Wire name (dotted when nested) -> the record types its value is read into."""
+    """Wire name -> the record types its value is read into."""
     keys: dict = {}
     for cls in classes:
         hints = typing.get_type_hints(cls)
-        for name, where, *_ in wire._plan(cls):
-            keys.setdefault(where, []).extend(_records_in(hints[name]))
+        for name, key, *_ in wire._plan(cls):
+            keys.setdefault(key, []).extend(_records_in(hints[name]))
     return keys
 
 
@@ -106,14 +106,10 @@ def unread(schema: dict, keys: dict, path: str = "") -> list[str]:
     found = []
     for prop, subschema in _object(schema).get("properties", {}).items():
         where = f"{path}.{prop}" if path else prop
-        inner = _wire_keys(keys.get(prop, ()))
-        for key, records in keys.items():
-            if key.startswith(prop + "."):
-                inner.setdefault(key[len(prop) + 1:], []).extend(records)
-        if prop not in keys and not inner:
+        if prop not in keys:
             found.append(where)
         else:
-            found += unread(subschema, inner, where)
+            found += unread(subschema, _wire_keys(keys[prop]), where)
     return found
 
 

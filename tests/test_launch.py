@@ -52,6 +52,11 @@ class TestLaunchConfig:
         with pytest.raises(InvalidConfigError, match=field):
             LaunchConfig(n_rank=4, n_pme=2, **{field: value})
 
+    @pytest.mark.parametrize("dd_grid", [(2, 2), (1, 1, 1, 4), (-1, -2, 2), (4, 0, 1)])
+    def test_malformed_dd_grid_rejected(self, dd_grid):
+        with pytest.raises(InvalidConfigError, match="dd_grid must be three counts >= 1"):
+            LaunchConfig(n_rank=4, dd_grid=dd_grid)
+
     def test_more_ranks_than_threads_to_fill_rejected(self):
         # n_th = 0 fills the thread budget; 64 ranks on 40 threads leave none
         with pytest.raises(InvalidConfigError, match="64 ranks exceed 40 threads"):

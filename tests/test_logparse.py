@@ -10,6 +10,7 @@ from mdtune.logparse import (
     ADVISORY_OTHER,
     ADVISORY_PME_OVERPROVISIONED,
     Advisory,
+    CutoffSetting,
     GpuCpuRatio,
     ParsedLoadBalance,
     PerfMetrics,
@@ -85,16 +86,16 @@ class TestGpuCpuRatio:
 class TestLoadBalanceTable:
     def test_si_block(self, si_load_balance):
         lb = parse_load_balance_table(si_load_balance)
-        assert lb.initial_rcoulomb == 1.000
-        assert lb.initial_rlist == 1.012
-        assert lb.initial_grid == (240, 240, 240)
-        assert lb.initial_spacing == 0.130
-        assert lb.initial_inv_beta == 0.289
-        assert lb.final_rcoulomb == 1.607
-        assert lb.final_rlist == 1.619
-        assert lb.final_grid == (144, 144, 144)
-        assert lb.final_spacing == 0.217
-        assert lb.final_inv_beta == 0.465
+        assert lb.initial.rcoulomb == 1.000
+        assert lb.initial.rlist == 1.012
+        assert lb.initial.grid == (240, 240, 240)
+        assert lb.initial.spacing == 0.130
+        assert lb.initial.inv_beta == 0.289
+        assert lb.final.rcoulomb == 1.607
+        assert lb.final.rlist == 1.619
+        assert lb.final.grid == (144, 144, 144)
+        assert lb.final.spacing == 0.217
+        assert lb.final.inv_beta == 0.465
         assert lb.cost_ratio_pp == 4.10
         assert lb.cost_ratio_pme == 0.22
         assert not lb.shrunk
@@ -242,6 +243,13 @@ class TestOffsets:
             parse_metrics(text)
         assert err.value.offset == text.index("0.0")
 
+    def test_a_character_offset_into_the_decoded_text(self):
+        text = "NOTE: résumé ééé\n Performance:     1,5\n"
+        with pytest.raises(LogParseError, match=r"\(character offset 35\)") as err:
+            parse_metrics(text)
+        assert text[err.value.offset:].startswith("1,5")
+        assert len(text[:err.value.offset].encode()) == 40  # its UTF-8 byte offset
+
     def test_wait_out_of_range(self):
         text = " Average PME mesh/force load: 0.625\n" + self.WAIT.format("150")
         with pytest.raises(LogParseError, match="outside") as err:
@@ -317,15 +325,15 @@ class TestRoundTrip:
 
     def test_load_balance_round_trip(self):
         lb = ParsedLoadBalance(
-            initial_rcoulomb=1.0, initial_rlist=1.012, initial_grid=(240, 240, 240),
-            initial_spacing=0.13, initial_inv_beta=0.289,
-            final_rcoulomb=1.607, final_rlist=1.619, final_grid=(144, 144, 144),
-            final_spacing=0.217, final_inv_beta=0.465,
+            initial=CutoffSetting(1.0, 1.012, (240, 240, 240), 0.13, 0.289),
+            final=CutoffSetting(1.607, 1.619, (144, 144, 144), 0.217, 0.465),
             cost_ratio_pp=4.1, cost_ratio_pme=0.22,
         )
         metrics = PerfMetrics(performance=4.96, load_balance=lb)
-        parsed = parse_metrics(render_log(metrics))
-        assert parsed.load_balance == lb
+        text = render_log(metrics)
+        assert ("   initial  1.0 nm  1.012 nm     240 240 240   0.13 nm  0.289 nm\n"
+                "   final    1.607 nm  1.619 nm     144 144 144   0.217 nm  0.465 nm\n") in text
+        assert parse_metrics(text).load_balance == lb
 
     def test_notes_round_trip(self, si_pme_imbalance):
         metrics = parse_metrics(si_pme_imbalance)

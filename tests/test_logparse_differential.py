@@ -30,6 +30,7 @@ from mdtune.errors import LogParseError
 from mdtune.logparse import (
     ADVISORY_OTHER,
     Advisory,
+    CutoffSetting,
     GpuCpuRatio,
     ParsedLoadBalance,
     PerfMetrics,
@@ -136,23 +137,19 @@ def ref_parse_load_balance_table(text: str) -> Optional[ParsedLoadBalance]:
             offset=header.start(),
         )
 
-    def row(which: str):
+    def row(which: str) -> CutoffSetting:
         m = rows[which]
-        return (
-            float(m.group(2)),
-            float(m.group(3)),
-            (int(m.group(4)), int(m.group(5)), int(m.group(6))),
-            float(m.group(7)),
-            float(m.group(8)),
+        return CutoffSetting(
+            rcoulomb=float(m.group(2)),
+            rlist=float(m.group(3)),
+            grid=(int(m.group(4)), int(m.group(5)), int(m.group(6))),
+            spacing=float(m.group(7)),
+            inv_beta=float(m.group(8)),
         )
 
-    irc, irl, igrid, isp, ib = row("initial")
-    frc, frl, fgrid, fsp, fb = row("final")
     return ParsedLoadBalance(
-        initial_rcoulomb=irc, initial_rlist=irl, initial_grid=igrid,
-        initial_spacing=isp, initial_inv_beta=ib,
-        final_rcoulomb=frc, final_rlist=frl, final_grid=fgrid,
-        final_spacing=fsp, final_inv_beta=fb,
+        initial=row("initial"),
+        final=row("final"),
         cost_ratio_pp=_parse_number(cost.group(1), header.start() + cost.start(1),
                                     "PP cost ratio"),
         cost_ratio_pme=_parse_number(cost.group(2), header.start() + cost.start(2),
@@ -190,8 +187,8 @@ def ref_parse_metrics(text: str) -> PerfMetrics:
                 text=(f"integrity: printed GPU/CPU ratio {gpu_cpu.ratio} "
                       f"differs from recomputed {recomputed:.4f}"),
             ))
-    if lb and lb.initial_rcoulomb > 0 and lb.cost_ratio_pp > 0:
-        cube = (lb.final_rcoulomb / lb.initial_rcoulomb) ** 3
+    if lb and lb.initial.rcoulomb > 0 and lb.cost_ratio_pp > 0:
+        cube = (lb.final.rcoulomb / lb.initial.rcoulomb) ** 3
         if abs(cube / lb.cost_ratio_pp - 1.0) > logparse.CUBE_LAW_TOLERANCE:
             notes.append(Advisory(
                 kind=ADVISORY_OTHER,

@@ -27,8 +27,9 @@ from mdtune.econ import ClockFit, EconParams, HardwareRow
 from mdtune.errors import InvalidConfigError, MdtuneError
 from mdtune.hardware import Interconnect
 from mdtune.launch import LaunchConfig, plan_multi_sim
-from mdtune.logparse import Advisory, GpuCpuRatio, ParsedLoadBalance, PerfMetrics, parse_metrics
-from mdtune.manifest import load_manifest
+from mdtune.logparse import (Advisory, CutoffSetting, GpuCpuRatio, ParsedLoadBalance, PerfMetrics,
+                             parse_metrics)
+from mdtune.manifest import Cluster, load_manifest
 from mdtune.report import (YIELD_US, EconInput, ScalingPoint, ScalingSeries, econ_display_row,
                            full_precision_rows)
 from mdtune.sweep import (Failure, Run, SweepResult, SweepRow, SyntheticExecutor,
@@ -59,6 +60,13 @@ def test_import_loads_no_dataclasses():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out == "[]\n"
+
+
+def test_no_wire_name_is_dotted():
+    """A document nests only where a record holds a record."""
+    dotted = {cls.__name__: name for cls in RECORDS
+              for name in getattr(cls, "WIRE", {}).values() if "." in name}
+    assert dotted == {}
 
 
 def test_one_record_kind():
@@ -138,7 +146,9 @@ def _instances():
         ("Advisory", Advisory("other", 'NOTE: "é\ud800\x00"\n  end')),
         ("BalanceState", predict_run(SyntheticNodeProfile(), node, gpu_config, Workload()).balance),
         ("ClockFit", ClockFit(0.25, -math.inf, 745.0, math.nan)),
+        ("Cluster", Cluster(node_count=4)),
         ("CpuSpec", node.cpu),
+        ("CutoffSetting", lb.final),
         ("EconDisplayRow", econ_display_row(inputs[0], params, YIELD_US)),
         ("EconInput", inputs[0]),
         ("EconInput with power_w", inputs[-1]._replace(power=None, power_w=402.5)),
@@ -154,8 +164,7 @@ def _instances():
         ("NodeSpec with an Interconnect", node),
         ("NodeSpec without GPUs", make_node()),
         ("ParsedLoadBalance", lb),
-        ("ParsedLoadBalance, final group only",
-         lb._replace(**{f: None for f in lb._fields if f.startswith("initial")})),
+        ("ParsedLoadBalance, final group only", lb._replace(initial=None)),
         ("PerfMetrics with gpu_cpu and load_balance", swept.rows[0].metrics),
         ("PerfMetrics with load_balance only", balanced),
         ("PerfMetrics with notes", noted),
@@ -224,7 +233,7 @@ class TestDumpsWritesRecords:
 
 
 # Sweep results with any floats (NaN and infinities too), any text, and every
-# optional part present or absent; a load-balance group may lose every field.
+# optional part present or absent; a cutoff setting may lose every field.
 floats = st.floats(allow_nan=True, allow_infinity=True)
 maybe = st.none() | floats
 texts = st.text(st.characters(exclude_categories=()), max_size=8)
@@ -235,8 +244,8 @@ configs = st.builds(
     n_th_pme=st.none() | st.integers(1, 8), dlb=st.sampled_from(["on", "off", "auto"]),
     gpu_id=st.sampled_from(["", "0", "0011"]), use_ht=st.booleans(),
     nstlist=st.none() | st.integers(1, 200), dd_grid=grids, nodes=st.integers(1, 4))
-load_balances = st.builds(ParsedLoadBalance, maybe, maybe, grids, maybe, maybe,
-                          maybe, maybe, grids, maybe, maybe, maybe, maybe)
+settings = st.none() | st.builds(CutoffSetting, maybe, maybe, grids, maybe, maybe)
+load_balances = st.builds(ParsedLoadBalance, settings, settings, maybe, maybe)
 metrics = st.builds(PerfMetrics, maybe, maybe, maybe,
                     st.none() | st.builds(GpuCpuRatio, floats, floats, floats),
                     st.none() | load_balances, notes)
