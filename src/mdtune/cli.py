@@ -83,6 +83,9 @@ def _cmd_sweep(args) -> int:
     if args.dry_run:
         sys.stdout.write(_cli.plan_to_script(configs, manifest.engine, manifest.workload))
         return 0
+    if args.out == "-" and args.format != "json":
+        raise MdtuneError(f"--out - writes the result JSON to stdout; it takes --format json, "
+                          f"not {args.format}")
     if args.out and args.out != "-":
         # raise now, not after every run, what writing the result would; keep an existing file
         existed = os.path.exists(args.out)

@@ -28,6 +28,14 @@ MAX_MAPPED_GPUS = 10
 DLB_VALUES = ("on", "off", "auto")
 
 
+def _count_error(name: str, value, rule: str) -> InvalidConfigError:
+    """The error for a count that breaks ``rule`` or is no int: a bool or a
+    float would reach the command line as written ("-ntmpi 4.0")."""
+    if type(value) is not int:
+        return InvalidConfigError(f"{name} must be an integer, not {value!r}")
+    return InvalidConfigError(f"{name} must be {rule}")
+
+
 @checked
 class LaunchConfig(NamedTuple):
     """One candidate run.
@@ -51,24 +59,26 @@ class LaunchConfig(NamedTuple):
     nodes: int = 1
 
     def _check(self):
-        if self.n_rank < 1:
-            raise InvalidConfigError("n_rank must be >= 1")
-        if self.n_th < 0:
-            raise InvalidConfigError("n_th must be >= 0")
-        if self.n_th_pme is not None and self.n_th_pme < 1:
-            raise InvalidConfigError("n_th_pme must be >= 1")
-        if self.nstlist is not None and self.nstlist < 1:
-            raise InvalidConfigError("nstlist must be >= 1")
-        if not 0 <= self.n_pme < self.n_rank:
-            raise InvalidConfigError("n_pme must be in [0, n_rank)")
+        if type(self.n_rank) is not int or self.n_rank < 1:
+            raise _count_error("n_rank", self.n_rank, ">= 1")
+        if type(self.n_th) is not int or self.n_th < 0:
+            raise _count_error("n_th", self.n_th, ">= 0")
+        if self.n_th_pme is not None and (type(self.n_th_pme) is not int or self.n_th_pme < 1):
+            raise _count_error("n_th_pme", self.n_th_pme, ">= 1")
+        if self.nstlist is not None and (type(self.nstlist) is not int or self.nstlist < 1):
+            raise _count_error("nstlist", self.nstlist, ">= 1")
+        if type(self.n_pme) is not int or not 0 <= self.n_pme < self.n_rank:
+            raise _count_error("n_pme", self.n_pme, "in [0, n_rank)")
         if self.dlb not in DLB_VALUES:
             raise InvalidConfigError(f"dlb must be one of {DLB_VALUES}")
-        if self.nodes < 1:
-            raise InvalidConfigError("nodes must be >= 1")
+        if type(self.nodes) is not int or self.nodes < 1:
+            raise _count_error("nodes", self.nodes, ">= 1")
         if self.gpu_id and not self.gpu_id.isdigit():
             raise InvalidConfigError("gpu_id must be a digit string")
         if self.dd_grid is not None and (len(self.dd_grid) != 3 or min(self.dd_grid) < 1):
             raise InvalidConfigError("dd_grid must be three counts >= 1")
+        if self.dd_grid is not None and {*map(type, self.dd_grid)} != {int}:
+            raise InvalidConfigError(f"dd_grid must be integers, not {self.dd_grid!r}")
         if self.dd_grid is None or type(self.dd_grid) is tuple:
             return self
         return self._replace(dd_grid=tuple(self.dd_grid))

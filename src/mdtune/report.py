@@ -1,5 +1,10 @@
 """Markdown, CSV and fixed-width text report rendering.
 
+Every table has one writer, ``_render``, with three layouts: Markdown, CSV
+(None is an empty cell) and fixed-width text, each cell right-aligned to a
+given width (only ``sweep_table`` gives widths). A report builds each row's
+cells in one expression from its records.
+
 Internal math everywhere else is full precision; this module owns the
 display rounding. The economics tables round the way published cost tables
 do (production to 0.01 us, EUR amounts to whole euros, yields to the
@@ -12,6 +17,7 @@ from __future__ import annotations
 import io
 import csv
 import math
+import re
 from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
 from .econ import (
@@ -27,7 +33,7 @@ from .econ import (
     rank_hardware,
 )
 from .errors import MdtuneError
-from .wire import checked, lookup, to_doc
+from .wire import checked
 
 if TYPE_CHECKING:  # annotations only: the cost commands load no sweep or log layer
     from .logparse import PerfMetrics
@@ -38,27 +44,39 @@ YIELD_US = "us_per_keur"
 PRICE_UNIT_EUR = 1000.0  # the sweep table's performance to price is per this many EUR
 
 
-def _md_table(header: list[str], rows: list[list[str]]) -> str:
-    out = ["| " + " | ".join(header) + " |"]
-    out.append("|" + "|".join(" --- " for _ in header) + "|")
-    for row in rows:
-        out.append("| " + " | ".join(row) + " |")
-    return "\n".join(out) + "\n"
+_MD_BREAK = re.compile(r"\r\n?|\n")
 
 
-def _csv_table(header: list[str], rows: list[list[str]]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
+def _md_cell(cell: str) -> str:
+    return _MD_BREAK.sub("<br>", cell.replace("|", r"\|"))
 
 
-def _render(header: list[str], rows: list[list[str]], fmt: str) -> str:
+def _render(header: list[str], rows: list[list], fmt: str, widths: Sequence[int] = ()) -> str:
+    """The table as ``md``, ``csv`` or, given each column's width, ``text``.
+
+    A Markdown cell writes ``|`` as ``\\|`` and a line break as ``<br>``. Only
+    a table whose text shows more of these than its rows and columns make is
+    written again with its cells escaped, so the usual table costs one join.
+    """
     if fmt == "md":
-        return _md_table(header, rows)
+        lines = [header, ["---"] * len(header), *rows]
+        text = "".join([f"| {' | '.join(line)} |\n" for line in lines])
+        if text.count("|") + text.count("\n") + text.count("\r") > (len(header) + 2) * len(lines):
+            text = "".join([f"| {' | '.join(map(_md_cell, line))} |\n" for line in lines])
+        return text
     if fmt == "csv":
-        return _csv_table(header, rows)
+        # Minimal quoting leaves a lone "\r" bare, and a reader ends the line
+        # there, so a table that holds one quotes every cell.
+        for quoting in (csv.QUOTE_MINIMAL, csv.QUOTE_ALL):
+            buf = io.StringIO()
+            writer = csv.writer(buf, lineterminator="\n", quoting=quoting)
+            writer.writerow(header)
+            writer.writerows(rows)
+            if "\r" not in buf.getvalue():
+                break
+        return buf.getvalue()
+    if fmt == "text" and widths:
+        return "".join("  ".join(map(str.rjust, row, widths)) + "\n" for row in [header, *rows])
     raise MdtuneError(f"unknown report format {fmt!r} (use 'md' or 'csv')")
 
 
@@ -69,21 +87,6 @@ def _render(header: list[str], rows: list[list[str]], fmt: str) -> str:
 
 def _kinds(advisories) -> str:
     return ";".join(a.kind for a in advisories)
-
-
-def _csv_row(columns: dict[str, str], record, advisories) -> list:
-    """The cells of ``columns`` (dotted paths into the record's document, see
-    wire.to_doc) with the advisory kinds joined; None, an empty cell, where
-    the document has no such value."""
-    doc = to_doc(record)
-    doc["advisories"] = _kinds(advisories)
-    return [lookup(doc, path) for path in columns.values()]
-
-
-def _dd_grid_text(config) -> str:
-    if config.dd_grid:
-        return "x".join(str(d) for d in config.dd_grid)
-    return str(config.n_pp)
 
 
 def sweep_report(
@@ -102,7 +105,7 @@ def sweep_report(
         c = row.config
         cells = [
             str(i),
-            _dd_grid_text(c),
+            "x".join(map(str, c.dd_grid)) if c.dd_grid else str(c.n_pp),
             str(c.n_pme),
             str(c.n_th),
             c.dlb,
@@ -121,64 +124,48 @@ def sweep_report(
     return _render(header, rows, fmt)
 
 
-# CSV column -> dotted path into a sweep row's document (see wire.to_doc)
-SWEEP_CSV_COLUMNS = {
-    **{name: f"config.{name}" for name in
-       ("n_rank", "n_th", "n_pme", "dlb", "gpu_id", "use_ht", "nstlist", "nodes")},
-    "mean_performance_ns_day": "mean_performance_ns_day",
-    "stdev_ns_day": "stdev_ns_day",
-    "repeats": "repeats",
-    "advisories": "advisories",
-}
+SWEEP_CSV_COLUMNS = ["n_rank", "n_th", "n_pme", "dlb", "gpu_id", "use_ht", "nstlist", "nodes",
+                     "mean_performance_ns_day", "stdev_ns_day", "repeats", "advisories"]
 
 
 def sweep_csv(result: SweepResult) -> str:
     """One CSV row per configuration, ranked best first, at full precision."""
-    rows = [_csv_row(SWEEP_CSV_COLUMNS, row, row.advisories) for row in result.ranked()]
-    return _csv_table(list(SWEEP_CSV_COLUMNS), rows)
+    rows = [[c.n_rank, c.n_th, c.n_pme, c.dlb, c.gpu_id, c.use_ht, c.nstlist, c.nodes,
+             row.mean_performance, row.stdev, row.repeats, _kinds(row.advisories)]
+            for row in result.ranked() for c in (row.config,)]
+    return _render(SWEEP_CSV_COLUMNS, rows, "csv")
 
 
-# CSV column -> dotted path into a parsed log's document
-METRICS_CSV_COLUMNS = {
-    "performance_ns_day": "performance_ns_day",
-    "pme_mesh_force_load": "pme_mesh_force_load",
-    "pp_pme_wait_pct": "pp_pme_wait_pct",
-    "gpu_ms": "gpu_cpu.gpu_ms",
-    "cpu_ms": "gpu_cpu.cpu_ms",
-    "gpu_cpu_ratio": "gpu_cpu.ratio",
-    "final_rcoulomb_nm": "load_balance.final.rcoulomb_nm",
-    "cost_ratio_pp": "load_balance.cost_ratio_pp",
-    "cost_ratio_pme": "load_balance.cost_ratio_pme",
-    "advisories": "advisories",
-}
+METRICS_CSV_COLUMNS = ["performance_ns_day", "pme_mesh_force_load", "pp_pme_wait_pct",
+                       "gpu_ms", "cpu_ms", "gpu_cpu_ratio", "final_rcoulomb_nm",
+                       "cost_ratio_pp", "cost_ratio_pme", "advisories"]
 
 
 def metrics_csv(all_metrics: Sequence[PerfMetrics]) -> str:
     """One CSV row per parsed log, for aggregation across runs."""
-    rows = [_csv_row(METRICS_CSV_COLUMNS, m, m.notes) for m in all_metrics]
-    return _csv_table(list(METRICS_CSV_COLUMNS), rows)
+    rows = [[m.performance, m.pme_mesh_force_load, m.pp_pme_wait_pct,
+             *(m.gpu_cpu or (None, None, None)),
+             lb and lb.final.rcoulomb, lb and lb.cost_ratio_pp, lb and lb.cost_ratio_pme,
+             _kinds(m.notes)]
+            for m in all_metrics for lb in (m.load_balance,)]
+    return _render(METRICS_CSV_COLUMNS, rows, "csv")
 
 
 def sweep_table(result: SweepResult) -> str:
     """Fixed-width ranked table for the terminal, then the failed runs."""
-    lines = [
-        f"{'rank':>4}  {'P (ns/day)':>11}  {'+/-':>7}  {'ranks':>5}  "
-        f"{'thr':>3}  {'pme':>3}  {'dlb':>4}  {'ht':>3}  {'gpu_id':>10}  advisories"
-    ]
-    for i, row in enumerate(result.ranked(), start=1):
-        c = row.config
-        lines.append(
-            f"{i:>4}  {row.mean_performance:>11.3f}  {row.stdev:>7.3f}  {c.n_rank:>5}  "
-            f"{c.n_th:>3}  {c.n_pme:>3}  {c.dlb:>4}  {'on' if c.use_ht else 'off':>3}  "
-            f"{c.gpu_id or '-':>10}  {_kinds(row.advisories) or '-'}"
-        )
+    header = ["rank", "P (ns/day)", "+/-", "ranks", "thr", "pme", "dlb", "ht", "gpu_id",
+              "advisories"]
+    rows = [[str(i), f"{row.mean_performance:.3f}", f"{row.stdev:.3f}", str(c.n_rank),
+             str(c.n_th), str(c.n_pme), c.dlb, "on" if c.use_ht else "off", c.gpu_id or "-",
+             _kinds(row.advisories) or "-"]
+            for i, row in enumerate(result.ranked(), start=1) for c in (row.config,)]
+    text = _render(header, rows, "text", widths=(4, 11, 7, 5, 3, 3, 4, 3, 10, 0))
     if result.failures:
-        lines.append("")
-        lines.append(f"failed runs: {len(result.failures)}")
+        text += f"\nfailed runs: {len(result.failures)}\n"
         for config, msg in result.failures:
             first = msg.splitlines()[0] if msg else ""
-            lines.append(f"  ranks={config.n_rank} threads={config.n_th}: {first}")
-    return "\n".join(lines) + "\n"
+            text += f"  ranks={config.n_rank} threads={config.n_th}: {first}\n"
+    return text
 
 
 # ---------------------------------------------------------------------------

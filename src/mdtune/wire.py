@@ -193,15 +193,6 @@ def _emit(obj, append, newline: str) -> None:
     append(newline + brackets[1] if separator is comma else brackets)
 
 
-def lookup(doc: dict, path: str):
-    """The value at a dotted path of a document, or None when it is absent."""
-    for part in path.split("."):
-        if not isinstance(doc, dict) or part not in doc:
-            return None
-        doc = doc[part]
-    return doc
-
-
 # ---------------------------------------------------------------------------
 # Validation against schema.json
 # ---------------------------------------------------------------------------

@@ -204,6 +204,22 @@ class TestSweep:
         assert code == 0
         assert json.loads(out)["rows"]
 
+    @pytest.mark.parametrize("fmt", ["table", "md", "csv"])
+    def test_out_dash_takes_json_only(self, tmp_path, capsys, fmt):
+        # the result JSON and the table would both go to stdout
+        marker = tmp_path / "marker"
+        doc = json.loads((DATA / "manifest_mem.json").read_text())
+        doc["engine"] = {"mdrun": f"echo run >> {marker}; true"}
+        manifest = tmp_path / "shell.json"
+        manifest.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "sweep", "--manifest", str(manifest),
+                                 "--executor", "shell", "--workdir", str(tmp_path / "runs"),
+                                 "--out", "-", "--format", fmt)
+        assert (code, out) == (1, "")
+        assert err == ("error: --out - writes the result JSON to stdout; "
+                       f"it takes --format json, not {fmt}\n")
+        assert not marker.exists()
+
     def test_custom_synthetic_profile(self, tmp_path, capsys):
         profile = tmp_path / "profile.json"
         profile.write_text(json.dumps({"cpu_rate": 1e6, "gpu_rate": 2e7}))

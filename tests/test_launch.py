@@ -52,6 +52,15 @@ class TestLaunchConfig:
         with pytest.raises(InvalidConfigError, match=field):
             LaunchConfig(n_rank=4, n_pme=2, **{field: value})
 
+    @pytest.mark.parametrize("field, value", [
+        ("n_rank", 4.0), ("n_rank", True), ("n_th", 2.0), ("n_pme", False), ("nodes", 1.0),
+        ("n_th_pme", 2.0), ("nstlist", True), ("dd_grid", (2.0, 2, 1)), ("dd_grid", (1, True, 4)),
+    ])
+    def test_non_integer_count_rejected(self, field, value):
+        # a float or a bool would reach the command line as written: "-ntmpi 4.0"
+        with pytest.raises(InvalidConfigError, match=f"{field} must be (an )?integer"):
+            LaunchConfig(**{"n_rank": 4, field: value})
+
     @pytest.mark.parametrize("dd_grid", [(2, 2), (1, 1, 1, 4), (-1, -2, 2), (4, 0, 1)])
     def test_malformed_dd_grid_rejected(self, dd_grid):
         with pytest.raises(InvalidConfigError, match="dd_grid must be three counts >= 1"):
