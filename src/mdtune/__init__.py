@@ -1,11 +1,11 @@
 """mdtune: benchmark auto-tuning and cost-efficiency analysis for
 offload-style molecular dynamics engines.
 
-The pieces, bottom to top: hardware catalogs (``hardware``), launch
-configuration enumeration and rendering (``launch``), engine log parsing
-(``logparse``), load-balance math and a synthetic performance model
-(``balance``), sweep orchestration (``sweep``), economics (``econ``),
-report rendering (``report``), and the ``mdtune`` CLI (``cli``).
+The pieces, bottom to top: hardware catalogs and cost inputs (``hardware``),
+launch configurations and the workload that sizes their runs (``launch``),
+engine log parsing (``logparse``), load-balance math and a synthetic
+performance model (``balance``), sweep orchestration (``sweep``), economics
+(``econ``), report rendering (``report``), and the ``mdtune`` CLI (``cli``).
 
 Import names from their modules (``from mdtune.sweep import run_sweep``).
 This package imports none of them, so that each ``mdtune`` command loads

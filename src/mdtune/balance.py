@@ -33,7 +33,7 @@ from typing import NamedTuple, Optional
 
 from .errors import MdtuneError
 from .hardware import NodeSpec
-from .launch import LaunchConfig, rank_threads, validate_config
+from .launch import LaunchConfig, Workload, rank_threads, validate_config
 from .wire import checked, from_doc, read, validate
 
 # Mesh grid dimensions must factor into these primes for fast transforms.
@@ -185,28 +185,6 @@ def grid_ladder(
 # ---------------------------------------------------------------------------
 # Synthetic node model
 # ---------------------------------------------------------------------------
-
-
-@checked
-class Workload(NamedTuple):
-    """The simulated system, as far as performance modeling cares."""
-
-    name: str = "bench"
-    atoms: int = 80_000
-    timestep_fs: float = 2.0
-    rc0: float = 1.0
-    spacing0: float = 0.120
-    box: tuple[float, float, float] = (10.8, 10.2, 9.6)
-    benchmark_steps: int = 5000
-    reset_steps: int = 1000
-
-    WIRE = {"rc0": "rc0_nm", "spacing0": "spacing0_nm", "box": "box_nm"}
-
-    def _check(self):
-        if self.benchmark_steps <= self.reset_steps:
-            raise MdtuneError(f"benchmark_steps ({self.benchmark_steps}) must exceed "
-                              f"reset_steps ({self.reset_steps})")
-        return self if type(self.box) is tuple else self._replace(box=tuple(self.box))
 
 
 @checked

@@ -15,7 +15,6 @@ caller that replaces the attribute, as a benchmark's tracer does, sees them.
 
 from __future__ import annotations
 
-import argparse
 import math
 import os
 import sys
@@ -212,6 +211,7 @@ def _cmd_multi_plan(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    import argparse  # here, not at the top: a library caller of this module builds no parser
     parser = argparse.ArgumentParser(
         prog="mdtune",
         description="Launch-configuration tuning and cost analysis for offload-style MD engines",

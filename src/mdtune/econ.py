@@ -17,50 +17,13 @@ import math
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import MdtuneError, MissingDatumError
-from .wire import checked
+from .hardware import DIRECT_WATTS, METER_KWH_PER_300S, EconParams, PowerReading
 
 HOURS_PER_YEAR = 365 * 24
 
 # A plug-meter reading of kWh consumed over 300 s converts to average watts
 # by multiplying with 12000 (kWh / (300 s / 3600 s/h) * 1000 W/kW).
 KWH_PER_300S_TO_WATTS = 12000.0
-
-METER_KWH_PER_300S = "meter_kwh_per_300s"
-DIRECT_WATTS = "direct_watts"
-
-@checked
-class EconParams(NamedTuple):
-    lifetime_years: float = 5.0
-    energy_price_eur_per_kwh: float = 0.2  # including cooling
-
-    def _check(self):
-        for name, value in zip(self._fields, self):
-            if value < 0:
-                raise MdtuneError(f"{name} must be >= 0")
-        return self
-
-
-@checked
-class PowerReading(NamedTuple):
-    """A node power measurement, possibly taken with idle GPUs installed.
-
-    Cards that sit idle in the chassis during a run still draw power; the
-    effective draw attributable to the benchmarked configuration subtracts
-    (gpus_installed - gpus_active) x idle_gpu_power.
-    """
-
-    kind: str
-    value: float
-    gpus_installed: int = 0
-    gpus_active: int = 0
-    idle_gpu_power_w: Optional[float] = None
-
-    def _check(self):
-        if self.kind not in (METER_KWH_PER_300S, DIRECT_WATTS):
-            raise MdtuneError(f"unknown power reading kind {self.kind!r}")
-        if self.gpus_active > self.gpus_installed:
-            raise MdtuneError("gpus_active cannot exceed gpus_installed")
-        return self
 
 
 class EconRow(NamedTuple):

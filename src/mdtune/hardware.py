@@ -1,4 +1,4 @@
-"""Typed descriptions of CPUs, GPUs and nodes.
+"""Typed descriptions of CPUs, GPUs and nodes, and of their cost inputs.
 
 All types are immutable value objects, safe to share across threads. Prices
 and idle powers are optional: the hardware market moves fast, so anything
@@ -110,6 +110,45 @@ class NodeSpec(NamedTuple):
     @property
     def n_gpus(self) -> int:
         return len(self.gpus)
+
+
+METER_KWH_PER_300S = "meter_kwh_per_300s"
+DIRECT_WATTS = "direct_watts"
+
+
+@checked
+class EconParams(NamedTuple):
+    lifetime_years: float = 5.0
+    energy_price_eur_per_kwh: float = 0.2  # including cooling
+
+    def _check(self):
+        for name, value in zip(self._fields, self):
+            if value < 0:
+                raise MdtuneError(f"{name} must be >= 0")
+        return self
+
+
+@checked
+class PowerReading(NamedTuple):
+    """A node power measurement, possibly taken with idle GPUs installed.
+
+    Cards that sit idle in the chassis during a run still draw power; the
+    effective draw attributable to the benchmarked configuration subtracts
+    (gpus_installed - gpus_active) x idle_gpu_power.
+    """
+
+    kind: str
+    value: float
+    gpus_installed: int = 0
+    gpus_active: int = 0
+    idle_gpu_power_w: Optional[float] = None
+
+    def _check(self):
+        if self.kind not in (METER_KWH_PER_300S, DIRECT_WATTS):
+            raise MdtuneError(f"unknown power reading kind {self.kind!r}")
+        if self.gpus_active > self.gpus_installed:
+            raise MdtuneError("gpus_active cannot exceed gpus_installed")
+        return self
 
 
 def sp_throughput(gpu: GpuSpec) -> float:

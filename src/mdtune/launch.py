@@ -9,14 +9,11 @@ hyper-threading). Everything here is a pure function over immutable inputs.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import InvalidConfigError
 from .hardware import NodeSpec, total_hw_threads
 from .wire import checked, dumps, from_doc, read, validate
-
-if TYPE_CHECKING:  # balance imports this module
-    from .balance import Workload
 
 # Separate-PME rank counts are tried at these fractions of the total rank
 # count, rounded and deduplicated.
@@ -389,6 +386,32 @@ def plan_multi_sim(
 # ---------------------------------------------------------------------------
 # Command rendering
 # ---------------------------------------------------------------------------
+
+
+@checked
+class Workload(NamedTuple):
+    """The simulated system; its step counts size each run's command line."""
+
+    name: str = "bench"
+    atoms: int = 80_000
+    timestep_fs: float = 2.0
+    rc0: float = 1.0
+    spacing0: float = 0.120
+    box: tuple[float, float, float] = (10.8, 10.2, 9.6)
+    benchmark_steps: int = 5000
+    reset_steps: int = 1000
+
+    WIRE = {"rc0": "rc0_nm", "spacing0": "spacing0_nm", "box": "box_nm"}
+
+    def _check(self):
+        if type(self.reset_steps) is not int or self.reset_steps < 0:
+            raise _count_error("reset_steps", self.reset_steps, ">= 0")
+        if type(self.benchmark_steps) is not int:
+            raise _count_error("benchmark_steps", self.benchmark_steps, "an integer")
+        if self.benchmark_steps <= self.reset_steps:
+            raise InvalidConfigError(f"benchmark_steps ({self.benchmark_steps}) must exceed "
+                                     f"reset_steps ({self.reset_steps})")
+        return self if type(self.box) is tuple else self._replace(box=tuple(self.box))
 
 
 class EngineProfile(NamedTuple):

@@ -12,11 +12,9 @@ from __future__ import annotations
 from pathlib import Path
 from typing import NamedTuple
 
-from .balance import Workload
-from .econ import EconParams
 from .errors import ManifestError
-from .hardware import NodeSpec
-from .launch import EngineProfile, SweepOptions
+from .hardware import EconParams, NodeSpec
+from .launch import EngineProfile, SweepOptions, Workload
 from .wire import checked, from_doc, read, validate
 
 

@@ -1,13 +1,13 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mdtune.balance import Workload
 from mdtune.errors import InvalidConfigError
 from mdtune.hardware import CpuSpec, GpuSpec, NodeSpec, total_hw_threads
 from mdtune.launch import (
     EngineProfile,
     LaunchConfig,
     SweepOptions,
+    Workload,
     enumerate_single_node,
     gpu_id_string,
     interleaved_pme_layout,
@@ -84,6 +84,25 @@ class TestLaunchConfig:
         config = LaunchConfig(n_rank=len(gpu_id), n_th=4, gpu_id=gpu_id)
         with pytest.raises(InvalidConfigError, match=f"node has {n_gpus} GPU"):
             validate_config(config, make_node(n_gpus=n_gpus))
+
+
+class TestWorkload:
+    @pytest.mark.parametrize("field, value", [
+        ("benchmark_steps", 5000.0), ("benchmark_steps", True), ("reset_steps", 1000.0),
+        ("reset_steps", True), ("reset_steps", False),
+    ])
+    def test_non_integer_step_count_rejected(self, field, value):
+        # a float or a bool would reach the command line as written: "-nsteps 5000.0"
+        with pytest.raises(InvalidConfigError, match=f"{field} must be an integer, not {value!r}"):
+            Workload(**{field: value})
+
+    def test_negative_reset_steps_rejected(self):
+        with pytest.raises(InvalidConfigError, match="reset_steps must be >= 0"):
+            Workload(reset_steps=-5)
+
+    def test_zero_reset_steps_accepted(self):
+        command = render_command(LaunchConfig(n_rank=1), EngineProfile(), Workload(reset_steps=0))
+        assert command.endswith("-nsteps 5000 -resetstep 0")
 
 
 class TestGpuIdString:

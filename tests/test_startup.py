@@ -65,8 +65,8 @@ COMMANDS = {
     "analyze_costs_us.json": {"sweep", "balance", "launch", "logparse", "manifest"},
     "recommend.md": {"sweep", "balance", "launch", "logparse", "manifest"},
     "scaling.md": {"sweep", "balance", "launch", "logparse", "manifest"},
-    "plan.json": {"sweep", "logparse", "report"},
-    "multi_plan.json": {"sweep", "logparse", "report"},
+    "plan.json": {"sweep", "balance", "logparse", "econ", "report"},
+    "multi_plan.json": {"sweep", "balance", "logparse", "econ", "report"},
     "sweep.md": set(),
 }
 
@@ -90,6 +90,25 @@ def test_import_mdtune_loads_no_submodule():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["mdtune"]
+
+
+def test_library_manifest_load_loads_only_the_plan_layers():
+    # how a library caller (a set-up probe, say) loads a manifest and its plan
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import sys; sys.path.insert(0, sys.argv[1]); import mdtune.cli as cli; "
+         "manifest = cli.load_manifest(sys.argv[2]); "
+         "cli.enumerate_plan(manifest.node, manifest.sweep, nodes=manifest.node_count); "
+         "print(' '.join(sorted(sys.modules)))",
+         str(SRC), str(DATA / "manifest_mem.json")],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    modules = set(proc.stdout.split())
+    assert {m for m in modules if m.startswith("mdtune")} == {
+        "mdtune", "mdtune.cli", "mdtune.errors", "mdtune.wire", "mdtune.manifest",
+        "mdtune.hardware", "mdtune.launch"}
+    assert "argparse" not in modules
 
 
 def test_runs_as_python_dash_m(tmp_path):
