@@ -1,7 +1,7 @@
 """mdtune: benchmark auto-tuning and cost-efficiency analysis for
 offload-style molecular dynamics engines.
 
-The pieces, bottom to top: hardware catalogs and cost inputs (``hardware``),
+The pieces, bottom to top: hardware types and cost inputs (``hardware``),
 launch configurations and the workload that sizes their runs (``launch``),
 engine log parsing (``logparse``), load-balance math and a synthetic
 performance model (``balance``), sweep orchestration (``sweep``), economics

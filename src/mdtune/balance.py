@@ -61,14 +61,6 @@ def _fft_friendly_from(n: int) -> int:
     return n
 
 
-def next_fft_friendly_below(n: int) -> int:
-    """Largest FFT-friendly integer < n; 1 is the floor."""
-    m = n - 1
-    while m > 1 and not is_fft_friendly(m):
-        m -= 1
-    return max(m, 1)
-
-
 class BalanceState(NamedTuple):
     """Cutoff/grid state after shifting short-range work by a factor.
 

@@ -35,10 +35,6 @@ class EconRow(NamedTuple):
     trajectory_cost_eur_per_us: float
     yield_us_per_keur: float
 
-    @property
-    def yield_ns_per_keur(self) -> float:
-        return 1000.0 * self.yield_us_per_keur
-
 
 def effective_power(reading: PowerReading) -> float:
     """Average draw in watts attributable to the active configuration."""
@@ -105,24 +101,6 @@ def perf_per_price(performance: float, cost_eur: float, normalizer_eur: float) -
     return performance / (cost_eur / normalizer_eur)
 
 
-def cluster_hardware_cost(
-    node_price_eur: float,
-    node_count: int,
-    per_node_network_cost_eur: float = 0.0,
-) -> float:
-    """Hardware cost of ``node_count`` nodes.
-
-    Fabric adapters only cost money once a job actually spans nodes; a
-    single-node figure stays comparable to the single-node tables.
-    """
-    if node_count < 1:
-        raise MdtuneError("node_count must be >= 1")
-    total = node_price_eur * node_count
-    if node_count > 1:
-        total += per_node_network_cost_eur * node_count
-    return total
-
-
 def parallel_efficiency(perf_m: float, m: int, perf_1: float) -> float:
     """Performance on m nodes relative to m times the single-node figure."""
     if m < 1:
@@ -130,62 +108,6 @@ def parallel_efficiency(perf_m: float, m: int, perf_1: float) -> float:
     if perf_1 <= 0:
         raise MdtuneError("single-node performance must be positive")
     return perf_m / (m * perf_1)
-
-
-def multi_sim_gain(perf_single: float, perf_per_replica: float) -> float:
-    """Percent throughput gain of a replica ensemble over independent runs."""
-    if perf_single <= 0 or perf_per_replica <= 0:
-        raise MdtuneError("performances must be positive")
-    return 100.0 * (perf_per_replica / perf_single - 1.0)
-
-
-class ClockFit(NamedTuple):
-    slope: float  # ns/day per MHz
-    intercept: float
-    default_clock_mhz: float
-    max_clock_mhz: float
-
-    def predict(self, clock_mhz: float) -> float:
-        return self.slope * clock_mhz + self.intercept
-
-    @property
-    def gain_default_to_max(self) -> float:
-        """Fractional performance gain from default to maximum clock."""
-        return self.predict(self.max_clock_mhz) / self.predict(self.default_clock_mhz) - 1.0
-
-
-def clock_perf_fit(
-    points: Sequence[tuple[float, float]],
-    default_clock_mhz: Optional[float] = None,
-    max_clock_mhz: Optional[float] = None,
-) -> ClockFit:
-    """Least-squares line through (clock MHz, ns/day) measurements.
-
-    The default and maximum clock default to the smallest and largest
-    measured clock values.
-    """
-    if len(points) < 2:
-        raise MdtuneError("need at least two measurements to fit")
-    clocks = [p[0] for p in points]
-    perfs = [p[1] for p in points]
-    if max(clocks) == min(clocks):
-        raise MdtuneError("all clock values identical; cannot fit a slope")
-    from statistics import linear_regression  # only here, not at every command's start
-
-    slope, intercept = linear_regression(clocks, perfs)
-    return ClockFit(
-        slope=slope,
-        intercept=intercept,
-        default_clock_mhz=default_clock_mhz if default_clock_mhz is not None else min(clocks),
-        max_clock_mhz=max_clock_mhz if max_clock_mhz is not None else max(clocks),
-    )
-
-
-def normalize_compiler(performance: float, from_ratio: float, to_ratio: float) -> float:
-    """Rescale a result between toolchain baselines via their speedup ratios."""
-    if from_ratio <= 0 or to_ratio <= 0:
-        raise MdtuneError("compiler ratios must be positive")
-    return performance * to_ratio / from_ratio
 
 
 # ---------------------------------------------------------------------------

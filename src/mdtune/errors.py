@@ -12,7 +12,7 @@ class InvalidConfigError(MdtuneError):
 class MissingDatumError(MdtuneError):
     """An economics calculation needs a price or power figure that was not declared.
 
-    Hardware prices and idle powers are optional in the catalog; operations
+    Hardware prices and idle powers are optional in a node declaration; operations
     that need them fail loudly instead of assuming a default.
     """
 

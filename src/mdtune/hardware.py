@@ -5,8 +5,8 @@ and idle powers are optional: the hardware market moves fast, so anything
 cost-related must be declared explicitly and economics code raises
 MissingDatumError instead of guessing.
 
-Catalogs are ingested from JSON documents validated against the node
-schema (see ``node_from_json``); unknown fields are rejected to catch typos
+Nodes arrive inside a manifest, validated against the node schema
+(``schema.json#/$defs/node``); unknown fields are rejected to catch typos
 early.
 """
 
@@ -16,7 +16,7 @@ from enum import Enum
 from typing import NamedTuple, Optional
 
 from .errors import MdtuneError
-from .wire import checked, from_doc, validate
+from .wire import checked
 
 DESKTOP = "desktop"  # rack_units value for desktop-chassis machines
 
@@ -167,18 +167,3 @@ def total_hw_threads(node: NodeSpec, use_ht: bool) -> int:
     cpu = node.cpu
     per_core = cpu.hardware_threads_per_core if use_ht else 1
     return cpu.sockets * cpu.cores_per_socket * per_core
-
-
-def node_from_json(doc: dict) -> NodeSpec:
-    """Build a NodeSpec from a catalog document (``schema.json#/$defs/node``).
-
-    Expected shape::
-
-        {"cpu": {...}, "gpus": [{...}, ...], "node_price": 4400,
-         "interconnect": "fdr14_ib", "rack_units": 2, "idle_power_w": 150}
-
-    Unknown fields raise; ``gpus`` may be empty or absent. ``wire.to_doc``
-    writes a node back in this shape.
-    """
-    validate(doc, "node")
-    return from_doc(NodeSpec, doc)

@@ -70,8 +70,8 @@ class LaunchConfig(NamedTuple):
             raise InvalidConfigError(f"dlb must be one of {DLB_VALUES}")
         if type(self.nodes) is not int or self.nodes < 1:
             raise _count_error("nodes", self.nodes, ">= 1")
-        if self.gpu_id and not self.gpu_id.isdigit():
-            raise InvalidConfigError("gpu_id must be a digit string")
+        if self.gpu_id.strip("0123456789"):  # str.isdigit also takes "²" and "٠"
+            raise InvalidConfigError("gpu_id must be a string of the digits 0-9")
         if self.dd_grid is not None and (len(self.dd_grid) != 3 or min(self.dd_grid) < 1):
             raise InvalidConfigError("dd_grid must be three counts >= 1")
         if self.dd_grid is not None and {*map(type, self.dd_grid)} != {int}:

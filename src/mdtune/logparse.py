@@ -14,8 +14,9 @@ Logs from restarted runs contain several copies of a metric; the last
 occurrence wins, since it reflects the balanced steady state. Parsing is
 stateless and insensitive to unrelated surrounding lines. A keyword's values
 are read from its own line: a bare keyword (a log cut mid-line) is none.
-Numbers must use '.' as the decimal separator; a recognized line whose
-numbers do not parse raises LogParseError with the offset of the number.
+Numbers must use '.' as the decimal separator and fit a float; a recognized
+line whose numbers do not parse raises LogParseError with the offset of the
+number.
 
 Each scan starts only where a match can start, so a parse costs about one
 step per line (and per keyword), not one per character:
@@ -37,6 +38,7 @@ printed values carry rounding of their own.
 
 from __future__ import annotations
 
+import math
 import re
 from typing import NamedTuple, Optional
 
@@ -112,11 +114,6 @@ class ParsedLoadBalance(NamedTuple):
     cost_ratio_pp: float
     cost_ratio_pme: float
 
-    @property
-    def shrunk(self) -> bool:
-        """True when balancing reduced the cutoff (unusual; no advisory flags it)."""
-        return self.final.rcoulomb < self.initial.rcoulomb
-
 
 class PerfMetrics(NamedTuple):
     """Everything a single log contributes to a sweep row."""
@@ -139,7 +136,15 @@ def _parse_number(raw: str, offset: int, what: str) -> float:
             f"malformed {what}: {raw!r} (only '.' decimal separators are accepted)",
             offset=offset,
         )
-    return float(raw)
+    return _float(raw, offset, what)
+
+
+def _float(raw: str, offset: int, what: str) -> float:
+    """``raw``, a ``NUMBER`` found at ``offset``, as a float that is not infinite."""
+    value = float(raw)
+    if value == math.inf:
+        raise LogParseError(f"{what} overflows a float: {raw[:20]}...", offset=offset)
+    return value
 
 
 def _line_matches(first: re.Pattern, rest: re.Pattern, text: str):
@@ -193,14 +198,16 @@ def parse_gpu_cpu_ratio(text: str) -> Optional[GpuCpuRatio]:
             f"malformed GPU/CPU force time line: {m[0].strip()!r}",
             offset=m.start(),
         )
-    gpu_ms, cpu_ms, ratio = nums.groups()
-    return GpuCpuRatio(float(gpu_ms), float(cpu_ms), float(ratio))
+    at = m.start(1)
+    return GpuCpuRatio(_float(nums[1], at + nums.start(1), "GPU force time"),
+                       _float(nums[2], at + nums.start(2), "CPU force time"),
+                       _float(nums[3], at + nums.start(3), "GPU/CPU ratio"))
 
 
 def _table_row(m: re.Match) -> CutoffSetting:
-    _, rcoulomb, rlist, nx, ny, nz, spacing, inv_beta = m.groups()
-    return CutoffSetting(float(rcoulomb), float(rlist), (int(nx), int(ny), int(nz)),
-                         float(spacing), float(inv_beta))
+    return CutoffSetting(_float(m[2], m.start(2), "rcoulomb"), _float(m[3], m.start(3), "rlist"),
+                         (int(m[4]), int(m[5]), int(m[6])),
+                         _float(m[7], m.start(7), "spacing"), _float(m[8], m.start(8), "1/beta"))
 
 
 def parse_load_balance_table(text: str) -> Optional[ParsedLoadBalance]:

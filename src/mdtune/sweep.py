@@ -347,17 +347,6 @@ def aggregate(runs: Sequence[Run]) -> SweepResult:
     return SweepResult(rows=rows, failures=failures, best_index=best_index)
 
 
-def select_best(result: SweepResult) -> LaunchConfig:
-    """Config with the highest mean performance.
-
-    Ties (to the last bit) go to fewer ranks, then to DLB off, then to
-    hyper-threading off, so selection is deterministic and reproducible.
-    """
-    if not result.rows:
-        raise MdtuneError("cannot select from a sweep with no successful rows")
-    return result.ranked()[0].config
-
-
 # ---------------------------------------------------------------------------
 # Serialization (the ranked CSV and text tables live in ``report``)
 # ---------------------------------------------------------------------------

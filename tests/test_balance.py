@@ -17,7 +17,6 @@ from mdtune.balance import (
     grid_ladder,
     is_fft_friendly,
     load_profile,
-    next_fft_friendly_below,
     predict_performance,
     predict_run,
     unshifted_state,
@@ -67,9 +66,7 @@ class TestFftFriendly:
             assert fft_friendly_size(target) == brute_force_friendly(target)
 
     def test_neighbors(self):
-        assert next_fft_friendly_below(150) == 147
-        assert next_fft_friendly_below(147) == 144
-        assert not is_fft_friendly(149)
+        assert [n for n in range(140, 151) if is_fft_friendly(n)] == [140, 144, 147, 150]
 
 
 class TestBalanceCutoff:
@@ -127,7 +124,7 @@ class TestBalanceCutoff:
         n_ideal = length / (spacing * k ** (1 / 3))
         n = state.grid_dims[0]
         assert n >= n_ideal - 1e-9
-        assert next_fft_friendly_below(n) < n_ideal + 1e-9
+        assert next(m for m in range(n - 1, 0, -1) if is_fft_friendly(m)) < n_ideal + 1e-9
         # the mesh cost ratio is exactly the grid volume ratio
         n0 = balance_cutoff(1.0, spacing, (length,) * 3, 1.0).grid_dims[0]
         assert state.pme_cost_ratio == pytest.approx((n / n0) ** 3, rel=1e-12)

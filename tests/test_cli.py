@@ -277,6 +277,15 @@ class TestParseLog:
         assert (code, err) == (0, "")
         assert json.loads(out)["performance_ns_day"] == 12.0
 
+    def test_number_that_overflows_a_float_is_error(self, tmp_path, capsys):
+        # it parsed to inf, printed as "performance_ns_day": Infinity (not JSON)
+        path = tmp_path / "huge.log"
+        path.write_text(f" Performance:   {'9' * 400}\n")
+        code, out, err = run_cli(capsys, "parse-log", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and "performance overflows a float" in err
+        assert "Traceback" not in err
+
 
 class TestAnalyzeCosts:
     def test_markdown_table(self, econ_rows_file, capsys):

@@ -10,11 +10,10 @@ from mdtune.hardware import (
     GpuSpec,
     Interconnect,
     NodeSpec,
-    node_from_json,
     sp_throughput,
     total_hw_threads,
 )
-from mdtune.wire import to_doc as node_to_json
+from mdtune.wire import from_doc, to_doc as node_to_json, validate
 
 from conftest import make_node
 
@@ -93,6 +92,12 @@ class TestInvariants:
     def test_negative_price_rejected(self):
         with pytest.raises(MdtuneError):
             NodeSpec(cpu=CpuSpec("c", 1, 4), node_price_eur=-1)
+
+
+def node_from_json(doc):
+    """A node document as a manifest reads it: checked, then built."""
+    validate(doc, "node")
+    return from_doc(NodeSpec, doc)
 
 
 class TestCatalog:

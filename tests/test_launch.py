@@ -85,6 +85,13 @@ class TestLaunchConfig:
         with pytest.raises(InvalidConfigError, match=f"node has {n_gpus} GPU"):
             validate_config(config, make_node(n_gpus=n_gpus))
 
+    @pytest.mark.parametrize("gpu_id", ["²", "٠", "0١", "0x", " 0"])
+    def test_gpu_id_of_other_than_ascii_digits_rejected(self, gpu_id):
+        # "²".isdigit() and "٠".isdigit() hold: int("²") raised a bare
+        # ValueError out of a library sweep, and "٠" reached the command line
+        with pytest.raises(InvalidConfigError, match="gpu_id must be a string of the digits 0-9"):
+            LaunchConfig(n_rank=len(gpu_id), gpu_id=gpu_id)
+
 
 class TestWorkload:
     @pytest.mark.parametrize("field, value", [

@@ -98,7 +98,7 @@ class TestLoadBalanceTable:
         assert lb.final.inv_beta == 0.465
         assert lb.cost_ratio_pp == 4.10
         assert lb.cost_ratio_pme == 0.22
-        assert not lb.shrunk
+        assert lb.final.rcoulomb > lb.initial.rcoulomb  # balancing grew the cutoff
 
     def test_identity_block_accepted(self):
         text = (
@@ -255,6 +255,34 @@ class TestOffsets:
         with pytest.raises(LogParseError, match="outside") as err:
             parse_pme_load(text)
         assert err.value.offset == text.index("150")
+
+    HUGE = "9" * 400  # matches NUMBER, but float() of it is inf
+
+    @pytest.mark.parametrize("old, what", [
+        ("4.960", "performance"),
+        ("1.607", "rcoulomb"),
+        ("1.012", "rlist"),
+        ("0.217", "spacing"),
+        ("0.289", "1/beta"),
+        ("4.10", "PP cost ratio"),
+    ])
+    def test_number_that_overflows_a_float(self, si_load_balance, old, what):
+        text = si_load_balance.replace(old, self.HUGE)
+        with pytest.raises(LogParseError, match=f"{what} overflows a float") as err:
+            parse_metrics(text)
+        assert err.value.offset == text.index(self.HUGE)
+
+    @pytest.mark.parametrize("line, what", [
+        (" Average PME mesh/force load: {}\n", "PME mesh/force load"),
+        (" Force evaluation time GPU/CPU: {} ms/8.301 ms = 0.683\n", "GPU force time"),
+        (" Force evaluation time GPU/CPU: 5.673 ms/{} ms = 0.683\n", "CPU force time"),
+        (" Force evaluation time GPU/CPU: 5.673 ms/8.301 ms = {}\n", "GPU/CPU ratio"),
+    ])
+    def test_line_number_that_overflows_a_float(self, line, what):
+        text = "Log\n" + line.format(self.HUGE)
+        with pytest.raises(LogParseError, match=f"{what} overflows a float") as err:
+            parse_metrics(text)
+        assert err.value.offset == text.index(self.HUGE)
 
 
 class TestAdvisories:

@@ -23,7 +23,7 @@ from hypothesis import given, strategies as st
 
 from mdtune import wire
 from mdtune.balance import SyntheticNodeProfile, Workload, predict_run
-from mdtune.econ import ClockFit, EconParams, HardwareRow
+from mdtune.econ import EconParams, HardwareRow
 from mdtune.errors import InvalidConfigError, MdtuneError
 from mdtune.hardware import Interconnect
 from mdtune.launch import LaunchConfig, plan_multi_sim
@@ -145,7 +145,6 @@ def _instances():
     yield from [
         ("Advisory", Advisory("other", 'NOTE: "é\ud800\x00"\n  end')),
         ("BalanceState", predict_run(SyntheticNodeProfile(), node, gpu_config, Workload()).balance),
-        ("ClockFit", ClockFit(0.25, -math.inf, 745.0, math.nan)),
         ("Cluster", Cluster(node_count=4)),
         ("CpuSpec", node.cpu),
         ("CutoffSetting", lb.final),

@@ -33,13 +33,11 @@ from mdtune.sweep import (
     Run,
     ShellExecutor,
     SweepResult,
-    SweepRow,
     SyntheticExecutor,
     aggregate,
     result_from_json,
     result_to_json,
     run_sweep,
-    select_best,
 )
 from mdtune.logparse import Advisory, PerfMetrics, parse_metrics, render_log
 
@@ -69,7 +67,7 @@ class TestSyntheticSweep:
         executor = SyntheticExecutor(gpu_node)
         configs = ranklist_configs(gpu_node)
         result = run_sweep(configs, executor, Workload(), repeats=2)
-        best = select_best(result)
+        best = result.best_row.config
         by_brute_force = max(result.rows, key=lambda r: r.mean_performance)
         assert best == by_brute_force.config
         assert best.n_th in (4, 5)
@@ -103,7 +101,7 @@ class TestSyntheticSweep:
         configs = enumerate_single_node(gpu_node, SweepOptions(nstlist=(40,)))
         result = run_sweep(configs, SyntheticExecutor(gpu_node), Workload())
         assert not result.failures
-        assert result.best_row.config == select_best(result)
+        assert result.best_row == result.ranked()[0]
 
 
 class FreshSyntheticExecutor:
@@ -220,42 +218,43 @@ def sweep_stdev(perfs: list[float]) -> float:
 
 
 class TestSelectBest:
-    def make_result(self, rows):
-        return SweepResult(rows=rows, failures=[], best_index=None)
+    """The winner ``aggregate`` picks, ``best_index``, which every command writes.
 
-    def row(self, perf, **kwargs):
-        return SweepRow(
-            config=LaunchConfig(**kwargs),
-            mean_performance=perf,
-            stdev=0.0,
-            repeats=2,
-            metrics=PerfMetrics(performance=perf),
-        )
+    Ties (to the last bit) go to fewer ranks, then to DLB off, then to
+    hyper-threading off; the winner is always the first row ``ranked()``
+    prints.
+    """
+
+    def best(self, perfs_and_configs):
+        runs = [Run(i, LaunchConfig(**kwargs), PerfMetrics(performance=perf))
+                for i, (perf, kwargs) in enumerate(perfs_and_configs)]
+        result = aggregate(runs)
+        assert result.best_row == result.ranked()[0]
+        return result.best_row.config
 
     def test_single_row(self):
-        result = self.make_result([self.row(5.0, n_rank=4, n_th=1)])
-        assert select_best(result).n_rank == 4
+        assert self.best([(5.0, dict(n_rank=4, n_th=1))]).n_rank == 4
 
     def test_tie_prefers_fewer_ranks(self):
-        result = self.make_result([
-            self.row(5.0, n_rank=8, n_th=1),
-            self.row(5.0, n_rank=4, n_th=2),
-        ])
-        assert select_best(result).n_rank == 4
+        assert self.best([
+            (5.0, dict(n_rank=8, n_th=1)),
+            (5.0, dict(n_rank=4, n_th=2)),
+        ]).n_rank == 4
 
     def test_tie_prefers_dlb_off_then_ht_off(self):
-        result = self.make_result([
-            self.row(5.0, n_rank=4, n_th=2, dlb="on"),
-            self.row(5.0, n_rank=4, n_th=2, dlb="off", use_ht=True),
-            self.row(5.0, n_rank=4, n_th=2, dlb="off", use_ht=False),
+        best = self.best([
+            (5.0, dict(n_rank=4, n_th=2, dlb="on")),
+            (5.0, dict(n_rank=4, n_th=2, dlb="off", use_ht=True)),
+            (5.0, dict(n_rank=4, n_th=2, dlb="off", use_ht=False)),
         ])
-        best = select_best(result)
         assert best.dlb == "off"
         assert best.use_ht is False
 
     def test_no_rows_raises(self):
+        result = aggregate([])
+        assert result.best_index is None
         with pytest.raises(MdtuneError):
-            select_best(self.make_result([]))
+            result.best_row
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -268,11 +267,10 @@ class TestSelectBest:
         # Rounding can make scaled rows tie (the example above), and a tie
         # goes to fewer ranks, so the winner itself is pinned only when the
         # scaled maximum is unique.
-        rows = [self.row(p, n_rank=i + 1, n_th=1) for i, p in enumerate(perfs)]
         scaled_perfs = [p * scale for p in perfs]
-        scaled = [self.row(p, n_rank=i + 1, n_th=1) for i, p in enumerate(scaled_perfs)]
-        best = select_best(self.make_result(rows))
-        best_scaled = select_best(self.make_result(scaled))
+        best = self.best([(p, dict(n_rank=i + 1, n_th=1)) for i, p in enumerate(perfs)])
+        best_scaled = self.best([(p, dict(n_rank=i + 1, n_th=1))
+                                 for i, p in enumerate(scaled_perfs)])
         top = max(scaled_perfs)
         assert scaled_perfs[best_scaled.n_rank - 1] == top
         assert scaled_perfs[best.n_rank - 1] == top
@@ -300,8 +298,9 @@ class TestAccounting:
         result = run_sweep(configs, FailingExecutor(), Workload())
         assert not result.rows
         assert len(result.failures) == len(configs)
+        assert result.best_index is None
         with pytest.raises(MdtuneError):
-            select_best(result)
+            result.best_row
 
     def test_malformed_log_recorded_not_fatal(self, gpu_node):
         configs = ranklist_configs(gpu_node)[:2]
@@ -309,6 +308,18 @@ class TestAccounting:
         assert not result.rows
         assert [c for c, _ in result.failures] == configs
         assert "malformed performance" in result.failures[0].error
+
+    def test_performance_overflowing_a_float_recorded_not_fatal(self, gpu_node):
+        # the second repeat's figure parsed to inf, and the stdev of
+        # (10.5, inf) raised OverflowError out of the sweep
+        a, b = ranklist_configs(gpu_node)[:2]
+        log = render_log(PerfMetrics(performance=10.5))
+        huge = f" Performance:   {'9' * 400}\n"
+        result = run_sweep([a, b], RecordingExecutor({a: [log, huge], b: [log, log]}),
+                           Workload(), repeats=2)
+        assert [row.config for row in result.rows] == [b]
+        assert [f.config for f in result.failures] == [a]
+        assert "performance overflows a float" in result.failures[0].error
 
     def test_bad_repeats_rejected(self, gpu_node):
         with pytest.raises(MdtuneError):
