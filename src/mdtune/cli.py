@@ -20,7 +20,7 @@ import os
 import sys
 from pathlib import Path
 
-from .errors import MdtuneError
+from .errors import LogParseError, MdtuneError
 from .wire import dumps, from_doc, read, to_doc, validate
 
 # the module of this package that defines each name ("report" is the module)
@@ -31,7 +31,7 @@ _LAYERS = {name: module for module, names in (
     ("logparse", "parse_metrics"),
     ("sweep", "run_sweep result_to_json SyntheticExecutor ShellExecutor"),
     ("balance", "SyntheticNodeProfile load_profile"),
-    ("econ", "EconParams HardwareRow"),
+    ("econ", "EconParams EconInput price"),
 ) for name in names.split()}
 
 
@@ -122,7 +122,10 @@ def _cmd_parse_log(args) -> int:
     all_metrics = []
     for path in args.logs:
         text = Path(path).read_text(encoding="utf-8", errors="replace")
-        all_metrics.append(_cli.parse_metrics(text))
+        try:
+            all_metrics.append(_cli.parse_metrics(text))
+        except LogParseError as exc:
+            raise MdtuneError(f"{path}: {exc}") from None
     if args.format == "csv":
         sys.stdout.write(_cli.report.metrics_csv(all_metrics))
     else:
@@ -130,12 +133,11 @@ def _cmd_parse_log(args) -> int:
     return 0
 
 
-def _read_rows(path: str) -> tuple[EconParams, list[report.EconInput]]:
+def _read_rows(path: str) -> tuple[EconParams, list[EconInput]]:
     """The econ parameters and the rows of a validated rows document."""
     doc = read(path)
     validate(doc, "rows")
-    rows = [from_doc(_cli.report.EconInput, row, f"rows.{i}")
-            for i, row in enumerate(doc["rows"])]
+    rows = [from_doc(_cli.EconInput, row, f"rows.{i}") for i, row in enumerate(doc["rows"])]
     return from_doc(_cli.EconParams, doc.get("econ", {}), "econ"), rows
 
 
@@ -143,9 +145,8 @@ def _cmd_analyze_costs(args) -> int:
     params, inputs = _read_rows(args.rows)
     yield_unit = _cli.report.YIELD_US if args.yield_unit == "us" else _cli.report.YIELD_NS
     if args.format == "json":
-        rows = _cli.report.full_precision_rows(inputs, params)
-        out = [to_doc(r) | {"label": i.label} for r, i in zip(rows, inputs)]
-        sys.stdout.write(dumps(out))
+        sys.stdout.write(dumps([to_doc(_cli.price(i, params)) | {"label": i.label}
+                                for i in inputs]))
     else:
         sys.stdout.write(_cli.report.econ_report(inputs, params, yield_unit, fmt=args.format))
     return 0
@@ -179,16 +180,9 @@ def _parse_weights(text: str) -> dict[str, float]:
 
 def _cmd_recommend(args) -> int:
     params, inputs = _read_rows(args.rows)
-    econ_rows = _cli.report.full_precision_rows(inputs, params)
-    hardware = [
-        _cli.HardwareRow(inp.label, econ, perf_per_price=inp.perf_per_price,
-                         performance=inp.performance, rack_units=inp.rack_units,
-                         parallel_performance=inp.parallel_performance)
-        for inp, econ in zip(inputs, econ_rows)
-    ]
     weights = _parse_weights(args.weights) if args.weights else None
     fmt = "csv" if args.format == "csv" else "md"
-    sys.stdout.write(_cli.report.recommend_report(hardware, weights, fmt=fmt))
+    sys.stdout.write(_cli.report.recommend_report(inputs, params, weights, fmt=fmt))
     return 0
 
 

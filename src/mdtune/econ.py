@@ -5,6 +5,10 @@ hardware's lifetime, counting both the purchase price and the electricity
 (including cooling) burned running the node continuously. All math here is
 full precision; table-style display rounding happens in the report layer.
 
+A row of a rows document is an ``EconInput``. ``price`` turns it into its
+``EconRow`` and rejects a row whose cost per us or yield is not finite;
+``rank_hardware`` ranks (row, priced row) pairs.
+
 Conventions:
  - performance P is in ns/day, production in us over the lifetime,
  - energy price is EUR per kWh including cooling,
@@ -18,6 +22,7 @@ from typing import NamedTuple, Optional, Sequence
 
 from .errors import MdtuneError, MissingDatumError
 from .hardware import DIRECT_WATTS, METER_KWH_PER_300S, EconParams, PowerReading
+from .wire import checked
 
 HOURS_PER_YEAR = 365 * 24
 
@@ -54,6 +59,35 @@ def effective_power(reading: PowerReading) -> float:
             f"effective power came out negative ({watts:.1f} W); reading inconsistent"
         )
     return watts
+
+
+@checked
+class EconInput(NamedTuple):
+    """One row of a rows document: the raw columns of an economics table
+    row and the criteria a recommendation ranks by. Its power must give a draw."""
+
+    label: str
+    performance: float  # ns/day
+    node_cost_eur: float
+    power: Optional[PowerReading] = None
+    power_w: Optional[float] = None  # pre-corrected draw, alternative to power
+    rack_units: Optional[int] = None
+    perf_per_price: Optional[float] = None
+    parallel_performance: Optional[float] = None  # ns/day at scale
+
+    WIRE = {"performance": "performance_ns_day",
+            "parallel_performance": "parallel_performance_ns_day"}
+
+    def effective_power_w(self) -> float:
+        if self.power is not None:
+            return effective_power(self.power)
+        if self.power_w is not None:
+            return self.power_w
+        raise MdtuneError(f"row {self.label!r} declares no power reading")
+
+    def _check(self):
+        self.effective_power_w()
+        return self
 
 
 def production_us(performance: float, lifetime_years: float) -> float:
@@ -94,6 +128,35 @@ def econ_row(
     )
 
 
+def _check_priced(label: str, production: float, total: float) -> None:
+    """Reject a row whose cost per us or yield would not be a finite number.
+
+    The rows schema allows a node cost and a power of 0, a production that
+    rounds to 0.00 us, and any finite cost; a zero divisor, or the quotient
+    of a huge and a tiny value, would crash a table or write ``Infinity``
+    into a JSON document. The yield is checked in ns/kEUR, the larger of
+    its two units, so that every format rejects the same rows.
+    """
+    if not (0 < production < math.inf and 0 < total < math.inf):
+        raise MdtuneError(
+            f"row {label!r}: total cost ({total:g} EUR) and production "
+            f"({production:g} us) must both be above 0 and finite"
+        )
+    keur = total / 1000.0
+    if not (total / production < math.inf and keur > 0 and 1000.0 * production / keur < math.inf):
+        raise MdtuneError(
+            f"row {label!r}: the cost per us and the yield of {total:g} EUR "
+            f"over {production:g} us must be finite"
+        )
+
+
+def price(row: EconInput, params: EconParams = EconParams()) -> EconRow:
+    """A rows-document row at full precision; its cost per us and yield are finite."""
+    priced = econ_row(row.performance, row.effective_power_w(), row.node_cost_eur, params)
+    _check_priced(row.label, priced.production_us, priced.energy_cost_eur + priced.node_cost_eur)
+    return priced
+
+
 def perf_per_price(performance: float, cost_eur: float, normalizer_eur: float) -> float:
     """ns/day per ``normalizer_eur`` of hardware cost."""
     if cost_eur <= 0:
@@ -115,26 +178,16 @@ def parallel_efficiency(perf_m: float, m: int, perf_1: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-class HardwareRow(NamedTuple):
-    """One ranked candidate: an econ row plus whatever criteria it has data for."""
-
-    label: str
-    econ: Optional[EconRow] = None
-    perf_per_price: Optional[float] = None  # C1
-    performance: Optional[float] = None  # C2, ns/day
-    parallel_performance: Optional[float] = None  # C3, ns/day at scale
-    rack_units: Optional[int] = None  # C5, smaller is better
-
-
-# Each criterion's value for a row, oriented so that larger is always better:
-# C1 performance-to-price, C2 single-node performance, C3 time-to-solution
-# (parallel performance), C4 energy / lifetime yield, C5 rack space.
+# Each criterion's value for a row and its priced econ row, oriented so that
+# larger is always better: C1 performance-to-price, C2 single-node
+# performance, C3 time-to-solution (parallel performance), C4 energy /
+# lifetime yield, C5 rack space.
 _CRITERIA = {
-    "C1": lambda row: row.perf_per_price,
-    "C2": lambda row: row.performance,
-    "C3": lambda row: row.parallel_performance,
-    "C4": lambda row: row.econ.yield_us_per_keur if row.econ else None,
-    "C5": lambda row: -row.rack_units if row.rack_units is not None else None,
+    "C1": lambda row, econ: row.perf_per_price,
+    "C2": lambda row, econ: row.performance,
+    "C3": lambda row, econ: row.parallel_performance,
+    "C4": lambda row, econ: econ.yield_us_per_keur,
+    "C5": lambda row, econ: -row.rack_units if row.rack_units is not None else None,
 }
 CRITERIA = tuple(_CRITERIA)
 
@@ -142,10 +195,11 @@ LIFETIME_YIELD_PRESET = {"C4": 1.0}
 
 
 def rank_hardware(
-    rows: Sequence[HardwareRow],
+    rows: Sequence[tuple[EconInput, EconRow]],
     weights: Optional[dict[str, float]] = None,
-) -> list[HardwareRow]:
-    """Deterministic weighted ranking over the C1..C5 criteria.
+) -> list[tuple[EconInput, EconRow]]:
+    """Deterministic weighted ranking of (row, priced row) pairs over the
+    C1..C5 criteria.
 
     Scores are weighted sums of per-criterion ranks, which makes the order
     invariant under any positive monotone rescaling of a criterion; under a
@@ -160,8 +214,8 @@ def rank_hardware(
     for name, weight in active:
         if name not in _CRITERIA:
             raise MdtuneError(f"unknown criterion {name!r} (expected one of {CRITERIA})")
-        values = [_CRITERIA[name](row) for row in rows]
-        for row, value in zip(rows, values):
+        values = [_CRITERIA[name](*pair) for pair in rows]
+        for (row, _), value in zip(rows, values):
             if value is None:
                 raise MissingDatumError(
                     f"row {row.label!r} has no data for weighted criterion {name}"

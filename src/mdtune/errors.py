@@ -1,4 +1,4 @@
-"""Exception types shared across mdtune."""
+"""Exception types shared across mdtune, and the one error of a bad count."""
 
 
 class MdtuneError(Exception):
@@ -50,3 +50,12 @@ class ExecutorError(MdtuneError):
 
 class RunFailure(MdtuneError):
     """A single benchmark run failed; sweeps record this and continue."""
+
+
+def count_error(name: str, value, rule: str) -> InvalidConfigError:
+    """The error for a count that breaks ``rule`` or is no int: a bool would
+    pass as 0 or 1, and a float would reach a command line as written
+    ("-ntmpi 4.0") or break the thread arithmetic."""
+    if type(value) is not int:
+        return InvalidConfigError(f"{name} must be an integer, not {value!r}")
+    return InvalidConfigError(f"{name} must be {rule}")

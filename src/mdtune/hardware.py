@@ -15,7 +15,7 @@ from __future__ import annotations
 from enum import Enum
 from typing import NamedTuple, Optional
 
-from .errors import MdtuneError
+from .errors import MdtuneError, count_error
 from .wire import checked
 
 DESKTOP = "desktop"  # rack_units value for desktop-chassis machines
@@ -47,8 +47,8 @@ class GpuSpec(NamedTuple):
     supports_app_clocks: bool = False
 
     def _check(self):
-        if self.cuda_cores <= 0:
-            raise MdtuneError(f"{self.model_name}: cuda_cores must be positive")
+        if type(self.cuda_cores) is not int or self.cuda_cores <= 0:
+            raise count_error(f"{self.model_name}: cuda_cores", self.cuda_cores, "positive")
         if self.base_clock_mhz <= 0:
             raise MdtuneError(f"{self.model_name}: base_clock_mhz must be positive")
         if self.max_app_clock_mhz is not None and self.max_app_clock_mhz < self.base_clock_mhz:
@@ -67,14 +67,14 @@ class CpuSpec(NamedTuple):
     base_clock_mhz: float = 0.0
 
     def _check(self):
-        if self.sockets < 1:
-            raise MdtuneError(f"{self.model_name}: sockets must be >= 1")
-        if self.cores_per_socket < 1:
-            raise MdtuneError(f"{self.model_name}: cores_per_socket must be >= 1")
-        if self.hardware_threads_per_core not in (1, 2):
-            raise MdtuneError(
-                f"{self.model_name}: hardware_threads_per_core must be 1 or 2"
-            )
+        if type(self.sockets) is not int or self.sockets < 1:
+            raise count_error(f"{self.model_name}: sockets", self.sockets, ">= 1")
+        if type(self.cores_per_socket) is not int or self.cores_per_socket < 1:
+            raise count_error(f"{self.model_name}: cores_per_socket", self.cores_per_socket,
+                              ">= 1")
+        smt = self.hardware_threads_per_core
+        if type(smt) is not int or smt not in (1, 2):
+            raise count_error(f"{self.model_name}: hardware_threads_per_core", smt, "1 or 2")
         return self
 
     @property
@@ -146,6 +146,10 @@ class PowerReading(NamedTuple):
     def _check(self):
         if self.kind not in (METER_KWH_PER_300S, DIRECT_WATTS):
             raise MdtuneError(f"unknown power reading kind {self.kind!r}")
+        if type(self.gpus_installed) is not int or self.gpus_installed < 0:
+            raise count_error("gpus_installed", self.gpus_installed, ">= 0")
+        if type(self.gpus_active) is not int or self.gpus_active < 0:
+            raise count_error("gpus_active", self.gpus_active, ">= 0")
         if self.gpus_active > self.gpus_installed:
             raise MdtuneError("gpus_active cannot exceed gpus_installed")
         return self

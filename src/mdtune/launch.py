@@ -5,13 +5,17 @@ nodes: how many ranks, how many OpenMP threads per rank, how many of the
 ranks do the long-range mesh work, how ranks map onto GPUs, and a few
 engine toggles (dynamic load balancing, neighbor-search interval,
 hyper-threading). Everything here is a pure function over immutable inputs.
+
+``enumerate_plan`` is the one enumerator of a node's candidates, and every
+config it returns fits the node by construction. ``validate_config`` checks
+a config from anywhere else, such as a plan file, against a node.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .errors import InvalidConfigError
+from .errors import InvalidConfigError, count_error
 from .hardware import NodeSpec, total_hw_threads
 from .wire import checked, dumps, from_doc, read, validate
 
@@ -23,14 +27,6 @@ PME_FRACTIONS = (1 / 8, 1 / 6, 1 / 4, 1 / 3, 1 / 2)
 MAX_MAPPED_GPUS = 10
 
 DLB_VALUES = ("on", "off", "auto")
-
-
-def _count_error(name: str, value, rule: str) -> InvalidConfigError:
-    """The error for a count that breaks ``rule`` or is no int: a bool or a
-    float would reach the command line as written ("-ntmpi 4.0")."""
-    if type(value) is not int:
-        return InvalidConfigError(f"{name} must be an integer, not {value!r}")
-    return InvalidConfigError(f"{name} must be {rule}")
 
 
 @checked
@@ -57,19 +53,19 @@ class LaunchConfig(NamedTuple):
 
     def _check(self):
         if type(self.n_rank) is not int or self.n_rank < 1:
-            raise _count_error("n_rank", self.n_rank, ">= 1")
+            raise count_error("n_rank", self.n_rank, ">= 1")
         if type(self.n_th) is not int or self.n_th < 0:
-            raise _count_error("n_th", self.n_th, ">= 0")
+            raise count_error("n_th", self.n_th, ">= 0")
         if self.n_th_pme is not None and (type(self.n_th_pme) is not int or self.n_th_pme < 1):
-            raise _count_error("n_th_pme", self.n_th_pme, ">= 1")
+            raise count_error("n_th_pme", self.n_th_pme, ">= 1")
         if self.nstlist is not None and (type(self.nstlist) is not int or self.nstlist < 1):
-            raise _count_error("nstlist", self.nstlist, ">= 1")
+            raise count_error("nstlist", self.nstlist, ">= 1")
         if type(self.n_pme) is not int or not 0 <= self.n_pme < self.n_rank:
-            raise _count_error("n_pme", self.n_pme, "in [0, n_rank)")
+            raise count_error("n_pme", self.n_pme, "in [0, n_rank)")
         if self.dlb not in DLB_VALUES:
             raise InvalidConfigError(f"dlb must be one of {DLB_VALUES}")
         if type(self.nodes) is not int or self.nodes < 1:
-            raise _count_error("nodes", self.nodes, ">= 1")
+            raise count_error("nodes", self.nodes, ">= 1")
         if self.gpu_id.strip("0123456789"):  # str.isdigit also takes "²" and "٠"
             raise InvalidConfigError("gpu_id must be a string of the digits 0-9")
         if self.dd_grid is not None and (len(self.dd_grid) != 3 or min(self.dd_grid) < 1):
@@ -171,97 +167,62 @@ class SweepOptions(NamedTuple):
     repeats: int = 2
 
 
-def _divisors_desc(n: int) -> list[int]:
-    divs = [d for d in range(1, n + 1) if n % d == 0]
-    return sorted(divs, reverse=True)
+def enumerate_plan(
+    node: NodeSpec, options: SweepOptions = SweepOptions(), nodes: int = 1
+) -> list[LaunchConfig]:
+    """The full candidate plan for a node type, every config valid on it.
 
+    First the single-node scan: for each hyper-threading setting the thread
+    budget N is factored into every (ranks, threads) pair with ranks *
+    threads = N, keeping only configurations with at least one rank per
+    active GPU. This covers the three classic scans: all-ranks (N, 1),
+    all-threads (1, N), and the hybrid combinations in between. On big
+    CPU-only nodes (N >= 20), separate-PME variants are added for the
+    rank-heavy configurations. GPU candidates are emitted with load
+    balancing both on and off, since either can win depending on the system.
 
-def _pme_candidates(n_rank: int) -> list[int]:
-    cands = sorted({round(n_rank * f) for f in PME_FRACTIONS})
-    return [c for c in cands if 0 < c < n_rank]
-
-
-def _ht_settings(node: NodeSpec, options: SweepOptions) -> list[bool]:
-    if options.ht is not None:
-        return list(options.ht)
-    if node.cpu.hardware_threads_per_core > 1:
-        return [False, True]
-    return [False]
-
-
-def enumerate_single_node(node: NodeSpec, options: SweepOptions = SweepOptions()) -> list[LaunchConfig]:
-    """All single-node launch candidates for a node.
-
-    For each hyper-threading setting the thread budget N is factored into
-    every (ranks, threads) pair with ranks * threads = N, keeping only
-    configurations with at least one rank per active GPU. This covers the
-    three classic scans: all-ranks (N, 1), all-threads (1, N), and the
-    hybrid combinations in between. On big CPU-only nodes (N >= 20),
-    separate-PME variants are added for the rank-heavy configurations.
-    GPU candidates are emitted with load balancing both on and off, since
-    either can win depending on the system.
+    Then, when GPUs are in play, the homogeneous interleaved-PME layouts over
+    ``nodes`` nodes. The engine's default rank placement interleaves PP and
+    PME ranks, so with two ranks per GPU on each node, half of them on mesh
+    duty, each node gets one PP rank per GPU and the gpu_id "01...". They
+    come with an even and a mesh-heavy thread split.
     """
     n_gpus = node.n_gpus if options.gpus_active is None else options.gpus_active
-    if n_gpus > node.n_gpus:
+    if not 0 <= n_gpus <= node.n_gpus:
         raise InvalidConfigError(
             f"requested {n_gpus} active GPUs but node has {node.n_gpus}"
         )
-    ht_settings = _ht_settings(node, options)
-    if options.dlb is not None:
-        dlb_settings = list(options.dlb)
-    elif n_gpus > 0:
-        dlb_settings = ["on", "off"]
+    if options.ht is not None:
+        ht_settings = tuple(options.ht)
     else:
-        dlb_settings = ["on"]
+        ht_settings = (False, True) if node.cpu.hardware_threads_per_core > 1 else (False,)
+    if options.dlb is not None:
+        dlb_settings = tuple(options.dlb)
+    else:
+        dlb_settings = ("on", "off") if n_gpus else ("on",)
 
     configs: list[LaunchConfig] = []
     for use_ht in ht_settings:
         budget = total_hw_threads(node, use_ht)
-        for n_rank in _divisors_desc(budget):
-            if n_gpus > 0 and n_rank < n_gpus:
+        for n_rank in range(budget, 0, -1):
+            if budget % n_rank or n_rank < n_gpus:
                 continue
-            n_th = budget // n_rank
+            gpu_id = gpu_id_string(n_gpus, n_rank) if n_gpus else ""
             pme_counts = [0]
-            if options.pme_variants and n_gpus == 0 and budget >= 20 and n_rank >= 8:
-                pme_counts += _pme_candidates(n_rank)
+            if options.pme_variants and not n_gpus and budget >= 20 and n_rank >= 8:
+                # every fraction of 8 or more ranks rounds into [1, n_rank / 2]
+                pme_counts += sorted({round(n_rank * f) for f in PME_FRACTIONS})
             for n_pme in pme_counts:
                 for dlb in dlb_settings:
                     for nstlist in options.nstlist:
-                        configs.append(
-                            LaunchConfig(
-                                n_rank=n_rank,
-                                n_th=n_th,
-                                n_pme=n_pme,
-                                dlb=dlb,
-                                gpu_id=gpu_id_string(n_gpus, n_rank - n_pme)
-                                if n_gpus > 0
-                                else "",
-                                use_ht=use_ht,
-                                nstlist=nstlist,
-                            )
-                        )
-    for c in configs:
-        validate_config(c, node)
-    return configs
-
-
-def enumerate_plan(
-    node: NodeSpec, options: SweepOptions = SweepOptions(), nodes: int = 1
-) -> list[LaunchConfig]:
-    """The full candidate plan for a node type.
-
-    The single-node rank/thread scan, plus, when GPUs are in play, the
-    homogeneous interleaved-PME layouts (half the ranks on mesh duty, one
-    PP rank per GPU) with an even and a mesh-heavy thread split.
-    """
-    configs = enumerate_single_node(node, options)
-    n_gpus = node.n_gpus if options.gpus_active is None else options.gpus_active
-    if n_gpus == 0 or not options.pme_variants:
+                        configs.append(LaunchConfig(
+                            n_rank=n_rank, n_th=budget // n_rank, n_pme=n_pme, dlb=dlb,
+                            gpu_id=gpu_id, use_ht=use_ht, nstlist=nstlist,
+                        ))
+    if not n_gpus or not options.pme_variants:
         return configs
-    ranks_per_node = 2 * n_gpus
-    for use_ht in _ht_settings(node, options):
-        budget = total_hw_threads(node, use_ht)
-        n_th = budget // ranks_per_node
+    for use_ht in ht_settings:
+        n_th = total_hw_threads(node, use_ht) // (2 * n_gpus)
         if n_th < 1:
             continue
         splits = [(n_th, n_th)]
@@ -269,47 +230,12 @@ def enumerate_plan(
             splits.append((n_th - 1, n_th + 1))  # shift CPU power to the mesh
         for pp_th, pme_th in splits:
             for nstlist in options.nstlist:
-                layout = interleaved_pme_layout(
-                    nodes, ranks_per_node, n_gpus,
-                    n_th=pp_th, n_th_pme=pme_th, use_ht=use_ht,
-                )
-                configs.append(layout._replace(nstlist=nstlist))
+                configs.append(LaunchConfig(
+                    n_rank=2 * n_gpus * nodes, n_th=pp_th, n_pme=n_gpus * nodes,
+                    n_th_pme=pme_th, gpu_id=gpu_id_string(n_gpus, n_gpus), use_ht=use_ht,
+                    nstlist=nstlist, nodes=nodes,
+                ))
     return configs
-
-
-def interleaved_pme_layout(
-    nodes: int,
-    ranks_per_node: int,
-    gpus_per_node: int,
-    n_th: int = 0,
-    n_th_pme: Optional[int] = None,
-    use_ht: bool = False,
-) -> LaunchConfig:
-    """Multi-node layout with half of each node's ranks doing mesh work.
-
-    The engine's default rank placement interleaves PP and PME ranks, so
-    with ranks_per_node = 2 x gpus_per_node each node ends up with one PP
-    rank per GPU plus as many PME ranks; the per-node gpu_id is then the
-    one-to-one map "01...".  PP and PME ranks may use different thread
-    counts to fine-tune the split of CPU power.
-    """
-    if ranks_per_node % 2 != 0:
-        raise InvalidConfigError("interleaved PME layout needs an even ranks_per_node")
-    if gpus_per_node != ranks_per_node // 2:
-        raise InvalidConfigError(
-            f"interleaved PME layout maps {ranks_per_node // 2} PP ranks per node "
-            f"one-to-one onto GPUs; got {gpus_per_node} GPUs"
-        )
-    total_ranks = nodes * ranks_per_node
-    return LaunchConfig(
-        n_rank=total_ranks,
-        n_th=n_th,
-        n_pme=total_ranks // 2,
-        n_th_pme=n_th_pme,
-        gpu_id="".join(str(i) for i in range(gpus_per_node)),
-        nodes=nodes,
-        use_ht=use_ht,
-    )
 
 
 class MultiSimPlan(NamedTuple):
@@ -405,9 +331,9 @@ class Workload(NamedTuple):
 
     def _check(self):
         if type(self.reset_steps) is not int or self.reset_steps < 0:
-            raise _count_error("reset_steps", self.reset_steps, ">= 0")
+            raise count_error("reset_steps", self.reset_steps, ">= 0")
         if type(self.benchmark_steps) is not int:
-            raise _count_error("benchmark_steps", self.benchmark_steps, "an integer")
+            raise count_error("benchmark_steps", self.benchmark_steps, "an integer")
         if self.benchmark_steps <= self.reset_steps:
             raise InvalidConfigError(f"benchmark_steps ({self.benchmark_steps}) must exceed "
                                      f"reset_steps ({self.reset_steps})")

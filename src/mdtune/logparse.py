@@ -14,9 +14,9 @@ Logs from restarted runs contain several copies of a metric; the last
 occurrence wins, since it reflects the balanced steady state. Parsing is
 stateless and insensitive to unrelated surrounding lines. A keyword's values
 are read from its own line: a bare keyword (a log cut mid-line) is none.
-Numbers must use '.' as the decimal separator and fit a float; a recognized
-line whose numbers do not parse raises LogParseError with the offset of the
-number.
+Numbers must use '.' as the decimal separator and fit a float, and grid
+counts must be ASCII digits that fit an int; a recognized line whose numbers
+do not parse raises LogParseError with the offset of the number.
 
 Each scan starts only where a match can start, so a parse costs about one
 step per line (and per keyword), not one per character:
@@ -47,15 +47,20 @@ from .errors import LogParseError
 NUMBER = r"[0-9]+(?:\.[0-9]+)?"
 _NUMBER_RE = re.compile(NUMBER)
 
-# The line boundaries of str.splitlines, and one line without its boundary.
-_EOL = r"(?:\r\n|[\n\r\v\f\x1c-\x1e\x85\u2028\u2029])"
-_LINE = r"[^\n\r\v\f\x1c-\x1e\x85\u2028\u2029]*"
+# The line boundaries of str.splitlines, one line without its boundary, and
+# whitespace that stops at such a boundary.
+_EOL_CHARS = r"\n\r\v\f\x1c-\x1e\x85\u2028\u2029"
+_EOL = rf"(?:\r\n|[{_EOL_CHARS}])"
+_LINE = rf"[^{_EOL_CHARS}]*"
+_LINE_SP = rf"[^\S{_EOL_CHARS}]"
 
 _SP = r"[^\S\n]"  # whitespace within a line: values never run over a line end
 _PME_LOAD_RE = re.compile(rf"Average PME mesh/force load:{_SP}*(\S+)")
 # After the load value: newlines skipped, then (group 1) the next four lines.
 _PME_WAIT_WINDOW_RE = re.compile(rf"\n*((?:{_LINE}{_EOL}){{0,3}}{_LINE})")
-_PME_WAIT_RE = re.compile(rf"spent waiting due to PP/PME imbalance:{_SP}*(\S+){_SP}*%")
+# The wait line is one of the window's lines: its value stops at any boundary.
+_PME_WAIT_RE = re.compile(
+    rf"spent waiting due to PP/PME imbalance:{_LINE_SP}*(\S+){_LINE_SP}*%")
 _GPU_CPU_RE = re.compile(r"Force evaluation time GPU/CPU:(.*)")
 _GPU_CPU_NUMS = re.compile(
     rf"\s*({NUMBER})\s*ms/({NUMBER})\s*ms\s*=\s*({NUMBER})\s*$"
@@ -69,7 +74,7 @@ _PERF_FIRST_RE = re.compile(_PERF)
 _PERF_RE = re.compile("\n" + _PERF)
 _LB_ROW_RE = re.compile(
     rf"\n{_SP}*(initial|final){_SP}+({NUMBER}){_SP}*nm{_SP}+({NUMBER}){_SP}*nm"
-    rf"{_SP}+(\d+){_SP}+(\d+){_SP}+(\d+){_SP}+({NUMBER}){_SP}*nm{_SP}+({NUMBER}){_SP}*nm"
+    rf"{_SP}+([0-9]+){_SP}+([0-9]+){_SP}+([0-9]+){_SP}+({NUMBER}){_SP}*nm{_SP}+({NUMBER}){_SP}*nm"
 )
 _LB_COST_RE = re.compile(rf"\n{_SP}*cost-ratio{_SP}+(\S+){_SP}+(\S+)")
 _NOTE = r"(NOTE:.*(?:\n[ \t]+\S.*)*)"
@@ -147,6 +152,14 @@ def _float(raw: str, offset: int, what: str) -> float:
     return value
 
 
+def _int(raw: str, offset: int, what: str) -> int:
+    """``raw``, ASCII digits found at ``offset``, as an int."""
+    try:
+        return int(raw)
+    except ValueError:  # more digits than int() converts
+        raise LogParseError(f"{what} has too many digits: {raw[:20]}...", offset=offset) from None
+
+
 def _line_matches(first: re.Pattern, rest: re.Pattern, text: str):
     """The matches, in order, of a pattern that starts a line: ``first`` at
     the start of the text, then ``rest`` (the same after a newline) on."""
@@ -206,7 +219,8 @@ def parse_gpu_cpu_ratio(text: str) -> Optional[GpuCpuRatio]:
 
 def _table_row(m: re.Match) -> CutoffSetting:
     return CutoffSetting(_float(m[2], m.start(2), "rcoulomb"), _float(m[3], m.start(3), "rlist"),
-                         (int(m[4]), int(m[5]), int(m[6])),
+                         (_int(m[4], m.start(4), "PME grid"), _int(m[5], m.start(5), "PME grid"),
+                          _int(m[6], m.start(6), "PME grid")),
                          _float(m[7], m.start(7), "spacing"), _float(m[8], m.start(8), "1/beta"))
 
 

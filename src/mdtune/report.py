@@ -21,19 +21,16 @@ import re
 from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
 from .econ import (
+    EconInput,
     EconParams,
-    EconRow,
-    HardwareRow,
-    PowerReading,
+    _check_priced,
     econ_row,
-    effective_power,
     parallel_efficiency,
     perf_per_price,
-    production_us,
+    price,
     rank_hardware,
 )
 from .errors import MdtuneError
-from .wire import checked
 
 if TYPE_CHECKING:  # annotations only: the cost commands load no sweep or log layer
     from .logparse import PerfMetrics
@@ -173,35 +170,6 @@ def sweep_table(result: SweepResult) -> str:
 # ---------------------------------------------------------------------------
 
 
-@checked
-class EconInput(NamedTuple):
-    """One row of a rows document: the raw columns of an economics table
-    row and the criteria a recommendation ranks by. Its power must give a draw."""
-
-    label: str
-    performance: float  # ns/day
-    node_cost_eur: float
-    power: Optional[PowerReading] = None
-    power_w: Optional[float] = None  # pre-corrected draw, alternative to power
-    rack_units: Optional[int] = None
-    perf_per_price: Optional[float] = None
-    parallel_performance: Optional[float] = None  # ns/day at scale
-
-    WIRE = {"performance": "performance_ns_day",
-            "parallel_performance": "parallel_performance_ns_day"}
-
-    def effective_power_w(self) -> float:
-        if self.power is not None:
-            return effective_power(self.power)
-        if self.power_w is not None:
-            return self.power_w
-        raise MdtuneError(f"row {self.label!r} declares no power reading")
-
-    def _check(self):
-        self.effective_power_w()
-        return self
-
-
 class EconDisplayRow(NamedTuple):
     """Economics row rounded the way the cost tables print it."""
 
@@ -215,28 +183,6 @@ class EconDisplayRow(NamedTuple):
     yield_value: float
 
 
-def _check_priced(label: str, production: float, total: float) -> None:
-    """Reject a row whose cost per us or yield would not be a finite number.
-
-    The rows schema allows a node cost and a power of 0, a production that
-    rounds to 0.00 us, and any finite cost; a zero divisor, or the quotient
-    of a huge and a tiny value, would crash a table or write ``Infinity``
-    into a JSON document. The yield is checked in ns/kEUR, the larger of
-    its two units, so that every format rejects the same rows.
-    """
-    if not (0 < production < math.inf and 0 < total < math.inf):
-        raise MdtuneError(
-            f"row {label!r}: total cost ({total:g} EUR) and production "
-            f"({production:g} us) must both be above 0 and finite"
-        )
-    keur = total / 1000.0
-    if not (total / production < math.inf and keur > 0 and 1000.0 * production / keur < math.inf):
-        raise MdtuneError(
-            f"row {label!r}: the cost per us and the yield of {total:g} EUR "
-            f"over {production:g} us must be finite"
-        )
-
-
 def econ_display_row(
     inp: EconInput,
     params: EconParams = EconParams(),
@@ -248,9 +194,9 @@ def econ_display_row(
     before the derived columns are formed, mirroring how spreadsheet-built
     cost tables chain their cells.
     """
-    power = inp.effective_power_w()
-    production = round(production_us(inp.performance, params.lifetime_years), 2)
-    energy = params.lifetime_years * power * 365 * 24 * params.energy_price_eur_per_kwh / 1000.0
+    full = econ_row(inp.performance, inp.effective_power_w(), inp.node_cost_eur, params)
+    production = round(full.production_us, 2)
+    energy = full.energy_cost_eur
     if math.isfinite(energy):  # round() raises on an overflowed cost; _check_priced names it
         energy = round(energy)
     total = energy + inp.node_cost_eur
@@ -265,7 +211,7 @@ def econ_display_row(
         label=inp.label,
         performance=inp.performance,
         production_us=production,
-        power_w=power,
+        power_w=full.effective_power_w,
         energy_cost_eur=energy,
         node_cost_eur=inp.node_cost_eur,
         trajectory_cost_eur_per_us=round(total / production),
@@ -309,18 +255,6 @@ def econ_report(
     return _render(header, rows, fmt)
 
 
-def full_precision_rows(
-    inputs: Sequence[EconInput], params: EconParams = EconParams()
-) -> list[EconRow]:
-    """The same rows without display rounding, for downstream ranking."""
-    rows = []
-    for i in inputs:
-        row = econ_row(i.performance, i.effective_power_w(), i.node_cost_eur, params)
-        _check_priced(i.label, row.production_us, row.energy_cost_eur + row.node_cost_eur)
-        rows.append(row)
-    return rows
-
-
 # ---------------------------------------------------------------------------
 # Scaling tables
 # ---------------------------------------------------------------------------
@@ -360,23 +294,25 @@ def scaling_report(series: Sequence[ScalingSeries], fmt: str = "md") -> str:
 
 
 def recommend_report(
-    rows: Sequence[HardwareRow],
+    inputs: Sequence[EconInput],
+    params: EconParams = EconParams(),
     weights: Optional[dict[str, float]] = None,
     fmt: str = "md",
 ) -> str:
-    ranked = rank_hardware(rows, weights)
+    """The rows, each priced, ranked by the weighted criteria (C4 by default)."""
+    ranked = rank_hardware([(row, price(row, params)) for row in inputs], weights)
     header = ["#", "hardware", "perf/price", "P (ns/day)", "parallel P",
               "yield (us/kEUR)", "U"]
     out = []
-    for i, row in enumerate(ranked, start=1):
+    for i, (row, econ) in enumerate(ranked, start=1):
         out.append(
             [
                 str(i),
                 row.label,
                 f"{row.perf_per_price:.2f}" if row.perf_per_price is not None else "-",
-                f"{row.performance:g}" if row.performance is not None else "-",
+                f"{row.performance:g}",
                 f"{row.parallel_performance:g}" if row.parallel_performance is not None else "-",
-                f"{row.econ.yield_us_per_keur:.3f}" if row.econ else "-",
+                f"{econ.yield_us_per_keur:.3f}",
                 str(row.rack_units) if row.rack_units is not None else "D",
             ]
         )

@@ -13,6 +13,7 @@ from mdtune.balance import SyntheticNodeProfile, Workload, balance_cutoff, is_ff
 from mdtune.econ import (
     DIRECT_WATTS,
     METER_KWH_PER_300S,
+    EconInput,
     PowerReading,
     effective_power,
     parallel_efficiency,
@@ -24,7 +25,7 @@ from mdtune.logparse import (
     parse_load_balance_table,
     parse_pme_load,
 )
-from mdtune.report import YIELD_NS, YIELD_US, EconInput, econ_display_row
+from mdtune.report import YIELD_NS, YIELD_US, econ_display_row
 from mdtune.sweep import SyntheticExecutor, result_to_json, run_sweep
 from mdtune.hardware import total_hw_threads
 

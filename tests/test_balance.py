@@ -26,7 +26,6 @@ from mdtune.launch import (
     LaunchConfig,
     enumerate_plan,
     gpu_id_string,
-    interleaved_pme_layout,
     rank_threads,
     validate_config,
 )
@@ -256,12 +255,13 @@ PINNED_RUNS = {
          1.3469827586206897, 1.0, (90, 90, 80))),
     "gpu_interleaved_2_nodes": (
         make_node(n_gpus=2),
-        interleaved_pme_layout(2, 4, 2, n_th=4, n_th_pme=6, use_ht=True)._replace(nstlist=40),
+        LaunchConfig(n_rank=8, n_th=4, n_pme=4, n_th_pme=6, gpu_id="01", use_ht=True,
+                     nstlist=40, nodes=2),
         (289.6943543254529, 0.0005964907407407406, 0.0003319004444311661,
          0.0003407407407407407, None, 1.1333333333182196, (80, 80, 72))),
     "gpu_interleaved_4_nodes": (
         make_node(n_gpus=2),
-        interleaved_pme_layout(4, 4, 2, n_th=3, n_th_pme=2)._replace(dlb="on"),
+        LaunchConfig(n_rank=16, n_th=3, n_pme=8, n_th_pme=2, dlb="on", gpu_id="01", nodes=4),
         (255.00500823638131, 0.0006776337500000001, 0.0002807291666666659,
          0.0002807291666666667, None, 1.3945980776612374, (70, 63, 60))),
 }

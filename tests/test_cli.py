@@ -286,6 +286,24 @@ class TestParseLog:
         assert err.startswith("error: ") and "performance overflows a float" in err
         assert "Traceback" not in err
 
+    def test_grid_count_too_long_for_an_int_is_error(self, tmp_path, capsys):
+        # int() of the count raised a bare ValueError: a traceback
+        path = tmp_path / "long.log"
+        text = (DATA / "si_load_balance.log").read_text()
+        path.write_text(text.replace("144 144 144", f"{'1' * 5000} 144 144"))
+        code, out, err = run_cli(capsys, "parse-log", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {path}: PME grid has too many digits: 1111")
+        assert err.count("\n") == 1
+
+    def test_failing_log_named_among_several(self, tmp_path, capsys):
+        bad = tmp_path / "bad.log"
+        bad.write_text(" Performance:   1,5\n")
+        code, out, err = run_cli(capsys, "parse-log", str(DATA / "si_load_balance.log"), str(bad))
+        assert (code, out) == (1, "")
+        assert err == (f"error: {bad}: malformed performance: '1,5' (only '.' decimal "
+                       "separators are accepted) (character offset 16)\n")
+
 
 class TestAnalyzeCosts:
     def test_markdown_table(self, econ_rows_file, capsys):

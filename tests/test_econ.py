@@ -8,14 +8,15 @@ from mdtune.econ import (
     CRITERIA,
     DIRECT_WATTS,
     METER_KWH_PER_300S,
+    EconInput,
     EconParams,
     EconRow,
-    HardwareRow,
     PowerReading,
     econ_row,
     effective_power,
     parallel_efficiency,
     perf_per_price,
+    price,
     rank_hardware,
 )
 from mdtune.errors import MdtuneError, MissingDatumError
@@ -51,6 +52,18 @@ class TestEffectivePower:
     def test_active_beyond_installed_rejected(self):
         with pytest.raises(MdtuneError):
             PowerReading(DIRECT_WATTS, 542, gpus_installed=2, gpus_active=3)
+
+
+class TestPowerReading:
+    @pytest.mark.parametrize("field, value, rule", [
+        ("gpus_installed", 2.5, "an integer, not 2.5"), ("gpus_installed", True, "an integer"),
+        ("gpus_active", 1.0, "an integer, not 1.0"), ("gpus_active", -1, ">= 0"),
+    ])
+    def test_gpu_count_that_is_no_count_rejected(self, field, value, rule):
+        # each was accepted: -1 active GPUs of 4 installed counted 5 as idle
+        with pytest.raises(MdtuneError, match=f"{field} must be {rule}"):
+            PowerReading(DIRECT_WATTS, 542, **{"gpus_installed": 4, "gpus_active": 2,
+                                               field: value})
 
 
 class TestEconRow:
@@ -175,8 +188,29 @@ class TestNormalizeCompiler:
         assert speedup == pytest.approx(0.04, abs=0.005)
 
 
-def hw(label, **kwargs):
-    return HardwareRow(label=label, **kwargs)
+def hw(label, econ=None, **fields):
+    """A (row, priced row) pair as ``recommend`` ranks it. Without ``econ``
+    the row (1 ns/day, 1000 EUR and 100 W unless given) is priced."""
+    row = EconInput(label, **{"performance": 1.0, "node_cost_eur": 1000.0, "power_w": 100.0,
+                              **fields})
+    return row, econ if econ is not None else price(row)
+
+
+def labels(ranked):
+    return [row.label for row, _ in ranked]
+
+
+class TestPrice:
+    def test_is_the_econ_row_of_the_rows_draw(self):
+        reading = PowerReading(DIRECT_WATTS, 542, gpus_installed=4, gpus_active=2,
+                               idle_gpu_power_w=24)
+        row = EconInput("a", 4.688, 5300.0, power=reading)
+        params = EconParams(lifetime_years=3.0)
+        assert price(row, params) == econ_row(4.688, 494.0, 5300.0, params)
+
+    def test_free_row_rejected_by_label(self):
+        with pytest.raises(MdtuneError, match="row 'free': total cost"):
+            price(EconInput("free", 10.0, 0.0, power_w=0.0))
 
 
 class TestRankHardware:
@@ -187,32 +221,30 @@ class TestRankHardware:
             hw("c", perf_per_price=3.1),
         ]
         ranked = rank_hardware(rows, {"C1": 1.0})
-        assert [r.label for r in ranked] == ["b", "c", "a"]
+        assert labels(ranked) == ["b", "c", "a"]
 
     def test_pure_c4_reproduces_yield_order(self):
-        params = EconParams()
-        rows = []
-        for label, perf, kwh, active, idle, cost in bd.CONSUMPTION_METER_RIB:
-            power = effective_power(
-                PowerReading(METER_KWH_PER_300S, kwh,
-                             gpus_installed=bd.CONSUMPTION_GPUS_INSTALLED,
-                             gpus_active=active, idle_gpu_power_w=idle)
-            )
-            rows.append(hw(label, econ=econ_row(perf, power, cost, params)))
+        rows = [
+            hw(label, performance=perf, node_cost_eur=cost, power_w=None,
+               power=PowerReading(METER_KWH_PER_300S, kwh,
+                                  gpus_installed=bd.CONSUMPTION_GPUS_INSTALLED,
+                                  gpus_active=active, idle_gpu_power_w=idle))
+            for label, perf, kwh, active, idle, cost in bd.CONSUMPTION_METER_RIB
+        ]
         ranked = rank_hardware(rows, {"C4": 1.0})
-        yields = [r.econ.yield_us_per_keur for r in ranked]
+        yields = [econ.yield_us_per_keur for _, econ in ranked]
         assert yields == sorted(yields, reverse=True)
         # trajectory is cheapest with a single Maxwell-era card; quad
         # Kepler builds sit well below; CPU-only is last
-        assert ranked[0].label == "2xE5-2670v2 + 980"
-        labels = [r.label for r in ranked]
-        assert labels.index("2xE5-2670v2 + 2x980") < labels.index("2xE5-2670v2 + 4x780Ti")
-        assert labels[-1] == "2xE5-2670v2"
+        order = labels(ranked)
+        assert order[0] == "2xE5-2670v2 + 980"
+        assert order.index("2xE5-2670v2 + 2x980") < order.index("2xE5-2670v2 + 4x780Ti")
+        assert order[-1] == "2xE5-2670v2"
 
     def test_identical_rows_keep_input_order(self):
         rows = [hw("first", performance=5.0), hw("second", performance=5.0)]
         ranked = rank_hardware(rows, {"C2": 1.0})
-        assert [r.label for r in ranked] == ["first", "second"]
+        assert labels(ranked) == ["first", "second"]
 
     def test_missing_datum_names_row(self):
         rows = [hw("a", perf_per_price=1.9), hw("b")]
@@ -222,7 +254,7 @@ class TestRankHardware:
     def test_rack_space_prefers_small(self):
         rows = [hw("4U", rack_units=4), hw("1U", rack_units=1), hw("2U", rack_units=2)]
         ranked = rank_hardware(rows, {"C5": 1.0})
-        assert [r.label for r in ranked] == ["1U", "2U", "4U"]
+        assert labels(ranked) == ["1U", "2U", "4U"]
 
     def test_unknown_criterion_rejected(self):
         with pytest.raises(MdtuneError):
@@ -230,11 +262,11 @@ class TestRankHardware:
 
     def test_default_preset_is_lifetime_yield(self):
         rows = [
-            hw("cheap", econ=econ_row(2.0, 100.0, 1000.0)),
-            hw("fast", econ=econ_row(4.0, 900.0, 9000.0)),
+            hw("cheap", performance=2.0, power_w=100.0, node_cost_eur=1000.0),
+            hw("fast", performance=4.0, power_w=900.0, node_cost_eur=9000.0),
         ]
         ranked = rank_hardware(rows)
-        assert ranked[0].label == "cheap"
+        assert labels(ranked)[0] == "cheap"
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -253,8 +285,8 @@ class TestRankHardware:
         images = [scale * v ** 2 for v in values]
         assume(len(set(images)) == len(images))
         rescaled = [hw(str(i), performance=x) for i, x in enumerate(images)]
-        a = [r.label for r in rank_hardware(rows, {"C2": 1.0})]
-        b = [r.label for r in rank_hardware(rescaled, {"C2": 1.0})]
+        a = labels(rank_hardware(rows, {"C2": 1.0}))
+        b = labels(rank_hardware(rescaled, {"C2": 1.0}))
         assert a == b
 
     def test_mixed_weights_deterministic(self):
@@ -264,8 +296,8 @@ class TestRankHardware:
             hw("c", perf_per_price=3.0, performance=30.0),
             hw("d", perf_per_price=2.0, performance=20.0),
         ]
-        once = [r.label for r in rank_hardware(rows, {"C1": 0.5, "C2": 0.5})]
-        again = [r.label for r in rank_hardware(rows, {"C1": 0.5, "C2": 0.5})]
+        once = labels(rank_hardware(rows, {"C1": 0.5, "C2": 0.5}))
+        again = labels(rank_hardware(rows, {"C1": 0.5, "C2": 0.5}))
         assert once == again
         # a and b each win one criterion and lose the other; c is runner-up
         # on both and wins on summed ranks, a beats b on input order
@@ -275,7 +307,8 @@ class TestRankHardware:
 def loop_rank(rows, weights):
     """rank_hardware as it was written before its closed form: an if-chain
     per criterion and a loop that averages the positions of equal values."""
-    def criterion(row, name):
+    def criterion(pair, name):
+        row, econ = pair
         if name == "C1":
             return row.perf_per_price
         if name == "C2":
@@ -283,7 +316,7 @@ def loop_rank(rows, weights):
         if name == "C3":
             return row.parallel_performance
         if name == "C4":
-            return row.econ.yield_us_per_keur if row.econ else None
+            return econ.yield_us_per_keur
         return -row.rack_units if row.rack_units is not None else None
 
     scores = [0.0] * len(rows)
@@ -323,5 +356,4 @@ def test_rank_matches_the_tie_averaging_loop(values, weights):
     rows = [hw(str(i), perf_per_price=c1, performance=c2, parallel_performance=c3,
                econ=EconRow(*[0.0] * 6, yield_us_per_keur=c4), rack_units=c5)
             for i, (c1, c2, c3, c4, c5) in enumerate(values)]
-    assert ([r.label for r in rank_hardware(rows, weights)]
-            == [r.label for r in loop_rank(rows, weights)])
+    assert labels(rank_hardware(rows, weights)) == labels(loop_rank(rows, weights))

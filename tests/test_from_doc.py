@@ -13,12 +13,12 @@ import pytest
 
 from mdtune import wire
 from mdtune.balance import SyntheticNodeProfile, Workload
-from mdtune.econ import EconParams
+from mdtune.econ import EconInput, EconParams
 from mdtune.errors import ManifestError
 from mdtune.hardware import NodeSpec
 from mdtune.launch import LaunchConfig
 from mdtune.manifest import RunManifest
-from mdtune.report import EconInput, ScalingSeries
+from mdtune.report import ScalingSeries
 from mdtune.wire import from_doc, to_doc
 
 from conftest import make_node

@@ -85,6 +85,20 @@ class TestInvariants:
             GpuSpec(model_name="g", cuda_cores=1, base_clock_mhz=700,
                     max_app_clock_mhz=600)
 
+    @pytest.mark.parametrize("field, value", [
+        ("sockets", 2.0), ("sockets", True), ("cores_per_socket", 4.0),
+        ("hardware_threads_per_core", True), ("hardware_threads_per_core", 2.0),
+    ])
+    def test_cpu_count_that_is_no_int_rejected(self, field, value):
+        # sockets=2.0 made enumerate_plan raise a bare TypeError; True passed as 1
+        with pytest.raises(MdtuneError, match=f"c: {field} must be an integer, not {value!r}"):
+            CpuSpec("c", **{"sockets": 1, "cores_per_socket": 4, field: value})
+
+    @pytest.mark.parametrize("value", [1.5, 2048.0, True])
+    def test_cuda_cores_that_is_no_int_rejected(self, value):
+        with pytest.raises(MdtuneError, match=f"g: cuda_cores must be an integer, not {value!r}"):
+            gpu(value, 700)
+
     def test_smt_of_three_rejected(self):
         with pytest.raises(MdtuneError):
             CpuSpec("c", sockets=1, cores_per_socket=4, hardware_threads_per_core=3)

@@ -8,9 +8,8 @@ from mdtune.launch import (
     LaunchConfig,
     SweepOptions,
     Workload,
-    enumerate_single_node,
+    enumerate_plan,
     gpu_id_string,
-    interleaved_pme_layout,
     load_plan,
     plan_multi_sim,
     plan_to_json,
@@ -143,57 +142,76 @@ class TestGpuIdString:
                 assert ids in brute_force_even_split(n_gpus, n_ranks)
 
 
+def interleaved_layouts(configs):
+    """The interleaved-PME layouts of a plan, its only GPU configs with mesh ranks."""
+    return [c for c in configs if c.gpu_id and c.n_pme]
+
+
+def single_node_scan(configs):
+    """The rank/thread scan of a plan: all but its interleaved-PME layouts."""
+    return [c for c in configs if not (c.gpu_id and c.n_pme)]
+
+
 class TestEnumerateSingleNode:
+    """The single-node rank/thread scan that opens every plan."""
+
     def test_ranklist_matches_classic_scan(self):
         # 40 hardware threads with 2 GPUs: the rank candidates are exactly
         # the divisors of 40 that keep one rank per GPU
         node = make_node(n_gpus=2)
-        configs = enumerate_single_node(node, SweepOptions(ht=[True]))
+        configs = single_node_scan(enumerate_plan(node, SweepOptions(ht=[True])))
         ranks = sorted({c.n_rank for c in configs}, reverse=True)
         assert ranks == [40, 20, 10, 8, 5, 4, 2]
 
     def test_quad_core_no_gpu(self):
         node = make_node(cores_per_socket=4, sockets=1, ht=True)
-        configs = enumerate_single_node(node, SweepOptions(ht=[False]))
+        configs = enumerate_plan(node, SweepOptions(ht=[False]))
         assert {(c.n_rank, c.n_th) for c in configs} == {(4, 1), (2, 2), (1, 4)}
-        with_ht = enumerate_single_node(node)
+        with_ht = enumerate_plan(node)
         assert {(c.n_rank, c.n_th) for c in with_ht if c.use_ht} == {
             (8, 1), (4, 2), (2, 4), (1, 8),
         }
 
     def test_one_rank_per_gpu_enforced(self):
         node = make_node(ht=False, n_gpus=2)  # 20 cores
-        configs = enumerate_single_node(node, SweepOptions(gpus_active=2))
+        configs = enumerate_plan(node, SweepOptions(gpus_active=2))
         assert all(c.n_rank >= 2 for c in configs)
         # four active GPUs on the 20-core budget: n_rank=2 must disappear
         node4 = make_node(ht=False, n_gpus=4)
-        configs4 = enumerate_single_node(node4)
+        configs4 = enumerate_plan(node4)
         assert all(c.n_rank >= 4 for c in configs4)
         assert not any(c.n_rank == 2 for c in configs4)
 
+    @pytest.mark.parametrize("gpus_active", [3, -1])
+    def test_active_gpus_beyond_the_node_rejected(self, gpus_active):
+        with pytest.raises(InvalidConfigError,
+                           match=f"requested {gpus_active} active GPUs but node has 2"):
+            enumerate_plan(make_node(n_gpus=2), SweepOptions(gpus_active=gpus_active))
+
     def test_gpu_configs_carry_both_dlb_settings(self):
         node = make_node(n_gpus=2)
-        configs = enumerate_single_node(node, SweepOptions(ht=[True]))
+        configs = single_node_scan(enumerate_plan(node, SweepOptions(ht=[True])))
         by_rank = {c.n_rank for c in configs if c.dlb == "on"}
         assert by_rank == {c.n_rank for c in configs if c.dlb == "off"}
 
     def test_cpu_pme_variants_on_big_nodes(self):
         node = make_node(ht=False)  # 20 cores, no GPUs
-        configs = enumerate_single_node(node, SweepOptions())
+        configs = enumerate_plan(node, SweepOptions())
         pme_counts = {c.n_pme for c in configs if c.n_rank == 20}
         # fractions 1/8..1/2 of 20 ranks, rounded (half-to-even) and deduplicated
         assert pme_counts == {0, 2, 3, 5, 7, 10}
 
     def test_no_pme_variants_on_small_nodes(self):
         node = make_node(cores_per_socket=4, sockets=1)
-        configs = enumerate_single_node(node)
+        configs = enumerate_plan(node)
         assert all(c.n_pme == 0 for c in configs)
 
     def test_all_emitted_configs_valid(self):
         for n_gpus in (0, 1, 2, 4):
             node = make_node(n_gpus=n_gpus)
-            for config in enumerate_single_node(node):
-                validate_config(config, node)  # must not raise
+            for nodes in (1, 3):
+                for config in enumerate_plan(node, nodes=nodes):
+                    validate_config(config, node)  # must not raise
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -201,8 +219,9 @@ class TestEnumerateSingleNode:
         cores=st.integers(1, 16),
         smt=st.sampled_from([1, 2]),
         n_gpus=st.integers(0, 4),
+        nodes=st.integers(1, 4),
     )
-    def test_enumeration_property(self, sockets, cores, smt, n_gpus):
+    def test_enumeration_property(self, sockets, cores, smt, n_gpus, nodes):
         node = NodeSpec(
             cpu=CpuSpec("c", sockets=sockets, cores_per_socket=cores,
                         hardware_threads_per_core=smt),
@@ -210,42 +229,50 @@ class TestEnumerateSingleNode:
         )
         if n_gpus > sockets * cores:
             return  # budget cannot host one rank per GPU without HT
-        configs = enumerate_single_node(node)
+        configs = enumerate_plan(node, nodes=nodes)
         assert configs
         for config in configs:
             validate_config(config, node)
+        scan, tail = single_node_scan(configs), interleaved_layouts(configs)
+        assert configs == scan + tail
+        for config in scan:
+            assert config.nodes == 1
+            assert config.n_rank * config.n_th == total_hw_threads(node, config.use_ht)
+        # the interleaved layouts: one PP and one PME rank per GPU on each
+        # node, wherever the budget gives each rank a thread
+        budgets = [total_hw_threads(node, ht) for ht in ((False, True) if smt > 1 else (False,))]
+        assert bool(tail) == (n_gpus > 0 and max(budgets) >= 2 * n_gpus)
+        for config in tail:
             budget = total_hw_threads(node, config.use_ht)
-            assert config.n_rank * config.n_th == budget
+            assert (config.nodes, config.n_rank, config.n_pme) == (nodes, 2 * n_gpus * nodes,
+                                                                   n_gpus * nodes)
+            assert config.gpu_id == "0123"[:n_gpus]
+            assert config.n_th + config.n_th_pme == 2 * (budget // (2 * n_gpus))
 
 
 class TestInterleavedPme:
+    """The interleaved-PME layouts that close a GPU node's plan."""
+
     def test_published_32_node_layout(self):
-        config = interleaved_pme_layout(nodes=32, ranks_per_node=4, gpus_per_node=2)
-        assert config.n_rank == 128
-        assert config.n_pme == 64
-        assert config.gpu_id == "01"
+        configs = interleaved_layouts(enumerate_plan(make_node(n_gpus=2), nodes=32))
+        assert {(c.n_rank, c.n_pme, c.gpu_id) for c in configs} == {(128, 64, "01")}
 
     def test_single_node_single_gpu(self):
-        config = interleaved_pme_layout(nodes=1, ranks_per_node=2, gpus_per_node=1)
-        assert config.n_pme == 1
-        assert config.gpu_id == "0"
+        configs = interleaved_layouts(enumerate_plan(make_node(n_gpus=1)))
+        assert {(c.n_rank, c.n_pme, c.gpu_id) for c in configs} == {(2, 1, "0")}
 
     def test_uneven_thread_split_fits_budget(self):
         # 2 PP ranks x 4 threads + 2 PME ranks x 6 threads = 20 cores
-        config = interleaved_pme_layout(
-            nodes=64, ranks_per_node=4, gpus_per_node=2, n_th=4, n_th_pme=6
-        )
         node = make_node(ht=False, n_gpus=2)
+        configs = interleaved_layouts(enumerate_plan(node, nodes=64))
+        assert [(c.n_th, c.n_th_pme) for c in configs] == [(5, 5), (4, 6)]
+        config = configs[1]
         validate_config(config, node)
         assert 2 * config.n_th + 2 * config.n_th_pme == 20
 
-    def test_odd_ranks_rejected(self):
-        with pytest.raises(InvalidConfigError):
-            interleaved_pme_layout(nodes=2, ranks_per_node=3, gpus_per_node=1)
-
-    def test_wrong_gpu_count_rejected(self):
-        with pytest.raises(InvalidConfigError):
-            interleaved_pme_layout(nodes=2, ranks_per_node=4, gpus_per_node=1)
+    def test_none_without_mesh_variants(self):
+        options = SweepOptions(pme_variants=False)
+        assert interleaved_layouts(enumerate_plan(make_node(n_gpus=2), options)) == []
 
 
 class TestMultiSim:
@@ -301,7 +328,7 @@ class TestRenderCommand:
         assert render_command(config) == "mdrun -ntmpi 6 -gpu_id 000111 -s in.tpr"
 
     def test_external_mpi_interleaved(self):
-        config = interleaved_pme_layout(nodes=32, ranks_per_node=4, gpus_per_node=2)
+        config = LaunchConfig(n_rank=128, n_pme=64, gpu_id="01", nodes=32)
         profile = EngineProfile(mdrun="mdrun_mpi", thread_mpi=False)
         command = render_command(config, profile)
         assert command.startswith("mpirun -np 128 mdrun_mpi")
@@ -323,14 +350,14 @@ class TestRenderCommand:
 class TestPlanSerialization:
     def test_json_round_trip(self, tmp_path):
         node = make_node(n_gpus=2)
-        configs = enumerate_single_node(node)
+        configs = enumerate_plan(node, nodes=2)
         path = tmp_path / "plan.json"
         path.write_text(plan_to_json(configs))
         assert load_plan(path) == configs
 
     def test_script_one_command_per_line(self):
         node = make_node(n_gpus=1)
-        configs = enumerate_single_node(node, SweepOptions(ht=[False]))
+        configs = enumerate_plan(node, SweepOptions(ht=[False]))
         script = plan_to_script(configs)
         lines = script.strip().splitlines()
         assert len(lines) == len(configs)

@@ -250,6 +250,13 @@ class TestOffsets:
         assert text[err.value.offset:].startswith("1,5")
         assert len(text[:err.value.offset].encode()) == 40  # its UTF-8 byte offset
 
+    def test_wait_value_read_from_its_own_line(self):
+        # "\r" ends the wait line, as it does in the window of lines searched
+        # for it: the 5.0 after it is not that line's value
+        text = (" Average PME mesh/force load: 1.5\n" + self.WAIT.format("\r 5.0").rstrip("\n")
+                + "\n" + self.WAIT.format("1.5"))
+        assert parse_pme_load(text) == (1.5, 1.5)
+
     def test_wait_out_of_range(self):
         text = " Average PME mesh/force load: 0.625\n" + self.WAIT.format("150")
         with pytest.raises(LogParseError, match="outside") as err:
@@ -283,6 +290,22 @@ class TestOffsets:
         with pytest.raises(LogParseError, match=f"{what} overflows a float") as err:
             parse_metrics(text)
         assert err.value.offset == text.index(self.HUGE)
+
+    LONG = "1" * 5000  # more digits than int() converts (4300 by default)
+
+    def test_grid_count_too_long_for_an_int(self, si_load_balance):
+        # int() raised a bare ValueError out of parse_metrics
+        text = si_load_balance.replace("144 144 144", f"144 {self.LONG} 144")
+        with pytest.raises(LogParseError, match="PME grid has too many digits") as err:
+            parse_metrics(text)
+        assert err.value.offset == text.index(self.LONG)
+
+    @pytest.mark.parametrize("digits", ["\u0661\u0664\u0664", "\uff11\uff14\uff14"])
+    def test_grid_count_of_other_than_ascii_digits_not_read(self, si_load_balance, digits):
+        # \d took them, and int() read each as 144
+        text = si_load_balance.replace("144 144 144", f"{digits} 144 144")
+        with pytest.raises(LogParseError, match="missing its 'final' row"):
+            parse_metrics(text)
 
 
 class TestAdvisories:

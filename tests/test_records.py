@@ -23,15 +23,14 @@ from hypothesis import given, strategies as st
 
 from mdtune import wire
 from mdtune.balance import SyntheticNodeProfile, Workload, predict_run
-from mdtune.econ import EconParams, HardwareRow
+from mdtune.econ import EconInput, EconParams, price
 from mdtune.errors import InvalidConfigError, MdtuneError
 from mdtune.hardware import Interconnect
 from mdtune.launch import LaunchConfig, plan_multi_sim
 from mdtune.logparse import (Advisory, CutoffSetting, GpuCpuRatio, ParsedLoadBalance, PerfMetrics,
                              parse_metrics)
 from mdtune.manifest import Cluster, load_manifest
-from mdtune.report import (YIELD_US, EconInput, ScalingPoint, ScalingSeries, econ_display_row,
-                           full_precision_rows)
+from mdtune.report import YIELD_US, ScalingPoint, ScalingSeries, econ_display_row
 from mdtune.sweep import (Failure, Run, SweepResult, SweepRow, SyntheticExecutor,
                           result_from_json, result_to_json, run_sweep)
 from mdtune.wire import dumps, from_doc, to_doc
@@ -138,7 +137,7 @@ def _instances():
     rows_doc = wire.read(DATA / "golden" / "rows.json")
     params = from_doc(EconParams, rows_doc["econ"])
     inputs = [from_doc(EconInput, row) for row in rows_doc["rows"]]
-    econ = full_precision_rows(inputs, params)[0]
+    econ = price(inputs[0], params)
     manifest = load_manifest(DATA / "manifest_mem.json")
     lb = balanced.load_balance
     failure = Failure(config, "run left no log file at md.log")
@@ -157,7 +156,6 @@ def _instances():
         ("Failure", failure),
         ("GpuCpuRatio", GpuCpuRatio(math.nan, math.inf, -math.inf)),
         ("GpuSpec", node.gpus[0]),
-        ("HardwareRow", HardwareRow("a", econ, perf_per_price=1.5, rack_units=2)),
         ("LaunchConfig with dd_grid", config),
         ("MultiSimPlan", plan_multi_sim(node, replicas=3)),
         ("NodeSpec with an Interconnect", node),

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from mdtune import report
 from mdtune.cli import main
-from mdtune.econ import EconParams, HardwareRow
+from mdtune.econ import EconInput, EconParams
 from mdtune.errors import MdtuneError
 from mdtune.sweep import SweepResult
 from mdtune.wire import from_doc
@@ -52,16 +52,13 @@ def md_cells(line: str) -> list[str]:
 class TestFormats:
     @pytest.mark.parametrize("fmt", ["text", "html", ""])
     def test_unknown_format_rejected(self, fmt):
-        inputs = [from_doc(report.EconInput, row) for row in ROWS_DOC["rows"]]
-        econ_rows = report.full_precision_rows(inputs)
-        hardware = [HardwareRow(i.label, e, performance=i.performance)
-                    for i, e in zip(inputs, econ_rows)]
+        inputs = [from_doc(EconInput, row) for row in ROWS_DOC["rows"]]
         series = [from_doc(report.ScalingSeries, s) for s in SERIES_DOC["series"]]
         for render in (
             lambda: report.sweep_report(SweepResult([], [], None), fmt=fmt),
             lambda: report.econ_report(inputs, EconParams(), fmt=fmt),
             lambda: report.scaling_report(series, fmt=fmt),
-            lambda: report.recommend_report(hardware, fmt=fmt),
+            lambda: report.recommend_report(inputs, fmt=fmt),
         ):
             with pytest.raises(MdtuneError, match=f"unknown report format {fmt!r}"):
                 render()

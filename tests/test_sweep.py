@@ -22,7 +22,6 @@ from mdtune.launch import (
     LaunchConfig,
     SweepOptions,
     enumerate_plan,
-    enumerate_single_node,
     gpu_id_string,
 )
 from mdtune.logparse import ADVISORY_PME_OVERPROVISIONED
@@ -98,7 +97,7 @@ class TestSyntheticSweep:
         assert len(result.rows) + len(result.failures) == len(configs)
 
     def test_full_enumeration_sweeps_clean(self, gpu_node):
-        configs = enumerate_single_node(gpu_node, SweepOptions(nstlist=(40,)))
+        configs = enumerate_plan(gpu_node, SweepOptions(nstlist=(40,)))
         result = run_sweep(configs, SyntheticExecutor(gpu_node), Workload())
         assert not result.failures
         assert result.best_row == result.ranked()[0]
@@ -320,6 +319,17 @@ class TestAccounting:
         assert [row.config for row in result.rows] == [b]
         assert [f.config for f in result.failures] == [a]
         assert "performance overflows a float" in result.failures[0].error
+
+    def test_grid_count_too_long_for_an_int_recorded_not_fatal(self, gpu_node, si_load_balance):
+        # int() of the count raised a bare ValueError out of the sweep
+        a, b = ranklist_configs(gpu_node)[:2]
+        log = render_log(PerfMetrics(performance=10.5))
+        long_grid = si_load_balance.replace("144 144 144", f"{'1' * 5000} 144 144")
+        result = run_sweep([a, b], RecordingExecutor({a: [log, long_grid], b: [log, log]}),
+                           Workload(), repeats=2)
+        assert [row.config for row in result.rows] == [b]
+        assert [f.config for f in result.failures] == [a]
+        assert "PME grid has too many digits" in result.failures[0].error
 
     def test_bad_repeats_rejected(self, gpu_node):
         with pytest.raises(MdtuneError):

@@ -13,6 +13,7 @@ import benchdata as bd
 from mdtune.econ import (
     METER_KWH_PER_300S,
     DIRECT_WATTS,
+    EconInput,
     PowerReading,
     effective_power,
     parallel_efficiency,
@@ -21,7 +22,6 @@ from mdtune.econ import (
 from mdtune.report import (
     YIELD_NS,
     YIELD_US,
-    EconInput,
     econ_display_row,
 )
 
