@@ -22,6 +22,10 @@ with the right qualitative shape (rank/thread tradeoff, GPU offload,
 neighbor-search frequency, multi-node efficiency). It makes no attempt to
 predict absolute performance of real hardware; it exists so the sweep
 orchestrator can be tested end to end without an MD engine installed.
+Dynamic load balancing only scales the step time, after the balance search:
+nothing before that reads ``config.dlb``. A plan lists each GPU layout once
+per DLB setting, so ``predict_run`` can keep what it computes before the
+DLB factor in a caller's memo and do one balance search per such pair.
 """
 
 from __future__ import annotations
@@ -243,83 +247,98 @@ def predict_run(
     node: NodeSpec,
     config: LaunchConfig,
     workload: Workload,
+    memo: Optional[dict] = None,
 ) -> PredictedRun:
     """Deterministic per-step cost model; see predict_performance.
 
     Without GPUs the CPU keeps all short-range work and the shift factor stays 1.
+    ``memo`` is one caller's dict for one profile and node. A config with
+    GPUs keeps in it what it computes before the DLB factor (see the module
+    docstring), keyed by the config without its ``dlb`` and by the workload,
+    so a config that differs from an earlier one only in ``dlb`` skips the
+    balance search. A config without GPUs neither reads nor fills it.
     """
     n_gpus = len(set(config.gpu_id))
-    validate_config(config, node)
+    key = shared = None
+    if n_gpus and memo is not None:
+        key = (config[:4] + config[5:], workload)  # all but dlb; _replace runs _check
+        shared = memo.get(key)
+    if shared is None:
+        validate_config(config, node)
 
-    budget, n_th, pme_th = rank_threads(config, node)
-    nstlist = config.nstlist if config.nstlist is not None else 10
-    atoms = workload.atoms
+        budget, n_th, pme_th = rank_threads(config, node)
+        nstlist = config.nstlist if config.nstlist is not None else 10
+        atoms = workload.atoms
 
-    # Per-step work split (work-units); buffer grows with the search interval.
-    work = float(atoms)
-    w_sr = work * profile.offload_fraction_base * (1.0 + profile.buffer_growth * nstlist)
-    w_pme = work * profile.pme_fraction_base
-    w_rest = work * max(0.0, 1.0 - profile.offload_fraction_base - profile.pme_fraction_base)
-    w_nonoverlap = 0.5 * w_rest + work * profile.nstlist_penalty / max(1, nstlist)
-    w_bonded = 0.5 * w_rest
-    w_sr_cpu = 0.0 if n_gpus else w_sr
+        # Per-step work split (work-units); buffer grows with the search interval.
+        work = float(atoms)
+        w_sr = work * profile.offload_fraction_base * (1.0 + profile.buffer_growth * nstlist)
+        w_pme = work * profile.pme_fraction_base
+        w_rest = work * max(0.0, 1.0 - profile.offload_fraction_base - profile.pme_fraction_base)
+        w_nonoverlap = 0.5 * w_rest + work * profile.nstlist_penalty / max(1, nstlist)
+        w_bonded = 0.5 * w_rest
+        w_sr_cpu = 0.0 if n_gpus else w_sr
 
-    pp_ranks = config.n_pp
-    threads_total = pp_ranks * n_th + config.n_pme * pme_th
-    cpu_cap = _cpu_capacity(profile, node, min(threads_total // config.nodes, budget),
-                            n_th, config.use_ht) * config.nodes
-    pme_share = config.n_pme * pme_th / threads_total if config.n_pme else 0.0
+        pp_ranks = config.n_pp
+        threads_total = pp_ranks * n_th + config.n_pme * pme_th
+        cpu_cap = _cpu_capacity(profile, node, min(threads_total // config.nodes, budget),
+                                n_th, config.use_ht) * config.nodes
+        pme_share = config.n_pme * pme_th / threads_total if config.n_pme else 0.0
 
-    gpu_cap = 0.0
-    if n_gpus:
-        clock_factor = 1.0
-        if profile.app_clock_mhz and node.gpus:
-            clock_factor = profile.app_clock_mhz / node.gpus[0].base_clock_mhz
-        ranks_per_gpu = max(1, pp_ranks // max(1, n_gpus * config.nodes))
-        share_penalty = 1.0 + profile.gpu_share_overhead * (ranks_per_gpu - 1)
-        gpu_cap = n_gpus * config.nodes * profile.gpu_rate * clock_factor / share_penalty
+        gpu_cap = 0.0
+        if n_gpus:
+            clock_factor = 1.0
+            if profile.app_clock_mhz and node.gpus:
+                clock_factor = profile.app_clock_mhz / node.gpus[0].base_clock_mhz
+            ranks_per_gpu = max(1, pp_ranks // max(1, n_gpus * config.nodes))
+            share_penalty = 1.0 + profile.gpu_share_overhead * (ranks_per_gpu - 1)
+            gpu_cap = n_gpus * config.nodes * profile.gpu_rate * clock_factor / share_penalty
 
-    def cpu_times(pme_cost_ratio: float):
-        """(overlapped CPU time, PME mesh/force load) at a mesh cost ratio."""
-        mesh = w_pme * pme_cost_ratio
-        if not pme_share:
-            return (w_sr_cpu + mesh + w_bonded) / cpu_cap, None
-        # dedicated mesh ranks: each side only has its own cores
-        t_mesh = mesh / (cpu_cap * pme_share)
-        t_pp = (w_sr_cpu + w_bonded) / (cpu_cap * (1.0 - pme_share))
-        return max(t_mesh, t_pp), None if n_gpus else t_mesh / t_pp
+        def cpu_times(pme_cost_ratio: float):
+            """(overlapped CPU time, PME mesh/force load) at a mesh cost ratio."""
+            mesh = w_pme * pme_cost_ratio
+            if not pme_share:
+                return (w_sr_cpu + mesh + w_bonded) / cpu_cap, None
+            # dedicated mesh ranks: each side only has its own cores
+            t_mesh = mesh / (cpu_cap * pme_share)
+            t_pp = (w_sr_cpu + w_bonded) / (cpu_cap * (1.0 - pme_share))
+            return max(t_mesh, t_pp), None if n_gpus else t_mesh / t_pp
 
-    def times(state: BalanceState):
-        t_gpu = w_sr * state.pp_cost_ratio / gpu_cap if n_gpus else 0.0
-        return state, t_gpu, *cpu_times(state.pme_cost_ratio)
+        def times(state: BalanceState):
+            t_gpu = w_sr * state.pp_cost_ratio / gpu_cap if n_gpus else 0.0
+            return state, t_gpu, *cpu_times(state.pme_cost_ratio)
 
-    # Find the work shift that balances GPU against overlapped CPU time.
-    k_lo, k_hi = 1.0, profile.max_balance
-    state, t_gpu, t_cpu_overlap, pme_load = times(
-        unshifted_state(workload.rc0, workload.spacing0, workload.box))
-    if n_gpus and t_gpu < t_cpu_overlap:  # GPU has headroom: shift work toward it
-        # Work shifts below one threshold (see the module docstring), found in
-        # the last piece i that shifts at its first k: the smallest float there
-        # that does not shift, else the piece's end (for the last, past k_hi).
-        breaks, meshes = grid_ladder(workload.spacing0, workload.box, k_hi)
-        i = bisect.bisect_left(range(len(breaks)), True, 1, key=lambda j: (
-            w_sr * breaks[j] / gpu_cap >= cpu_times(meshes[j][1])[0])) - 1
-        t_c = cpu_times(meshes[i][1])[0]
-        end = (*breaks[1:], math.nextafter(k_hi, math.inf))[i]
-        k = min(max(t_c * gpu_cap / w_sr if w_sr else end, breaks[i]), end)
-        while k < end and w_sr * k / gpu_cap < t_c:
-            k = math.nextafter(k, end)
-        while not w_sr * math.nextafter(k, 0.0) / gpu_cap < t_c:
-            k = math.nextafter(k, 0.0)
-        for _ in range(48):
-            k_mid = 0.5 * (k_lo + k_hi)
-            if k_mid < k:
-                k_lo = k_mid
-            else:
-                k_hi = k_mid
-        state, t_gpu, t_cpu_overlap, _ = times(_state(
-            workload.rc0, workload.box, k_lo, meshes[bisect.bisect_right(breaks, k_lo) - 1]))
-    step = max(t_gpu, t_cpu_overlap) + w_nonoverlap / cpu_cap
+        # Find the work shift that balances GPU against overlapped CPU time.
+        k_lo, k_hi = 1.0, profile.max_balance
+        state, t_gpu, t_cpu_overlap, pme_load = times(
+            unshifted_state(workload.rc0, workload.spacing0, workload.box))
+        if n_gpus and t_gpu < t_cpu_overlap:  # GPU has headroom: shift work toward it
+            # Work shifts below one threshold (see the module docstring), found in
+            # the last piece i that shifts at its first k: the smallest float there
+            # that does not shift, else the piece's end (for the last, past k_hi).
+            breaks, meshes = grid_ladder(workload.spacing0, workload.box, k_hi)
+            i = bisect.bisect_left(range(len(breaks)), True, 1, key=lambda j: (
+                w_sr * breaks[j] / gpu_cap >= cpu_times(meshes[j][1])[0])) - 1
+            t_c = cpu_times(meshes[i][1])[0]
+            end = (*breaks[1:], math.nextafter(k_hi, math.inf))[i]
+            k = min(max(t_c * gpu_cap / w_sr if w_sr else end, breaks[i]), end)
+            while k < end and w_sr * k / gpu_cap < t_c:
+                k = math.nextafter(k, end)
+            while not w_sr * math.nextafter(k, 0.0) / gpu_cap < t_c:
+                k = math.nextafter(k, 0.0)
+            for _ in range(48):
+                k_mid = 0.5 * (k_lo + k_hi)
+                if k_mid < k:
+                    k_lo = k_mid
+                else:
+                    k_hi = k_mid
+            state, t_gpu, t_cpu_overlap, _ = times(_state(
+                workload.rc0, workload.box, k_lo, meshes[bisect.bisect_right(breaks, k_lo) - 1]))
+        step = max(t_gpu, t_cpu_overlap) + w_nonoverlap / cpu_cap
+        if key is not None:
+            memo[key] = state, t_gpu, t_cpu_overlap, pme_load, step
+    else:
+        state, t_gpu, t_cpu_overlap, pme_load, step = shared
     # CPU nodes want dynamic balancing; with GPUs, DD resizing caps the cutoff shift
     if config.dlb == ("on" if n_gpus else "off"):
         step *= 1.0 + profile.dlb_penalty

@@ -188,10 +188,14 @@ def enumerate_plan(
     come with an even and a mesh-heavy thread split.
     """
     n_gpus = node.n_gpus if options.gpus_active is None else options.gpus_active
+    if type(n_gpus) is not int:
+        raise count_error("gpus_active", n_gpus, "an integer")
     if not 0 <= n_gpus <= node.n_gpus:
         raise InvalidConfigError(
             f"requested {n_gpus} active GPUs but node has {node.n_gpus}"
         )
+    if type(nodes) is not int or nodes < 1:
+        raise count_error("nodes", nodes, ">= 1")
     if options.ht is not None:
         ht_settings = tuple(options.ht)
     else:
@@ -272,10 +276,10 @@ def plan_multi_sim(
     """
     if placement not in ("dense", "interleaved"):
         raise InvalidConfigError(f"unknown placement {placement!r}")
-    if replicas < 1:
-        raise InvalidConfigError("replicas must be >= 1")
-    if nodes < 1:
-        raise InvalidConfigError("nodes must be >= 1")
+    if type(replicas) is not int or replicas < 1:
+        raise count_error("replicas", replicas, ">= 1")
+    if type(nodes) is not int or nodes < 1:
+        raise count_error("nodes", nodes, ">= 1")
     n_gpus = node.n_gpus
     budget = total_hw_threads(node, use_ht)
 

@@ -13,7 +13,9 @@ The interesting lines appear near the end of an engine's metrics log:
 Logs from restarted runs contain several copies of a metric; the last
 occurrence wins, since it reflects the balanced steady state. Parsing is
 stateless and insensitive to unrelated surrounding lines. A keyword's values
-are read from its own line: a bare keyword (a log cut mid-line) is none.
+are read from its own line, as ``str.splitlines`` splits the text: no value,
+and no gap before or between values, crosses any of its line boundaries, so a
+bare keyword (a log cut mid-line) has no value.
 Numbers must use '.' as the decimal separator and fit a float, and grid
 counts must be ASCII digits that fit an int; a recognized line whose numbers
 do not parse raises LogParseError with the offset of the number.
@@ -48,20 +50,21 @@ NUMBER = r"[0-9]+(?:\.[0-9]+)?"
 _NUMBER_RE = re.compile(NUMBER)
 
 # The line boundaries of str.splitlines, one line without its boundary, and
-# whitespace that stops at such a boundary.
+# whitespace that stops at such a boundary: a keyword's values, and the gaps
+# between them, never run over a line end.
 _EOL_CHARS = r"\n\r\v\f\x1c-\x1e\x85\u2028\u2029"
 _EOL = rf"(?:\r\n|[{_EOL_CHARS}])"
 _LINE = rf"[^{_EOL_CHARS}]*"
-_LINE_SP = rf"[^\S{_EOL_CHARS}]"
+_SP = rf"[^\S{_EOL_CHARS}]"
+_INDENT = r"[^\S\n]"  # whitespace before a keyword that starts a line
 
-_SP = r"[^\S\n]"  # whitespace within a line: values never run over a line end
 _PME_LOAD_RE = re.compile(rf"Average PME mesh/force load:{_SP}*(\S+)")
 # After the load value: newlines skipped, then (group 1) the next four lines.
 _PME_WAIT_WINDOW_RE = re.compile(rf"\n*((?:{_LINE}{_EOL}){{0,3}}{_LINE})")
 # The wait line is one of the window's lines: its value stops at any boundary.
 _PME_WAIT_RE = re.compile(
-    rf"spent waiting due to PP/PME imbalance:{_LINE_SP}*(\S+){_LINE_SP}*%")
-_GPU_CPU_RE = re.compile(r"Force evaluation time GPU/CPU:(.*)")
+    rf"spent waiting due to PP/PME imbalance:{_SP}*(\S+){_SP}*%")
+_GPU_CPU_RE = re.compile(rf"Force evaluation time GPU/CPU:({_LINE})")
 _GPU_CPU_NUMS = re.compile(
     rf"\s*({NUMBER})\s*ms/({NUMBER})\s*ms\s*=\s*({NUMBER})\s*$"
 )
@@ -69,14 +72,14 @@ _LB_HEADER = "PP/PME load balancing changed the cut-off"
 
 # A line pattern is searched from the newline before each line, a literal the
 # regex engine skips to; the first line of a text is matched on its own.
-_PERF = rf"{_SP}*Performance:{_SP}+(\S+)"
+_PERF = rf"{_INDENT}*Performance:{_SP}+(\S+)"
 _PERF_FIRST_RE = re.compile(_PERF)
 _PERF_RE = re.compile("\n" + _PERF)
 _LB_ROW_RE = re.compile(
-    rf"\n{_SP}*(initial|final){_SP}+({NUMBER}){_SP}*nm{_SP}+({NUMBER}){_SP}*nm"
+    rf"\n{_INDENT}*(initial|final){_SP}+({NUMBER}){_SP}*nm{_SP}+({NUMBER}){_SP}*nm"
     rf"{_SP}+([0-9]+){_SP}+([0-9]+){_SP}+([0-9]+){_SP}+({NUMBER}){_SP}*nm{_SP}+({NUMBER}){_SP}*nm"
 )
-_LB_COST_RE = re.compile(rf"\n{_SP}*cost-ratio{_SP}+(\S+){_SP}+(\S+)")
+_LB_COST_RE = re.compile(rf"\n{_INDENT}*cost-ratio{_SP}+(\S+){_SP}+(\S+)")
 _NOTE = r"(NOTE:.*(?:\n[ \t]+\S.*)*)"
 _NOTE_FIRST_RE = re.compile(_NOTE)
 _NOTE_RE = re.compile("\n" + _NOTE)

@@ -14,7 +14,8 @@ Two executors ship with the toolkit:
    from the prediction. It is deterministic, not exclusive, and exists so
    sweeps can be tested end to end on a laptop. Because it is deterministic,
    it renders each (config, workload) once and answers every repeat with
-   the same log; the memo lives on the instance, so it lasts one sweep.
+   the same log. It also predicts the two configs of a DLB pair with one
+   balance search. Its memos live on the instance, so they last one sweep.
 
 ``run_sweep`` runs each config's repeats in a row, in plan order, and does
 their deterministic work once too: a log text equal to an earlier repeat's
@@ -35,7 +36,7 @@ from pathlib import Path
 from typing import NamedTuple, Optional, Protocol, Sequence
 
 from .balance import (  # perfbench traces mdtune.sweep.balance_cutoff
-    SyntheticNodeProfile, Workload, balance_cutoff, predict_run, unshifted_state)
+    BalanceState, SyntheticNodeProfile, Workload, balance_cutoff, predict_run, unshifted_state)
 from .errors import ExecutorError, InvalidConfigError, LogParseError, MdtuneError, RunFailure
 from .hardware import NodeSpec
 from .launch import EngineProfile, LaunchConfig, render_command
@@ -66,14 +67,22 @@ class Executor(Protocol):
 class SyntheticExecutor:
     """Deterministic model-backed executor; see the module docstring.
 
-    The rendered log of each ``(config, workload)`` is memoized on the
-    instance, so a repeat costs one dict lookup and the memo holds at most
-    one log per config. It is per instance, not per module, so that it is
-    dropped with the executor: a later sweep computes its logs afresh, and a
-    one-shot ``mdtune sweep`` gains exactly as much as a long-lived process.
-    A config the node cannot run raises ``RunFailure`` every time and is not
-    memoized. Run-to-run noise, once the model has it, will be keyed by
-    repeat; the memo then moves to the noise-free ``PredictedRun``.
+    Three memos live on the instance:
+
+     - the rendered log of each ``(config, workload)``, so a repeat costs one
+       dict lookup; it holds at most one log per config;
+     - ``predict_run``'s memo: for each GPU config, keyed by the config
+       without its ``dlb`` and by the workload, the balance search's result
+       and the step time before the DLB factor, so the second config of a DLB
+       pair skips the search; it holds at most one entry per GPU layout;
+     - the load-balancing table's unshifted (k = 1) row, once per workload.
+
+    They are per instance, not per module, so that they are dropped with the
+    executor: a later sweep computes afresh, and a one-shot ``mdtune sweep``
+    gains exactly as much as a long-lived process. A config the node cannot
+    run raises ``RunFailure`` every time and is memoized nowhere. Run-to-run
+    noise, once the model has it, will be keyed by repeat; the log memo then
+    moves to the noise-free ``PredictedRun``.
     """
 
     exclusive = False
@@ -82,6 +91,8 @@ class SyntheticExecutor:
         self.node = node
         self.profile = profile
         self._logs: dict[tuple[LaunchConfig, Workload], str] = {}
+        self._predictions: dict = {}
+        self._initial_rows: dict[Workload, CutoffSetting] = {}
 
     def run(self, config: LaunchConfig, workload: Workload) -> str:
         log_text = self._logs.get((config, workload))
@@ -91,17 +102,18 @@ class SyntheticExecutor:
 
     def _render(self, config: LaunchConfig, workload: Workload) -> str:
         try:
-            pred = predict_run(self.profile, self.node, config, workload)
+            pred = predict_run(self.profile, self.node, config, workload, self._predictions)
         except InvalidConfigError as exc:
             raise RunFailure(str(exc)) from exc
         load_balance, gpu_cpu, wait, notes = None, None, None, ()
         state = pred.balance
         if state.pp_cost_ratio > 1.0:
-            st0 = unshifted_state(workload.rc0, workload.spacing0, workload.box)
-            load_balance = ParsedLoadBalance(
-                *(CutoffSetting(s.rcoulomb, s.rcoulomb + 0.012, s.grid_dims, s.grid_spacing,
-                                s.rcoulomb * 0.289) for s in (st0, state)),
-                state.pp_cost_ratio, state.pme_cost_ratio)
+            initial = self._initial_rows.get(workload)
+            if initial is None:
+                initial = self._initial_rows[workload] = _cutoff_row(
+                    unshifted_state(workload.rc0, workload.spacing0, workload.box))
+            load_balance = ParsedLoadBalance(initial, _cutoff_row(state),
+                                             state.pp_cost_ratio, state.pme_cost_ratio)
         if config.gpu_id:
             cpu_ms = pred.cpu_overlap_time_s * 1000.0
             gpu_ms = pred.gpu_time_s * 1000.0
@@ -125,6 +137,12 @@ class SyntheticExecutor:
                     ),
                 )
         return render_log(PerfMetrics(pred.ns_per_day, load, wait, gpu_cpu, load_balance, notes))
+
+
+def _cutoff_row(state: BalanceState) -> CutoffSetting:
+    """The load-balancing table's row for a model state."""
+    return CutoffSetting(state.rcoulomb, state.rcoulomb + 0.012, state.grid_dims,
+                         state.grid_spacing, state.rcoulomb * 0.289)
 
 
 class ShellExecutor:

@@ -23,7 +23,9 @@ from mdtune.balance import (
 )
 from mdtune.errors import InvalidConfigError, MdtuneError
 from mdtune.launch import (
+    DLB_VALUES,
     LaunchConfig,
+    SweepOptions,
     enumerate_plan,
     gpu_id_string,
     rank_threads,
@@ -386,6 +388,47 @@ WORKLOADS = (
     Workload(atoms=2_000_000, spacing0=RIB_SPACING, box=RIB_BOX),
     Workload(atoms=300_000, spacing0=0.1, box=(17.3, 12.1, 22.9)),
 )
+
+
+# A GPU plan whose layouts come with each dlb value, on one node and across
+# two, then a layout the node cannot run, with each dlb value too.
+SHARED_NODE = make_node(n_gpus=4)
+UNRUNNABLE = LaunchConfig(n_rank=4, n_th=20, gpu_id="0123")  # 80 threads on 40
+SHARED_PLAN = [
+    *enumerate_plan(SHARED_NODE, SweepOptions(dlb=DLB_VALUES, nstlist=(10, 40)), nodes=2),
+    *(UNRUNNABLE._replace(dlb=dlb) for dlb in DLB_VALUES),
+]
+
+
+class TestOneBalanceSearchPerDlbPair:
+    """``predict_run`` through one memo gives what fresh calls give, bit for bit."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(profile=profiles)
+    def test_memo_equals_fresh_calls_in_either_order(self, profile):
+        cases = [(config, workload) for workload in WORKLOADS[:2] for config in SHARED_PLAN]
+        for order in (cases, cases[::-1]):
+            memo = {}
+            for config, workload in order:
+                try:
+                    fresh = predict_run(profile, SHARED_NODE, config, workload)
+                except InvalidConfigError:
+                    with pytest.raises(InvalidConfigError):
+                        predict_run(profile, SHARED_NODE, config, workload, memo)
+                    continue
+                shared = predict_run(profile, SHARED_NODE, config, workload, memo)
+                for field, got, expected in zip(PredictedRun._fields, shared, fresh):
+                    assert got == expected, (field, config, workload)
+            layouts = {(config._replace(dlb="auto"), workload) for config, workload in cases
+                       if config._replace(dlb="auto") != UNRUNNABLE}
+            assert len(memo) == len(layouts) < len(cases)
+
+    def test_configs_without_gpus_leave_the_memo_alone(self, cpu_node):
+        memo = {}
+        for config in enumerate_plan(cpu_node, SweepOptions(dlb=DLB_VALUES)):
+            run = predict_run(SyntheticNodeProfile(), cpu_node, config, Workload(), memo)
+            assert run == predict_run(SyntheticNodeProfile(), cpu_node, config, Workload())
+        assert memo == {}
 
 
 class TestBisectionOnTheLadder:

@@ -188,6 +188,18 @@ class TestEnumerateSingleNode:
                            match=f"requested {gpus_active} active GPUs but node has 2"):
             enumerate_plan(make_node(n_gpus=2), SweepOptions(gpus_active=gpus_active))
 
+    @pytest.mark.parametrize("gpus_active", [1.0, True])
+    def test_active_gpus_not_an_int_rejected(self, gpus_active):
+        # 1.0 reached gpu_id_string and was reported as a bad gpu_id
+        with pytest.raises(InvalidConfigError,
+                           match=f"gpus_active must be an integer, not {gpus_active!r}"):
+            enumerate_plan(make_node(n_gpus=2), SweepOptions(gpus_active=gpus_active))
+
+    @pytest.mark.parametrize("nodes", [2.0, True, 0])
+    def test_nodes_not_a_count_rejected(self, nodes):
+        with pytest.raises(InvalidConfigError, match="nodes must be"):
+            enumerate_plan(make_node(n_gpus=2), nodes=nodes)
+
     def test_gpu_configs_carry_both_dlb_settings(self):
         node = make_node(n_gpus=2)
         configs = single_node_scan(enumerate_plan(node, SweepOptions(ht=[True])))
@@ -320,6 +332,18 @@ class TestMultiSim:
     def test_nodes_below_one_rejected(self, nodes, placement):
         with pytest.raises(InvalidConfigError, match="nodes must be >= 1"):
             plan_multi_sim(make_node(n_gpus=2), replicas=4, nodes=nodes, placement=placement)
+
+    # A float count planned 20.0 threads per replica on a CPU-only node, or 2.0
+    # ranks per replica over 2.0 nodes, and raised a bare TypeError with GPUs;
+    # True planned one replica.
+    @pytest.mark.parametrize("n_gpus", [0, 2])
+    @pytest.mark.parametrize("count", [2.0, True])
+    @pytest.mark.parametrize("name", ["replicas", "nodes"])
+    def test_counts_not_ints_rejected(self, n_gpus, count, name):
+        counts = {"replicas": 2, "nodes": 2, name: count}
+        with pytest.raises(InvalidConfigError,
+                           match=f"{name} must be an integer, not {count!r}"):
+            plan_multi_sim(make_node(n_gpus=n_gpus), **counts)
 
 
 class TestRenderCommand:

@@ -197,6 +197,39 @@ class TestValueOnTheKeywordsLine:
         with pytest.raises(LogParseError, match="missing its 'final' row"):
             parse_load_balance_table(text)
 
+    # every line boundary of str.splitlines, not "\n" alone, ends the line
+    @pytest.mark.parametrize("eol", ["\r", "\v", "\x0c", "\x1c", "\x85", "\u2028"])
+    def test_performance_not_read_past_any_line_boundary(self, eol):
+        assert parse_metrics(f" Performance:{eol}    5.0\n").performance is None
+
+    @pytest.mark.parametrize("eol", ["\r", "\x0c", "\u2029"])
+    def test_pme_load_not_read_past_any_line_boundary(self, eol):
+        text = f" Average PME mesh/force load:{eol} 0.9\n Performance: 2.0\n"
+        assert parse_pme_load(text) is None
+
+    @pytest.mark.parametrize("eol", ["\r", "\v", "\x1e"])
+    def test_gpu_cpu_values_not_read_past_any_line_boundary(self, eol):
+        with pytest.raises(LogParseError, match="malformed GPU/CPU force time line"):
+            parse_gpu_cpu_ratio(f" Force evaluation time GPU/CPU:{eol} 1.0 ms/2.0 ms = 0.5\n")
+
+    def test_gpu_cpu_line_after_a_lone_cr_is_the_last(self):
+        line = " Force evaluation time GPU/CPU: 1.0 ms/2.0 ms = {}"
+        text = line.format("0.5") + "\r" + line.format("0.6") + "\n"
+        assert parse_gpu_cpu_ratio(text) == GpuCpuRatio(1.0, 2.0, 0.6)
+
+    def test_gpu_cpu_line_ending_in_crlf(self):
+        text = " Force evaluation time GPU/CPU: 1.0 ms/2.0 ms = 0.5\r\n"
+        assert parse_gpu_cpu_ratio(text) == GpuCpuRatio(1.0, 2.0, 0.5)
+
+    @pytest.mark.parametrize("gap", ["\r", "\x0c"])
+    def test_table_tokens_not_read_past_any_line_boundary(self, si_load_balance, gap):
+        text = si_load_balance.replace("   final ", f"   final{gap}", 1)
+        with pytest.raises(LogParseError, match="missing its 'final' row"):
+            parse_load_balance_table(text)
+        text = si_load_balance.replace("4.10             0.22", f"4.10{gap} 0.22")
+        with pytest.raises(LogParseError, match="missing its 'cost-ratio' row"):
+            parse_load_balance_table(text)
+
     def test_malformed_value_on_the_line_still_raises(self):
         with pytest.raises(LogParseError, match="malformed performance: '4,96'"):
             parse_metrics(" Performance:\n Performance:     4,96\n")

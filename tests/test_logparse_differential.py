@@ -9,10 +9,11 @@ does not parse or is out of range. The old parser reported the first place
 the same characters appeared anywhere in the log for the one, and the start
 of the match (or of the wait line's window) for the other. Its second
 change: a keyword's values ("Performance:", the PME load and wait lines,
-the table's rows and "cost-ratio") are read from the keyword's own line,
-where the old patterns let their whitespace run over line ends and took the
-next line's tokens after a bare keyword. Both parsers must agree on the
-offset too, since it is part of the message.
+the GPU/CPU line, the table's rows and "cost-ratio") are read from the
+keyword's own line, as ``str.splitlines`` splits the text, where the old
+patterns let their whitespace run over line ends and took the next line's
+tokens after a bare keyword. Both parsers must agree on the offset too,
+since it is part of the message.
 
 The logs are built from keyword-line fragments: odd whitespace before a
 keyword, keywords with nothing after them, NOTE blocks with continuation
@@ -21,6 +22,7 @@ restarted runs with up to three copies of a log.
 """
 
 import re
+import sys
 from typing import Optional
 
 from hypothesis import given, settings, strategies as st
@@ -44,19 +46,24 @@ from mdtune.wire import to_doc
 
 NUMBER = r"[0-9]+(?:\.[0-9]+)?"
 
-_PME_LOAD_RE = re.compile(r"Average PME mesh/force load:[^\S\n]*(\S+)")
+# Whitespace within one line: every whitespace character at which
+# str.splitlines does not split.
+_BREAKS = "".join(c for c in filter(str.isspace, map(chr, range(sys.maxunicode + 1)))
+                  if len(f"a{c}b".splitlines()) > 1)
+_SP = f"[^\\S{re.escape(_BREAKS)}]"
+
+_PME_LOAD_RE = re.compile(rf"Average PME mesh/force load:{_SP}*(\S+)")
 _PME_WAIT_RE = re.compile(r"spent waiting due to PP/PME imbalance:[^\S\n]*(\S+)[^\S\n]*%")
-_GPU_CPU_RE = re.compile(r"Force evaluation time GPU/CPU:(.*)")
+_GPU_CPU_RE = re.compile(r"Force evaluation time GPU/CPU:")
 _GPU_CPU_NUMS = re.compile(rf"\s*({NUMBER})\s*ms/({NUMBER})\s*ms\s*=\s*({NUMBER})\s*$")
-_PERF_RE = re.compile(r"^\s*Performance:[^\S\n]+(\S+)", re.MULTILINE)
+_PERF_RE = re.compile(rf"^\s*Performance:{_SP}+(\S+)", re.MULTILINE)
 _LB_HEADER_RE = re.compile(r"PP/PME load balancing changed the cut-off")
-_SP = r"[^\S\n]"  # whitespace within one line
 _LB_ROW_RE = re.compile(
     rf"^\s*(initial|final){_SP}+({NUMBER}){_SP}*nm{_SP}+({NUMBER}){_SP}*nm{_SP}+"
     rf"(\d+){_SP}+(\d+){_SP}+(\d+){_SP}+({NUMBER}){_SP}*nm{_SP}+({NUMBER}){_SP}*nm",
     re.MULTILINE,
 )
-_LB_COST_RE = re.compile(r"^\s*cost-ratio[^\S\n]+(\S+)[^\S\n]+(\S+)", re.MULTILINE)
+_LB_COST_RE = re.compile(rf"^\s*cost-ratio{_SP}+(\S+){_SP}+(\S+)", re.MULTILINE)
 _NOTE_RE = re.compile(r"^NOTE:.*(?:\n[ \t]+\S.*)*", re.MULTILINE)
 
 
@@ -107,10 +114,11 @@ def ref_parse_gpu_cpu_ratio(text: str) -> Optional[GpuCpuRatio]:
     if not matches:
         return None
     m = matches[-1]
-    nums = _GPU_CPU_NUMS.match(m.group(1))
+    line = text[m.start():].splitlines()[0]
+    nums = _GPU_CPU_NUMS.match(line, m.end() - m.start())
     if not nums:
         raise LogParseError(
-            f"malformed GPU/CPU force time line: {m.group(0).strip()!r}",
+            f"malformed GPU/CPU force time line: {line.strip()!r}",
             offset=m.start(),
         )
     gpu_ms, cpu_ms, ratio = (float(g) for g in nums.groups())
@@ -266,6 +274,7 @@ def keyword_line(draw, kind: str, nums) -> str:
         return draw(st.sampled_from([
             "Performance:", "Average PME mesh/force load:", "cost-ratio", "initial",
             "NOTE:", "Part of the total run time spent waiting due to PP/PME imbalance:",
+            "Force evaluation time GPU/CPU:",
         ]))
     return draw(noise_lines)
 

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import mdtune.balance
 import mdtune.sweep
 from mdtune.balance import SyntheticNodeProfile, Workload
 from mdtune.errors import MdtuneError, RunFailure
@@ -23,6 +24,7 @@ from mdtune.launch import (
     SweepOptions,
     enumerate_plan,
     gpu_id_string,
+    validate_config,
 )
 from mdtune.logparse import ADVISORY_PME_OVERPROVISIONED
 from mdtune.manifest import load_manifest
@@ -116,17 +118,21 @@ class FreshSyntheticExecutor:
         return SyntheticExecutor(self.node, self.profile).run(config, workload)
 
 
-def node_and_plan(n_gpus, options=SweepOptions()):
+def node_and_plan(n_gpus, options=SweepOptions(), nodes=1):
     node = make_node(n_gpus=n_gpus)
-    return node, enumerate_plan(node, options)
+    return node, enumerate_plan(node, options, nodes)
 
 
 # The node shapes of the ROADMAP baseline: the dual 10-core HT node CPU-only,
 # with 2 GPUs, and with 4 GPUs and 4 nstlist values (41, 28 and 96 configs).
+# Then GPU plans whose layouts repeat with another dlb: interleaved layouts
+# over 2 nodes, and every layout with each of the three dlb values.
 BASELINE_PLANS = {
     "cpu": node_and_plan(0),
     "2gpu": node_and_plan(2),
     "4gpu": node_and_plan(4, SweepOptions(nstlist=(10, 20, 40, 80))),
+    "4gpu-2nodes": node_and_plan(4, SweepOptions(nstlist=(10, 40)), nodes=2),
+    "2gpu-3dlb": node_and_plan(2, SweepOptions(dlb=("on", "off", "auto"))),
 }
 
 
@@ -169,6 +175,32 @@ class TestRepeatsDoneOnce:
         result = run_sweep(configs, SyntheticExecutor(node), Workload(), repeats=repeats)
         assert len(result.rows) == len(configs)
         assert calls == {"predict_run": len(configs), "parse_metrics": len(configs)}
+
+    def test_one_balance_search_per_dlb_pair(self, monkeypatch):
+        node, configs = BASELINE_PLANS["2gpu-3dlb"]
+        calls = Counter()
+
+        def counted(config, node):
+            calls[config] += 1
+            return validate_config(config, node)
+
+        monkeypatch.setattr(mdtune.balance, "validate_config", counted)
+        run_sweep(configs, SyntheticExecutor(node), Workload(), repeats=2)
+        first = {}  # each layout's first config in plan order, by layout
+        for config in configs:
+            first.setdefault(config._replace(dlb="auto"), config)
+        assert len(first) < len(configs)
+        assert calls == Counter(first.values())
+
+    def test_executors_do_not_share_predictions(self):
+        node, configs = BASELINE_PLANS["4gpu"]
+        other = SyntheticNodeProfile(gpu_rate=2e7, dlb_penalty=0.05)
+        run_sweep(configs, SyntheticExecutor(node), Workload())
+        second = run_sweep(configs, SyntheticExecutor(node, other), Workload())
+        fresh = run_sweep(configs, FreshSyntheticExecutor(node, other), Workload())
+        assert result_to_json(second) == result_to_json(fresh)
+        assert result_to_json(second) != result_to_json(
+            run_sweep(configs, SyntheticExecutor(node), Workload()))
 
     @settings(max_examples=100, deadline=None)
     @given(perfs=st.lists(st.floats(min_value=0.001, max_value=1e4), min_size=1, max_size=5)
