@@ -242,6 +242,13 @@ def _cpu_capacity(profile: SyntheticNodeProfile, node: NodeSpec, threads_used: i
     return cores_used * profile.cpu_rate * profile.thread_efficiency(max(1, n_th)) * ht_factor
 
 
+def dlb_pair_key(config: LaunchConfig, workload: Workload) -> tuple:
+    """The memo key of a GPU config's work before the DLB factor: the config
+    without its ``dlb``, and the workload, so both configs of a DLB pair
+    share it."""
+    return config[:4] + config[5:], workload  # _replace would run _check
+
+
 def predict_run(
     profile: SyntheticNodeProfile,
     node: NodeSpec,
@@ -254,14 +261,14 @@ def predict_run(
     Without GPUs the CPU keeps all short-range work and the shift factor stays 1.
     ``memo`` is one caller's dict for one profile and node. A config with
     GPUs keeps in it what it computes before the DLB factor (see the module
-    docstring), keyed by the config without its ``dlb`` and by the workload,
-    so a config that differs from an earlier one only in ``dlb`` skips the
-    balance search. A config without GPUs neither reads nor fills it.
+    docstring), keyed by ``dlb_pair_key``, so a config that differs from an
+    earlier one only in ``dlb`` skips the balance search. A config without
+    GPUs neither reads nor fills it.
     """
     n_gpus = len(set(config.gpu_id))
     key = shared = None
     if n_gpus and memo is not None:
-        key = (config[:4] + config[5:], workload)  # all but dlb; _replace runs _check
+        key = dlb_pair_key(config, workload)
         shared = memo.get(key)
     if shared is None:
         validate_config(config, node)

@@ -66,6 +66,8 @@ class LaunchConfig(NamedTuple):
             raise InvalidConfigError(f"dlb must be one of {DLB_VALUES}")
         if type(self.nodes) is not int or self.nodes < 1:
             raise count_error("nodes", self.nodes, ">= 1")
+        if type(self.use_ht) is not bool:  # 1 would pass, and alias True in a memo key
+            raise InvalidConfigError(f"use_ht must be True or False, not {self.use_ht!r}")
         if self.gpu_id.strip("0123456789"):  # str.isdigit also takes "²" and "٠"
             raise InvalidConfigError("gpu_id must be a string of the digits 0-9")
         if self.dd_grid is not None and (len(self.dd_grid) != 3 or min(self.dd_grid) < 1):

@@ -33,6 +33,14 @@ step per line (and per keyword), not one per character:
    header on, and the PME wait line only within the four lines after the
    last PME load line.
 
+A log without a keyword costs one substring test for it: the PME load, the
+GPU/CPU and the NOTE scans, like the table's, run only when their keyword's
+literal is in the text. A keyword's matches are still taken from the start
+of the text, without overlap, and the last one wins. The GPU/CPU triple and
+the table's rows convert their numbers in one step; only a number that
+overflows a float or does not convert to an int is looked for again, one at
+a time, so that the error names it and its offset.
+
 Integrity checks (re-deriving the printed GPU/CPU ratio, cube-law check on
 the cutoff scaling) produce warnings in PerfMetrics.notes, not failures:
 printed values carry rounding of their own.
@@ -58,13 +66,18 @@ _LINE = rf"[^{_EOL_CHARS}]*"
 _SP = rf"[^\S{_EOL_CHARS}]"
 _INDENT = r"[^\S\n]"  # whitespace before a keyword that starts a line
 
-_PME_LOAD_RE = re.compile(rf"Average PME mesh/force load:{_SP}*(\S+)")
+# A keyword's literal; a text without it has no match, so its scan is skipped.
+_PME_LOAD = "Average PME mesh/force load:"
+_GPU_CPU = "Force evaluation time GPU/CPU:"
+_NOTE_KEYWORD = "NOTE:"
+
+_PME_LOAD_RE = re.compile(rf"{_PME_LOAD}{_SP}*(\S+)")
 # After the load value: newlines skipped, then (group 1) the next four lines.
 _PME_WAIT_WINDOW_RE = re.compile(rf"\n*((?:{_LINE}{_EOL}){{0,3}}{_LINE})")
 # The wait line is one of the window's lines: its value stops at any boundary.
 _PME_WAIT_RE = re.compile(
     rf"spent waiting due to PP/PME imbalance:{_SP}*(\S+){_SP}*%")
-_GPU_CPU_RE = re.compile(rf"Force evaluation time GPU/CPU:({_LINE})")
+_GPU_CPU_RE = re.compile(rf"{_GPU_CPU}({_LINE})")
 _GPU_CPU_NUMS = re.compile(
     rf"\s*({NUMBER})\s*ms/({NUMBER})\s*ms\s*=\s*({NUMBER})\s*$"
 )
@@ -80,7 +93,7 @@ _LB_ROW_RE = re.compile(
     rf"{_SP}+([0-9]+){_SP}+([0-9]+){_SP}+([0-9]+){_SP}+({NUMBER}){_SP}*nm{_SP}+({NUMBER}){_SP}*nm"
 )
 _LB_COST_RE = re.compile(rf"\n{_INDENT}*cost-ratio{_SP}+(\S+){_SP}+(\S+)")
-_NOTE = r"(NOTE:.*(?:\n[ \t]+\S.*)*)"
+_NOTE = rf"({_NOTE_KEYWORD}.*(?:\n[ \t]+\S.*)*)"
 _NOTE_FIRST_RE = re.compile(_NOTE)
 _NOTE_RE = re.compile("\n" + _NOTE)
 
@@ -185,6 +198,8 @@ def parse_pme_load(text: str) -> Optional[tuple[float, Optional[float]]]:
     The wait line is taken from the few lines following the load line when
     present. Returns None when the log has no such line at all.
     """
+    if _PME_LOAD not in text:
+        return None
     m = _last(_PME_LOAD_RE.finditer(text))
     if m is None:
         return None
@@ -205,6 +220,8 @@ def parse_pme_load(text: str) -> Optional[tuple[float, Optional[float]]]:
 
 def parse_gpu_cpu_ratio(text: str) -> Optional[GpuCpuRatio]:
     """Last "Force evaluation time GPU/CPU" line as (gpu_ms, cpu_ms, ratio)."""
+    if _GPU_CPU not in text:
+        return None
     m = _last(_GPU_CPU_RE.finditer(text))
     if m is None:
         return None
@@ -214,13 +231,25 @@ def parse_gpu_cpu_ratio(text: str) -> Optional[GpuCpuRatio]:
             f"malformed GPU/CPU force time line: {m[0].strip()!r}",
             offset=m.start(),
         )
-    at = m.start(1)
+    ratio = GpuCpuRatio(*map(float, nums.groups()))
+    if math.inf not in ratio:
+        return ratio
+    at = m.start(1)  # a time overflows: name it as _float does
     return GpuCpuRatio(_float(nums[1], at + nums.start(1), "GPU force time"),
                        _float(nums[2], at + nums.start(2), "CPU force time"),
                        _float(nums[3], at + nums.start(3), "GPU/CPU ratio"))
 
 
 def _table_row(m: re.Match) -> CutoffSetting:
+    _, rcoulomb, rlist, nx, ny, nz, spacing, inv_beta = m.groups()
+    try:
+        row = CutoffSetting(float(rcoulomb), float(rlist), (int(nx), int(ny), int(nz)),
+                            float(spacing), float(inv_beta))
+        if math.inf not in row:
+            return row
+    except ValueError:  # a grid count with more digits than int() converts
+        pass
+    # the number at fault raises, with its offset, as _float and _int do
     return CutoffSetting(_float(m[2], m.start(2), "rcoulomb"), _float(m[3], m.start(3), "rlist"),
                          (_int(m[4], m.start(4), "PME grid"), _int(m[5], m.start(5), "PME grid"),
                           _int(m[6], m.start(6), "PME grid")),
@@ -264,12 +293,16 @@ def classify_note(text: str) -> str:
 
 def parse_advisories(text: str) -> list[Advisory]:
     """All NOTE blocks, verbatim, classified by what they complain about."""
+    if _NOTE_KEYWORD not in text:
+        return []
     return [Advisory(classify_note(m[1]), m[1])
             for m in _line_matches(_NOTE_FIRST_RE, _NOTE_RE, text)]
 
 
 def parse_performance(text: str) -> Optional[float]:
-    m = _last(_line_matches(_PERF_FIRST_RE, _PERF_RE, text))
+    m = _PERF_FIRST_RE.match(text)
+    for m in _PERF_RE.finditer(text, m.end() if m else 0):
+        pass
     if m is None:
         return None
     value = _parse_number(m[1], m.start(1), "performance")
@@ -334,55 +367,60 @@ def _fmt(value: float) -> str:
     return text
 
 
+# The sections of a synthetic log, each a format string of whole lines; a
+# blank line closes every section.
+_LOG_HEADER = "Log file opened: synthetic run\n\n"
+_LB_SECTION = (
+    f" {_LB_HEADER} and PME settings:\n"
+    "           particle-particle                    PME\n"
+    "            rcoulomb  rlist            grid      spacing   1/beta\n"
+    "   initial  {} nm  {} nm     {} {} {}   {} nm  {} nm\n"
+    "   final    {} nm  {} nm     {} {} {}   {} nm  {} nm\n"
+    " cost-ratio           {}             {}\n\n"
+)
+_PME_SECTION = f" {_PME_LOAD} {{}}\n{{}}\n"
+_PME_WAIT_LINE = " Part of the total run time spent waiting due to PP/PME imbalance: {} %\n"
+_GPU_CPU_SECTION = (f" {_GPU_CPU} {{}} ms/{{}} ms = {{}}\n"
+                    "For optimal performance this ratio should be close to 1!\n\n")
+_PERFORMANCE_SECTION = ("               Core t (s)   Wall t (s)        (%)\n"
+                        " Performance:     {}\n\n")
+
+
+def _row_fields(row: CutoffSetting) -> tuple:
+    return (_fmt(row.rcoulomb), _fmt(row.rlist), *row.grid, _fmt(row.spacing),
+            _fmt(row.inv_beta))
+
+
 def render_log(metrics: PerfMetrics) -> str:
     """Write a log that parses back to the given metrics.
 
     Used by the synthetic executor so that the whole sweep pipeline,
     including parsing, is exercised without an engine installed. Floats are
     written at full precision so rendering and parsing round-trip exactly.
+    The Performance section comes last: a log's text without it is the log
+    of the same metrics with ``performance=None``, and appending
+    ``render_performance(value)`` gives the full log.
     """
-    out = ["Log file opened: synthetic run", ""]
+    parts = [_LOG_HEADER]
     lb = metrics.load_balance
     if lb:
-        out += [
-            " PP/PME load balancing changed the cut-off and PME settings:",
-            "           particle-particle                    PME",
-            "            rcoulomb  rlist            grid      spacing   1/beta",
-            *("   {:<8} {} nm  {} nm     {} {} {}   {} nm  {} nm".format(
-                end, _fmt(row.rcoulomb), _fmt(row.rlist), *row.grid,
-                _fmt(row.spacing), _fmt(row.inv_beta))
-              for end, row in (("initial", lb.initial), ("final", lb.final))),
-            " cost-ratio           {}             {}".format(
-                _fmt(lb.cost_ratio_pp), _fmt(lb.cost_ratio_pme)
-            ),
-            "",
-        ]
-    if metrics.pme_mesh_force_load is not None:
-        out.append(f" Average PME mesh/force load: {_fmt(metrics.pme_mesh_force_load)}")
-        if metrics.pp_pme_wait_pct is not None:
-            out.append(
-                " Part of the total run time spent waiting due to PP/PME imbalance: "
-                f"{_fmt(metrics.pp_pme_wait_pct)} %"
-            )
-        out.append("")
-    if metrics.gpu_cpu is not None:
-        out += [
-            " Force evaluation time GPU/CPU: {} ms/{} ms = {}".format(
-                _fmt(metrics.gpu_cpu.gpu_ms), _fmt(metrics.gpu_cpu.cpu_ms),
-                _fmt(metrics.gpu_cpu.ratio)
-            ),
-            "For optimal performance this ratio should be close to 1!",
-            "",
-        ]
-    for note in metrics.notes:
-        if not note.text.startswith("NOTE:"):
-            continue
-        out += [note.text, ""]
+        parts.append(_LB_SECTION.format(*_row_fields(lb.initial), *_row_fields(lb.final),
+                                        _fmt(lb.cost_ratio_pp), _fmt(lb.cost_ratio_pme)))
+    load, wait = metrics.pme_mesh_force_load, metrics.pp_pme_wait_pct
+    if load is not None:
+        parts.append(_PME_SECTION.format(
+            _fmt(load), "" if wait is None else _PME_WAIT_LINE.format(_fmt(wait))))
+    gpu_cpu = metrics.gpu_cpu
+    if gpu_cpu is not None:
+        parts.append(_GPU_CPU_SECTION.format(_fmt(gpu_cpu.gpu_ms), _fmt(gpu_cpu.cpu_ms),
+                                             _fmt(gpu_cpu.ratio)))
+    parts += [note.text + "\n\n" for note in metrics.notes
+              if note.text.startswith(_NOTE_KEYWORD)]
     if metrics.performance is not None:
-        out += [
-            "               Core t (s)   Wall t (s)        (%)",
-            f" Performance:     {_fmt(metrics.performance)}",
-            "",
-        ]
-    return "\n".join(out) + "\n"
+        parts.append(render_performance(metrics.performance))
+    return "".join(parts)
 
+
+def render_performance(value: float) -> str:
+    """A log's closing Performance section; see ``render_log``."""
+    return _PERFORMANCE_SECTION.format(_fmt(value))

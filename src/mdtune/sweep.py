@@ -15,7 +15,9 @@ Two executors ship with the toolkit:
    sweeps can be tested end to end on a laptop. Because it is deterministic,
    it renders each (config, workload) once and answers every repeat with
    the same log. It also predicts the two configs of a DLB pair with one
-   balance search. Its memos live on the instance, so they last one sweep.
+   balance search and renders their log body, all but the closing
+   Performance section, once. Its memos live on the instance, so they last
+   one sweep.
 
 ``run_sweep`` runs each config's repeats in a row, in plan order, and does
 their deterministic work once too: a log text equal to an earlier repeat's
@@ -36,7 +38,8 @@ from pathlib import Path
 from typing import NamedTuple, Optional, Protocol, Sequence
 
 from .balance import (  # perfbench traces mdtune.sweep.balance_cutoff
-    BalanceState, SyntheticNodeProfile, Workload, balance_cutoff, predict_run, unshifted_state)
+    BalanceState, PredictedRun, SyntheticNodeProfile, Workload, balance_cutoff, dlb_pair_key,
+    predict_run, unshifted_state)
 from .errors import ExecutorError, InvalidConfigError, LogParseError, MdtuneError, RunFailure
 from .hardware import NodeSpec
 from .launch import EngineProfile, LaunchConfig, render_command
@@ -49,6 +52,7 @@ from .logparse import (
     ParsedLoadBalance,
     parse_metrics,
     render_log,
+    render_performance,
 )
 from .wire import dumps, from_doc
 
@@ -67,14 +71,19 @@ class Executor(Protocol):
 class SyntheticExecutor:
     """Deterministic model-backed executor; see the module docstring.
 
-    Three memos live on the instance:
+    Four memos live on the instance:
 
      - the rendered log of each ``(config, workload)``, so a repeat costs one
        dict lookup; it holds at most one log per config;
-     - ``predict_run``'s memo: for each GPU config, keyed by the config
-       without its ``dlb`` and by the workload, the balance search's result
-       and the step time before the DLB factor, so the second config of a DLB
-       pair skips the search; it holds at most one entry per GPU layout;
+     - ``predict_run``'s memo: for each GPU config, keyed by
+       ``dlb_pair_key`` (the config without its ``dlb``, and the workload),
+       the balance search's result and the step time before the DLB factor,
+       so the second config of a DLB pair skips the search; it holds at most
+       one entry per GPU layout;
+     - under the same key, the log body of each GPU layout: everything
+       before the Performance section. Nothing in it depends on ``dlb``, so
+       the second config of a DLB pair appends only its own Performance
+       section to the first one's body;
      - the load-balancing table's unshifted (k = 1) row, once per workload.
 
     They are per instance, not per module, so that they are dropped with the
@@ -92,6 +101,7 @@ class SyntheticExecutor:
         self.profile = profile
         self._logs: dict[tuple[LaunchConfig, Workload], str] = {}
         self._predictions: dict = {}
+        self._bodies: dict[tuple, str] = {}
         self._initial_rows: dict[Workload, CutoffSetting] = {}
 
     def run(self, config: LaunchConfig, workload: Workload) -> str:
@@ -105,6 +115,18 @@ class SyntheticExecutor:
             pred = predict_run(self.profile, self.node, config, workload, self._predictions)
         except InvalidConfigError as exc:
             raise RunFailure(str(exc)) from exc
+        key = dlb_pair_key(config, workload) if config.gpu_id else None
+        body = self._bodies.get(key)
+        if body is None:
+            body = render_log(self._body_metrics(config, workload, pred))
+            if key is not None:
+                self._bodies[key] = body
+        return body + render_performance(pred.ns_per_day)
+
+    def _body_metrics(self, config: LaunchConfig, workload: Workload,
+                      pred: PredictedRun) -> PerfMetrics:
+        """The metrics of a log without its performance: nothing here reads
+        ``config.dlb`` or what ``predict_run`` computes after the DLB factor."""
         load_balance, gpu_cpu, wait, notes = None, None, None, ()
         state = pred.balance
         if state.pp_cost_ratio > 1.0:
@@ -136,7 +158,7 @@ class SyntheticExecutor:
                         ),
                     ),
                 )
-        return render_log(PerfMetrics(pred.ns_per_day, load, wait, gpu_cpu, load_balance, notes))
+        return PerfMetrics(None, load, wait, gpu_cpu, load_balance, notes)
 
 
 def _cutoff_row(state: BalanceState) -> CutoffSetting:

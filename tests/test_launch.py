@@ -60,6 +60,19 @@ class TestLaunchConfig:
         with pytest.raises(InvalidConfigError, match=f"{field} must be (an )?integer"):
             LaunchConfig(**{"n_rank": 4, field: value})
 
+    @pytest.mark.parametrize("use_ht", [1, 0, "no", None, 1.0])
+    def test_use_ht_other_than_a_bool_rejected(self, use_ht):
+        # "no" counted as hyper-threading on, and 1 hashes equal to True
+        with pytest.raises(InvalidConfigError, match=f"use_ht must be True or False, not "
+                                                     f"{use_ht!r}"):
+            LaunchConfig(n_rank=2, use_ht=use_ht)
+
+    @pytest.mark.parametrize("ht", [(1,), (0,), (False, 1)])
+    def test_enumerate_plan_rejects_ht_other_than_bools(self, ht):
+        # the plan it returned before failed load_plan: "0.use_ht: 1 is not of type 'boolean'"
+        with pytest.raises(InvalidConfigError, match="use_ht must be True or False"):
+            enumerate_plan(make_node(), SweepOptions(ht=ht))
+
     @pytest.mark.parametrize("dd_grid", [(2, 2), (1, 1, 1, 4), (-1, -2, 2), (4, 0, 1)])
     def test_malformed_dd_grid_rejected(self, dd_grid):
         with pytest.raises(InvalidConfigError, match="dd_grid must be three counts >= 1"):

@@ -20,9 +20,12 @@ from mdtune.logparse import (
     parse_metrics,
     parse_pme_load,
     render_log,
+    render_performance,
 )
 from mdtune.report import metrics_csv
 from mdtune.wire import to_doc as metrics_to_json
+
+from conftest import read_log
 
 plain_floats = st.floats(min_value=0.001, max_value=9999.0,
                          allow_nan=False, allow_infinity=False)
@@ -400,12 +403,25 @@ class TestRoundTrip:
             gpu_cpu=(GpuCpuRatio(gpu_ms=gpu_ms, cpu_ms=2 * gpu_ms, ratio=0.5)
                      if gpu_ms is not None else None),
         )
-        parsed = parse_metrics(render_log(metrics))
+        text = render_log(metrics)
+        # the synthetic executor renders a DLB pair's body once and appends
+        # each config's own Performance section
+        assert (render_log(metrics._replace(performance=None)) + render_performance(performance)
+                == text)
+        parsed = parse_metrics(text)
         assert parsed.performance == metrics.performance
         assert parsed.pme_mesh_force_load == metrics.pme_mesh_force_load
         if load is not None:
             assert parsed.pp_pme_wait_pct == metrics.pp_pme_wait_pct
         assert parsed.gpu_cpu == metrics.gpu_cpu
+
+    @pytest.mark.parametrize("name", ["si_pme_imbalance.log", "si_pme_balanced.log",
+                                      "si_gpu_force.log", "si_load_balance.log"])
+    def test_body_and_performance_section_make_the_log(self, name):
+        metrics = parse_metrics(read_log(name))
+        body = render_log(metrics._replace(performance=None))
+        assert body + render_performance(metrics.performance) == render_log(metrics)
+        assert body.endswith("\n\n") and "Performance:" not in body
 
     def test_load_balance_round_trip(self):
         lb = ParsedLoadBalance(

@@ -110,11 +110,15 @@ def ref_parse_pme_load(text: str) -> Optional[tuple[float, Optional[float]]]:
 
 
 def ref_parse_gpu_cpu_ratio(text: str) -> Optional[GpuCpuRatio]:
-    matches = list(_GPU_CPU_RE.finditer(text))
-    if not matches:
+    # The rest of a keyword's line is its value, so a second keyword there is
+    # part of that value, not a match of its own: the next search starts
+    # after the line.
+    m, found = None, _GPU_CPU_RE.search(text)
+    while found:
+        m, line = found, text[found.start():].splitlines()[0]
+        found = _GPU_CPU_RE.search(text, found.start() + len(line))
+    if m is None:
         return None
-    m = matches[-1]
-    line = text[m.start():].splitlines()[0]
     nums = _GPU_CPU_NUMS.match(line, m.end() - m.start())
     if not nums:
         raise LogParseError(
@@ -270,6 +274,12 @@ def keyword_line(draw, kind: str, nums) -> str:
             "no indent, not a continuation",
         ]), max_size=3))
         return "\n".join([body, *more])
+    if kind == "twice":  # a keyword written twice on its own line
+        keyword = draw(st.sampled_from(["Performance:", "Average PME mesh/force load:",
+                                        "Force evaluation time GPU/CPU:"]))
+        between = draw(st.sampled_from(["", " ", "  ", f" {n()} "]))
+        value = f"{n()} ms/{n()} ms = {n()}" if keyword.startswith("Force") else n()
+        return f"{keyword}{between}{keyword} {value}"
     if kind == "bare":  # a keyword with nothing after it
         return draw(st.sampled_from([
             "Performance:", "Average PME mesh/force load:", "cost-ratio", "initial",
@@ -301,7 +311,7 @@ def fragments(draw) -> str:
     """One keyword line, or a table or PME block whose lines are in order."""
     kind = draw(st.sampled_from([
         "table", "table", "pme_block", "pme_block", "perf", "pme_load", "pme_wait",
-        "gpu_cpu", "header", "initial", "final", "cost", "note", "bare", "noise",
+        "gpu_cpu", "header", "initial", "final", "cost", "note", "twice", "bare", "noise",
     ]))
     if kind == "table":
         return block(draw, ["header", "noise", "initial", "final", "cost"])

@@ -136,8 +136,47 @@ BASELINE_PLANS = {
 }
 
 
+def plan_logs(executor, configs, repeats=2):
+    """Each run's log text, or its failure, in run order."""
+    out = []
+    for config in configs:
+        for _ in range(repeats):
+            try:
+                out.append(executor.run(config, Workload()))
+            except RunFailure as exc:
+                out.append(f"RunFailure: {exc}")
+    return out
+
+
 class TestRepeatsDoneOnce:
     """Each repeat's deterministic work is done once, with the same output bits."""
+
+    @pytest.mark.parametrize("plan", sorted(BASELINE_PLANS))
+    def test_memo_logs_are_byte_identical_to_fresh_executors(self, plan):
+        # the parser ignores some bytes of a log, so compare the logs themselves
+        node, configs = BASELINE_PLANS[plan]
+        assert (plan_logs(SyntheticExecutor(node), configs)
+                == plan_logs(FreshSyntheticExecutor(node), configs))
+
+    @settings(max_examples=20, deadline=None)
+    @given(profile=profiles, plan=st.sampled_from(sorted(BASELINE_PLANS)))
+    def test_memo_logs_are_byte_identical_on_drawn_profiles(self, profile, plan):
+        node, configs = BASELINE_PLANS[plan]
+        assert (plan_logs(SyntheticExecutor(node, profile), configs)
+                == plan_logs(FreshSyntheticExecutor(node, profile), configs))
+
+    def test_one_log_body_per_dlb_pair(self, monkeypatch):
+        node, configs = BASELINE_PLANS["2gpu-3dlb"]
+        rendered = []
+
+        def counted(metrics):
+            rendered.append(metrics)
+            return render_log(metrics)
+
+        monkeypatch.setattr(mdtune.sweep, "render_log", counted)
+        plan_logs(SyntheticExecutor(node), configs)
+        layouts = {config._replace(dlb="auto") for config in configs}
+        assert len(rendered) == len(layouts) < len(configs)
 
     @pytest.mark.parametrize("repeats", [1, 2, 3, 4])
     @pytest.mark.parametrize("plan", sorted(BASELINE_PLANS))
