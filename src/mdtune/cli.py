@@ -95,7 +95,7 @@ def _cmd_sweep(args) -> int:
         profile = _cli.load_profile(args.profile) if args.profile else _cli.SyntheticNodeProfile()
         executor = _cli.SyntheticExecutor(manifest.node, profile)
     else:
-        executor = _cli.ShellExecutor(Path(args.workdir), manifest.engine)
+        executor = _cli.ShellExecutor(manifest.node, Path(args.workdir), manifest.engine)
     repeats = args.repeats if args.repeats is not None else manifest.repeats
     result = _cli.run_sweep(configs, executor, manifest.workload, repeats=repeats)
     if args.format == "json":

@@ -12,20 +12,12 @@ early.
 
 from __future__ import annotations
 
-from enum import Enum
 from typing import NamedTuple, Optional
 
 from .errors import MdtuneError, count_error
 from .wire import checked
 
 DESKTOP = "desktop"  # rack_units value for desktop-chassis machines
-
-
-class Interconnect(Enum):
-    NONE = "none"
-    QDR_IB = "qdr_ib"
-    FDR14_IB = "fdr14_ib"
-    OTHER = "other"
 
 
 @checked
@@ -93,7 +85,7 @@ class NodeSpec(NamedTuple):
     cpu: CpuSpec
     gpus: tuple[GpuSpec, ...] = ()
     node_price_eur: float = 0.0
-    interconnect: Interconnect = Interconnect.NONE
+    interconnect: str = "none"  # one of the node schema's values
     interconnect_detail: Optional[str] = None
     rack_units: int | str = DESKTOP
     idle_power_w: Optional[float] = None

@@ -255,10 +255,6 @@ class MultiSimPlan(NamedTuple):
     ranks_per_replica: int = 1
     leftover_threads: int = 0
 
-    @property
-    def total_ranks(self) -> int:
-        return self.replicas * self.ranks_per_replica
-
 
 def plan_multi_sim(
     node: NodeSpec,

@@ -25,8 +25,10 @@ step per line (and per keyword), not one per character:
 
  - "Performance:", the table's "initial"/"final" rows and its "cost-ratio"
    line start a line after optional whitespace. Their scans jump from
-   newline to newline; the first line of the text is tried on its own.
- - "NOTE:" blocks start a line; the scan jumps to each newline-"NOTE:".
+   newline to newline; a newline put before the text lets "Performance:"
+   match on its first line, and its offsets stay those of the text as given.
+ - "NOTE:" blocks start a line; the scan jumps to each newline-"NOTE:", with
+   a newline put before the text as for "Performance:".
  - the PME load line, the GPU/CPU line and the table header are found by
    their keywords wherever they stand.
  - the table's rows and "cost-ratio" line are searched from the last table
@@ -84,18 +86,14 @@ _GPU_CPU_NUMS = re.compile(
 _LB_HEADER = "PP/PME load balancing changed the cut-off"
 
 # A line pattern is searched from the newline before each line, a literal the
-# regex engine skips to; the first line of a text is matched on its own.
-_PERF = rf"{_INDENT}*Performance:{_SP}+(\S+)"
-_PERF_FIRST_RE = re.compile(_PERF)
-_PERF_RE = re.compile("\n" + _PERF)
+# regex engine skips to (before the first line, a newline put before the text).
+_PERF_RE = re.compile(rf"\n{_INDENT}*Performance:{_SP}+(\S+)")
 _LB_ROW_RE = re.compile(
     rf"\n{_INDENT}*(initial|final){_SP}+({NUMBER}){_SP}*nm{_SP}+({NUMBER}){_SP}*nm"
     rf"{_SP}+([0-9]+){_SP}+([0-9]+){_SP}+([0-9]+){_SP}+({NUMBER}){_SP}*nm{_SP}+({NUMBER}){_SP}*nm"
 )
 _LB_COST_RE = re.compile(rf"\n{_INDENT}*cost-ratio{_SP}+(\S+){_SP}+(\S+)")
-_NOTE = rf"({_NOTE_KEYWORD}.*(?:\n[ \t]+\S.*)*)"
-_NOTE_FIRST_RE = re.compile(_NOTE)
-_NOTE_RE = re.compile("\n" + _NOTE)
+_NOTE_RE = re.compile(rf"\n({_NOTE_KEYWORD}.*(?:\n[ \t]+\S.*)*)")
 
 RATIO_CHECK_TOLERANCE = 0.001  # printed GPU/CPU ratio vs recomputed quotient
 CUBE_LAW_TOLERANCE = 0.02  # printed PP cost ratio vs cutoff-ratio cubed
@@ -174,15 +172,6 @@ def _int(raw: str, offset: int, what: str) -> int:
         return int(raw)
     except ValueError:  # more digits than int() converts
         raise LogParseError(f"{what} has too many digits: {raw[:20]}...", offset=offset) from None
-
-
-def _line_matches(first: re.Pattern, rest: re.Pattern, text: str):
-    """The matches, in order, of a pattern that starts a line: ``first`` at
-    the start of the text, then ``rest`` (the same after a newline) on."""
-    m = first.match(text)
-    if m:
-        yield m
-    yield from rest.finditer(text, m.end() if m else 0)
 
 
 def _last(matches):
@@ -295,19 +284,17 @@ def parse_advisories(text: str) -> list[Advisory]:
     """All NOTE blocks, verbatim, classified by what they complain about."""
     if _NOTE_KEYWORD not in text:
         return []
-    return [Advisory(classify_note(m[1]), m[1])
-            for m in _line_matches(_NOTE_FIRST_RE, _NOTE_RE, text)]
+    return [Advisory(classify_note(m[1]), m[1]) for m in _NOTE_RE.finditer("\n" + text)]
 
 
 def parse_performance(text: str) -> Optional[float]:
-    m = _PERF_FIRST_RE.match(text)
-    for m in _PERF_RE.finditer(text, m.end() if m else 0):
-        pass
+    m = _last(_PERF_RE.finditer("\n" + text))
     if m is None:
         return None
-    value = _parse_number(m[1], m.start(1), "performance")
+    at = m.start(1) - 1  # in ``text``, without the newline put before it
+    value = _parse_number(m[1], at, "performance")
     if value <= 0:
-        raise LogParseError(f"non-positive performance {value}", offset=m.start(1))
+        raise LogParseError(f"non-positive performance {value}", offset=at)
     return value
 
 

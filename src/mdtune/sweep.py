@@ -42,7 +42,7 @@ from .balance import (  # perfbench traces mdtune.sweep.balance_cutoff
     predict_run, unshifted_state)
 from .errors import ExecutorError, InvalidConfigError, LogParseError, MdtuneError, RunFailure
 from .hardware import NodeSpec
-from .launch import EngineProfile, LaunchConfig, render_command
+from .launch import EngineProfile, LaunchConfig, render_command, validate_config
 from .logparse import (
     ADVISORY_PME_OVERPROVISIONED,
     Advisory,
@@ -174,17 +174,20 @@ class ShellExecutor:
     the hash covers the config and workload, so repeated sweeps use
     predictable paths. ``i`` is the first index not taken yet, so repeats,
     and later sweeps into the same workdir, never collide with earlier runs.
-    Engine output that is not valid text is decoded with replacement
-    characters, so it is a log to parse or a failure to record, never an
-    exception. A run that exceeds ``timeout_s`` is a failed run. However
-    the wait for a run ends early (a timeout, Ctrl-C), every process the
-    run started is killed.
+    A config the node cannot run raises ``RunFailure`` with the reason
+    ``validate_config`` gives, as in ``SyntheticExecutor``, before any
+    directory is made. Engine output that is not valid text is decoded with
+    replacement characters, so it is a log to parse or a failure to record,
+    never an exception. A run that exceeds ``timeout_s`` is a failed run.
+    However the wait for a run ends early (a timeout, Ctrl-C), every process
+    the run started is killed.
     """
 
     exclusive = True
 
-    def __init__(self, workdir: Path | str, engine: EngineProfile = EngineProfile(),
-                 timeout_s: float = 3600.0):
+    def __init__(self, node: NodeSpec, workdir: Path | str,
+                 engine: EngineProfile = EngineProfile(), timeout_s: float = 3600.0):
+        self.node = node
         self.workdir = Path(workdir)
         self.engine = engine
         self.timeout_s = timeout_s
@@ -201,6 +204,10 @@ class ShellExecutor:
                 raise ExecutorError(f"cannot create run directory {rundir}: {exc}") from exc
 
     def run(self, config: LaunchConfig, workload: Workload) -> str:
+        try:
+            validate_config(config, self.node)
+        except InvalidConfigError as exc:
+            raise RunFailure(str(exc)) from exc
         command = render_command(config, self.engine, workload)
         key = hashlib.sha256(
             (command + workload.name).encode()

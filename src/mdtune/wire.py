@@ -9,15 +9,15 @@ that is None is left out of the document, unless the class lists it in
 ``WIRE_NULLS``, in which case it is written as null.
 
 Values are not coerced: a number stays the int or float the document or
-the caller gave, so outputs echo their inputs exactly. Nested records,
-enums and tuples are converted by the field's type hint. Validation
-against ``schema.json`` is separate (``validate``), so ``from_doc``
-trusts its input: it ignores keys it does not know, and a missing key
-leaves the field at its default. The rules the schema cannot state belong
-to the records' ``_check()``, which ``checked`` runs however a record is
-built; ``from_doc`` reports what it raises as a ManifestError naming the
-record's path in the document (``rows.0.power``, ``node.gpus.0``), so no
-loader restates a rule to name its field.
+the caller gave, so outputs echo their inputs exactly. Nested records and
+tuples are converted by the field's type hint; any other field holds a JSON
+scalar. Validation against ``schema.json`` is separate (``validate``), so
+``from_doc`` trusts its input: it ignores keys it does not know, and a
+missing key leaves the field at its default. The rules the schema cannot
+state belong to the records' ``_check()``, which ``checked`` runs however a
+record is built; ``from_doc`` reports what it raises as a ManifestError
+naming the record's path in the document (``rows.0.power``,
+``node.gpus.0``), so no loader restates a rule to name its field.
 
 A record is a tuple: it equals a tuple (or record) of the same items, and it
 iterates and sorts. ``dumps`` writes a record wherever it meets one, straight
@@ -26,7 +26,6 @@ from its fields, to the same text as the record's ``to_doc``.
 
 from __future__ import annotations
 
-import enum
 import functools
 import json
 import math
@@ -40,7 +39,6 @@ from collections.abc import Sequence
 from .errors import ManifestError, MdtuneError
 
 _MISSING = object()
-_enum_value = operator.attrgetter("value")
 
 
 def _unwrap_optional(tp):
@@ -70,8 +68,6 @@ def _converters(tp):
     tp = _unwrap_optional(tp)
     if _is_record(tp):
         return to_doc, functools.partial(from_doc, tp)
-    if isinstance(tp, type) and issubclass(tp, enum.Enum):
-        return _enum_value, lambda v, _: tp(v)
     origin = typing.get_origin(tp)
     if origin in (list, tuple, Sequence):
         item = typing.get_args(tp)[0]
@@ -153,10 +149,10 @@ def dumps(doc) -> str:
 
 @functools.cache
 def _layout(cls) -> tuple:
-    """A record's members in document order: (key text, field index, enum dump, keep None)."""
+    """A record's members in document order: (key text, field index, keep None)."""
     fields = sorted(enumerate(_plan(cls)), key=lambda field: field[1][1])
-    return tuple((_escape(key) + ": ", index, dump if dump is _enum_value else None, keep_none)
-                 for index, (_, key, dump, _, keep_none) in fields)
+    return tuple((_escape(key) + ": ", index, keep_none)
+                 for index, (_, key, _, _, keep_none) in fields)
 
 
 def _emit(obj, append, newline: str) -> None:
@@ -165,22 +161,20 @@ def _emit(obj, append, newline: str) -> None:
     if hasattr(kind, "_fields"):  # a record
         layout = _layout(kind)
     elif kind is dict:
-        layout = [(_escape(key) + ": ", key, None, True) for key in sorted(obj)]
+        layout = [(_escape(key) + ": ", key, True) for key in sorted(obj)]
     elif kind is list or kind is tuple:
         if not obj:
             return append("[]")
-        layout, brackets = [("", index, None, True) for index in range(len(obj))], "[]"
+        layout, brackets = [("", index, True) for index in range(len(obj))], "[]"
     else:
         raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
     inner = newline + "  "
     comma = "," + inner
     separator = brackets[0] + inner
-    for key, index, dump, keep_none in layout:
+    for key, index, keep_none in layout:
         value = obj[index]
         if value is None and not keep_none:
             continue
-        if dump is not None:
-            value = dump(value)
         kind = type(value)
         if kind is float:  # the commonest scalar, formatted inline
             append(f"{separator}{key}{_NON_FINITE.get(text := float.__repr__(value), text)}")

@@ -505,6 +505,27 @@ class TestPlanAndProfileErrors:
         assert "'cpu_rat'" in err
 
 
+class TestEmptyLists:
+    """An empty sweep list or plan is refused. It swept nothing, or on a GPU
+    node an empty ``dlb`` list dropped layouts, and the sweep exited 0."""
+
+    @pytest.mark.parametrize("field", ["nstlist", "dlb", "ht"])
+    @pytest.mark.parametrize("command", ["plan", "sweep"])
+    def test_sweep_list(self, tmp_path, capsys, command, field):
+        doc = json.loads((DATA / "manifest_mem.json").read_text())
+        doc["sweep"][field] = []
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(doc))
+        assert run_cli(capsys, command, "--manifest", str(path)) == (
+            1, "", f"error: sweep.{field}: [] should be non-empty\n")
+
+    def test_plan(self, tmp_path, capsys):
+        path = tmp_path / "plan.json"
+        path.write_text("[]")
+        assert run_cli(capsys, "sweep", "--manifest", MANIFEST, "--plan", str(path)) == (
+            1, "", "error: (root): [] should be non-empty\n")
+
+
 class TestIntegralFloats:
     """An integer field given as 4.0 is rejected, not echoed into a command
     line as ``-ntmpi 4.0``."""

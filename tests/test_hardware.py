@@ -8,7 +8,6 @@ from mdtune.errors import MdtuneError
 from mdtune.hardware import (
     CpuSpec,
     GpuSpec,
-    Interconnect,
     NodeSpec,
     sp_throughput,
     total_hw_threads,
@@ -151,5 +150,5 @@ class TestCatalog:
             }
         )
         assert node.n_gpus == 0
-        assert node.interconnect is Interconnect.NONE
+        assert node.interconnect == "none"
         assert node.rack_units == "desktop"

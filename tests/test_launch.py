@@ -319,7 +319,7 @@ class TestMultiSim:
         plan = plan_multi_sim(make_node(), replicas=1)
         assert plan.replicas == 1
         assert plan.threads_per_replica == 40
-        assert plan.total_ranks == 1
+        assert plan.replicas * plan.ranks_per_replica == 1
 
     def test_too_many_replicas_rejected(self):
         with pytest.raises(InvalidConfigError):

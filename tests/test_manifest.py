@@ -36,6 +36,13 @@ class TestValidManifest:
         assert m.econ.energy_price_eur_per_kwh == 0.2
         assert m.sweep.nstlist == (None,)
 
+    def test_interconnect_is_the_documents_string(self, manifest_doc, tmp_path):
+        manifest_doc["node"]["interconnect"] = "fdr14_ib"
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(manifest_doc))
+        node = load_manifest(path).node
+        assert type(node.interconnect) is str and node.interconnect == "fdr14_ib"
+
 
 class TestInvalidManifest:
     def test_missing_node_named(self, manifest_doc):

@@ -1,4 +1,5 @@
-"""Every public top-level function and class in ``src/mdtune`` is reached.
+"""Every public top-level function and class in ``src/mdtune``, and every
+public method and property of such a class, is reached.
 
 A definition is reached when its name appears, as a ``Name``, an
 ``Attribute`` or an import alias, somewhere in ``src/mdtune`` outside its own
@@ -36,16 +37,24 @@ def names_used(tree, skip=None):
     return names
 
 
+def public_definitions(body, prefix):
+    """(dotted name, node) of each public function and class in ``body``, and of
+    each public method or property of a public class."""
+    for node in body:
+        if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                and not node.name.startswith("_")):
+            yield f"{prefix}.{node.name}", node
+            if isinstance(node, ast.ClassDef):
+                yield from public_definitions(node.body, f"{prefix}.{node.name}")
+
+
 def unreached():
     for path in SRC:
         tree = TREES[path]
         elsewhere = set().union(*(names_used(t) for p, t in TREES.items() if p != path))
-        for node in tree.body:
-            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-                    and not node.name.startswith("_")
-                    and node.name not in elsewhere
-                    and node.name not in names_used(tree, skip=node)):
-                yield f"{path.stem}.{node.name}"
+        for name, node in public_definitions(tree.body, path.stem):
+            if node.name not in elsewhere and node.name not in names_used(tree, skip=node):
+                yield name
 
 
 def test_every_public_definition_is_reached():

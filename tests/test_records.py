@@ -25,7 +25,6 @@ from mdtune import wire
 from mdtune.balance import SyntheticNodeProfile, Workload, predict_run
 from mdtune.econ import EconInput, EconParams, price
 from mdtune.errors import InvalidConfigError, MdtuneError
-from mdtune.hardware import Interconnect
 from mdtune.launch import LaunchConfig, plan_multi_sim
 from mdtune.logparse import (Advisory, CutoffSetting, GpuCpuRatio, ParsedLoadBalance, PerfMetrics,
                              parse_metrics)
@@ -125,7 +124,7 @@ def test_result_with_advisories_round_trips():
 
 def _instances():
     """(id, record): an instance of every record class, with edge values."""
-    node = make_node(n_gpus=2)._replace(interconnect=Interconnect.FDR14_IB,
+    node = make_node(n_gpus=2)._replace(interconnect="fdr14_ib",
                                         interconnect_detail="FDR-14 InfiniBand")
     gpu_config = LaunchConfig(n_rank=2, n_th=10, gpu_id="01")
     config = LaunchConfig(n_rank=8, n_th=2, n_pme=2, n_th_pme=1, dlb="on", nstlist=40,

@@ -24,6 +24,7 @@ from mdtune.launch import (
     SweepOptions,
     enumerate_plan,
     gpu_id_string,
+    load_plan,
     validate_config,
 )
 from mdtune.logparse import ADVISORY_PME_OVERPROVISIONED
@@ -543,8 +544,10 @@ def _running(pid: int) -> bool:
 
 
 class TestShellExecutor:
+    NODE = make_node()
+
     def test_runs_in_per_run_directories(self, tmp_path, fake_engine):
-        executor = ShellExecutor(tmp_path / "runs",
+        executor = ShellExecutor(self.NODE, tmp_path / "runs",
                                  EngineProfile(mdrun=str(fake_engine)))
         assert executor.exclusive is True
         config = LaunchConfig(n_rank=4, n_th=2)
@@ -559,17 +562,17 @@ class TestShellExecutor:
     @pytest.mark.parametrize("source", ["library", "manifest"])
     def test_run_length_from_the_workload(self, tmp_path, mdrun_on_path, source):
         if source == "library":
-            executor, workload = ShellExecutor(tmp_path / "runs"), Workload()
+            executor, workload = ShellExecutor(self.NODE, tmp_path / "runs"), Workload()
         else:
             m = load_manifest(DATA / "manifest_mem.json")
-            executor, workload = ShellExecutor(tmp_path / "runs", m.engine), m.workload
+            executor, workload = ShellExecutor(m.node, tmp_path / "runs", m.engine), m.workload
         short = workload._replace(benchmark_steps=2000, reset_steps=500)
         executor.run(LaunchConfig(n_rank=1, n_th=1), short)
         [args] = (tmp_path / "runs").glob("run_*/args")
         assert args.read_text() == "-ntmpi 1 -ntomp 1 -s in.tpr -nsteps 2000 -resetstep 500\n"
 
     def test_shortened_run_has_its_own_directory(self, tmp_path, mdrun_on_path):
-        executor = ShellExecutor(tmp_path / "runs")
+        executor = ShellExecutor(self.NODE, tmp_path / "runs")
         config = LaunchConfig(n_rank=1, n_th=1)
         for workload in (Workload(), Workload()._replace(benchmark_steps=2000, reset_steps=500)):
             executor.run(config, workload)
@@ -577,15 +580,15 @@ class TestShellExecutor:
         assert len(keys) == 2
 
     def test_failing_command_recorded(self, tmp_path):
-        executor = ShellExecutor(tmp_path / "runs", EngineProfile(mdrun="false"))
+        executor = ShellExecutor(self.NODE, tmp_path / "runs", EngineProfile(mdrun="false"))
         result = run_sweep([LaunchConfig(n_rank=1, n_th=1)], executor, Workload())
         assert not result.rows
         assert len(result.failures) == 1
         assert "exit" in result.failures[0][1]
 
     def test_timeout_recorded_not_fatal(self, tmp_path):
-        executor = ShellExecutor(tmp_path / "runs", EngineProfile(mdrun="sleep 5; true"),
-                                 timeout_s=0.2)
+        executor = ShellExecutor(self.NODE, tmp_path / "runs",
+                                 EngineProfile(mdrun="sleep 5; true"), timeout_s=0.2)
         configs = [LaunchConfig(n_rank=1, n_th=1), LaunchConfig(n_rank=2, n_th=1)]
         result = run_sweep(configs, executor, Workload(), repeats=1)
         assert not result.rows
@@ -619,7 +622,8 @@ class TestShellExecutor:
 
     @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads /proc")
     def test_timeout_kills_the_whole_process_group(self, tmp_path):
-        executor = ShellExecutor(tmp_path / "runs", self.BACKGROUND_CHILD, timeout_s=0.5)
+        executor = ShellExecutor(self.NODE, tmp_path / "runs", self.BACKGROUND_CHILD,
+                                 timeout_s=0.5)
         with pytest.raises(RunFailure, match="timed out after 0.5 s"):
             executor.run(LaunchConfig(n_rank=1, n_th=1), Workload())
         self._assert_gone(self._child_pid(tmp_path / "runs"))
@@ -635,7 +639,7 @@ class TestShellExecutor:
             raise KeyboardInterrupt
 
         monkeypatch.setattr(subprocess.Popen, "communicate", interrupted)
-        executor = ShellExecutor(runs, self.BACKGROUND_CHILD)
+        executor = ShellExecutor(self.NODE, runs, self.BACKGROUND_CHILD)
         with pytest.raises(KeyboardInterrupt):
             executor.run(LaunchConfig(n_rank=1, n_th=1), Workload())
         self._assert_gone(child[0])
@@ -645,7 +649,7 @@ class TestShellExecutor:
         config = LaunchConfig(n_rank=4, n_th=2)
         for _ in range(2):
             # a fresh executor, as a second ``mdtune sweep`` run would make
-            result = run_sweep([config], ShellExecutor(tmp_path / "runs", engine),
+            result = run_sweep([config], ShellExecutor(self.NODE, tmp_path / "runs", engine),
                                Workload(), repeats=2)
             assert not result.failures
         rundirs = sorted(p.name for p in (tmp_path / "runs").iterdir())
@@ -654,21 +658,21 @@ class TestShellExecutor:
 
     def test_log_that_is_not_utf8_is_parsed(self, tmp_path):
         engine = EngineProfile(mdrun=r"printf 'Performance: 12.0\n\377\n' > md.log; true")
-        result = run_sweep([LaunchConfig(n_rank=1, n_th=1)], ShellExecutor(tmp_path, engine),
-                           Workload(), repeats=1)
+        result = run_sweep([LaunchConfig(n_rank=1, n_th=1)],
+                           ShellExecutor(self.NODE, tmp_path, engine), Workload(), repeats=1)
         assert not result.failures
         assert result.rows[0].mean_performance == 12.0
 
     def test_stderr_that_is_not_utf8_is_a_failure(self, tmp_path):
         engine = EngineProfile(mdrun=r"printf 'x\377' >&2; exit 2")
-        result = run_sweep([LaunchConfig(n_rank=1, n_th=1)], ShellExecutor(tmp_path, engine),
-                           Workload(), repeats=1)
+        result = run_sweep([LaunchConfig(n_rank=1, n_th=1)],
+                           ShellExecutor(self.NODE, tmp_path, engine), Workload(), repeats=1)
         assert not result.rows
         assert "exit 2" in result.failures[0].error
         assert result.failures[0].error.endswith("x\ufffd")
 
     def test_missing_log_is_a_failure(self, tmp_path):
-        executor = ShellExecutor(tmp_path / "runs", EngineProfile(mdrun="true"))
+        executor = ShellExecutor(self.NODE, tmp_path / "runs", EngineProfile(mdrun="true"))
         result = run_sweep([LaunchConfig(n_rank=1, n_th=1)], executor, Workload())
         assert len(result.failures) == 1
         assert "no log file" in result.failures[0][1]
@@ -678,11 +682,32 @@ class TestShellExecutor:
         engine = EngineProfile(mdrun="f() { if [ $2 = 1 ]; then mkdir md.log; "
                                      "else echo 'Performance: 12.0' > md.log; fi; }; f")
         configs = [LaunchConfig(n_rank=1, n_th=1), LaunchConfig(n_rank=2, n_th=1)]
-        result = run_sweep(configs, ShellExecutor(tmp_path, engine), Workload(), repeats=1)
+        result = run_sweep(configs, ShellExecutor(self.NODE, tmp_path, engine), Workload(),
+                           repeats=1)
         assert [(row.config, row.mean_performance) for row in result.rows] == [(configs[1], 12.0)]
         [failure] = result.failures
         assert failure.config == configs[0]
         assert failure.error.startswith(f"cannot read log file {tmp_path}")
+
+    def test_config_the_node_cannot_run_is_not_started(self, tmp_path):
+        """A plan's config over the node's thread budget ran and was ranked; it
+        fails as in the synthetic executor, with no run directory or command."""
+        m = load_manifest(DATA / "manifest_mem.json")
+        configs = load_plan(DATA / "golden" / "plan_failures.json")
+        calls = tmp_path / "calls"
+        stub = tmp_path / "mdrun"
+        stub.write_text(f'#!/bin/sh\nprintf "%s\\n" "$*" >> {calls}\n'
+                        f'cat {DATA / "si_pme_balanced.log"} > md.log\n')
+        stub.chmod(stub.stat().st_mode | stat.S_IEXEC)
+        executor = ShellExecutor(m.node, tmp_path / "runs", EngineProfile(mdrun=str(stub)))
+        shell = run_sweep(configs, executor, m.workload, repeats=1)
+        synthetic = run_sweep(configs, SyntheticExecutor(m.node), m.workload, repeats=1)
+        budget = "thread budget exceeded: 256 threads > 40 per node x 1 nodes"
+        assert shell.failures == synthetic.failures == [Failure(configs[2], budget)]
+        assert len(list((tmp_path / "runs").iterdir())) == len(configs) - 1
+        started = calls.read_text().splitlines()
+        assert len(started) == len(configs) - 1
+        assert not any("-ntmpi 64" in line for line in started)
 
 
 class TestSerialization:
