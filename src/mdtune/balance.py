@@ -12,9 +12,9 @@ piece's grid once per (spacing, box, k range) and caches it, as
 ``unshifted_state`` caches the k = 1 state, so a run builds no cutoff state
 of its own. The balance search keeps its 48 bisection steps, so its results
 stay the same to the last bit. GPU time grows with k and the mesh cost only
-shrinks, so a step's test (is the GPU still faster at k?) holds below one
-threshold and fails from there on: the search finds that threshold on the
-ladder once, and each step compares its midpoint against it.
+shrinks, so a step's test (is the GPU still faster at k?) holds below one k
+and fails from there on: the search finds the ladder piece that k lies in
+once, and each step tests its midpoint against that piece alone.
 
 The synthetic half is a small analytic node model used as a stand-in
 executor: it maps a launch configuration to a deterministic ns/day figure
@@ -320,22 +320,16 @@ def predict_run(
         state, t_gpu, t_cpu_overlap, pme_load = times(
             unshifted_state(workload.rc0, workload.spacing0, workload.box))
         if n_gpus and t_gpu < t_cpu_overlap:  # GPU has headroom: shift work toward it
-            # Work shifts below one threshold (see the module docstring), found in
-            # the last piece i that shifts at its first k: the smallest float there
-            # that does not shift, else the piece's end (for the last, past k_hi).
+            # Work shifts below one k (see the module docstring), in the last piece i
+            # that shifts at its first k: every k before i shifts, none after it does.
             breaks, meshes = grid_ladder(workload.spacing0, workload.box, k_hi)
             i = bisect.bisect_left(range(len(breaks)), True, 1, key=lambda j: (
                 w_sr * breaks[j] / gpu_cap >= cpu_times(meshes[j][1])[0])) - 1
             t_c = cpu_times(meshes[i][1])[0]
-            end = (*breaks[1:], math.nextafter(k_hi, math.inf))[i]
-            k = min(max(t_c * gpu_cap / w_sr if w_sr else end, breaks[i]), end)
-            while k < end and w_sr * k / gpu_cap < t_c:
-                k = math.nextafter(k, end)
-            while not w_sr * math.nextafter(k, 0.0) / gpu_cap < t_c:
-                k = math.nextafter(k, 0.0)
+            start, end = breaks[i], (*breaks[1:], math.inf)[i]
             for _ in range(48):
                 k_mid = 0.5 * (k_lo + k_hi)
-                if k_mid < k:
+                if k_mid < start or k_mid < end and w_sr * k_mid / gpu_cap < t_c:
                     k_lo = k_mid
                 else:
                     k_hi = k_mid

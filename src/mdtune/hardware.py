@@ -24,9 +24,9 @@ DESKTOP = "desktop"  # rack_units value for desktop-chassis machines
 class GpuSpec(NamedTuple):
     """One GPU board.
 
-    ``base_clock`` is the core clock in MHz the board runs benchmarks at;
-    ``max_app_clock`` is the highest user-selectable application clock for
-    boards that support the feature (HPC-class cards).
+    ``base_clock_mhz`` is the core clock the board runs benchmarks at;
+    ``max_app_clock_mhz`` is the highest user-selectable application clock,
+    set only for boards that support the feature (HPC-class cards).
     """
 
     model_name: str
@@ -36,7 +36,6 @@ class GpuSpec(NamedTuple):
     memory_gb: float = 0.0
     price_eur: Optional[float] = None
     idle_power_w: Optional[float] = None
-    supports_app_clocks: bool = False
 
     def _check(self):
         if type(self.cuda_cores) is not int or self.cuda_cores <= 0:
@@ -86,9 +85,7 @@ class NodeSpec(NamedTuple):
     gpus: tuple[GpuSpec, ...] = ()
     node_price_eur: float = 0.0
     interconnect: str = "none"  # one of the node schema's values
-    interconnect_detail: Optional[str] = None
     rack_units: int | str = DESKTOP
-    idle_power_w: Optional[float] = None
 
     WIRE = {"node_price_eur": "node_price"}
 

@@ -27,6 +27,7 @@ PME_FRACTIONS = (1 / 8, 1 / 6, 1 / 4, 1 / 3, 1 / 2)
 MAX_MAPPED_GPUS = 10
 
 DLB_VALUES = ("on", "off", "auto")
+MAX_MESH_POINTS = 10_000  # box_nm / spacing0_nm per dimension; past it, sizing takes minutes
 
 
 @checked
@@ -261,9 +262,8 @@ def plan_multi_sim(
     replicas: int,
     nodes: int = 1,
     placement: str = "interleaved",
-    use_ht: bool = True,
 ) -> MultiSimPlan:
-    """Plan M replicas over one or more identical nodes.
+    """Plan M replicas over one or more identical nodes, hyper-threads included.
 
     "interleaved" gives every node one rank of every replica with
     budget // M threads, and so does any placement on a single node;
@@ -279,7 +279,7 @@ def plan_multi_sim(
     if type(nodes) is not int or nodes < 1:
         raise count_error("nodes", nodes, ">= 1")
     n_gpus = node.n_gpus
-    budget = total_hw_threads(node, use_ht)
+    budget = total_hw_threads(node, use_ht=True)
 
     if placement == "dense" and nodes > 1:
         if nodes % replicas != 0:
@@ -339,6 +339,8 @@ class Workload(NamedTuple):
         if self.benchmark_steps <= self.reset_steps:
             raise InvalidConfigError(f"benchmark_steps ({self.benchmark_steps}) must exceed "
                                      f"reset_steps ({self.reset_steps})")
+        if any(length > MAX_MESH_POINTS * self.spacing0 for length in self.box):
+            raise InvalidConfigError(f"box_nm / spacing0_nm exceeds {MAX_MESH_POINTS} mesh points")
         return self if type(self.box) is tuple else self._replace(box=tuple(self.box))
 
 

@@ -39,6 +39,7 @@ from collections.abc import Sequence
 from .errors import ManifestError, MdtuneError
 
 _MISSING = object()
+MAX_DEPTH = 100  # nesting read takes: documents need 5; json and repr give out near 1000
 
 
 def _unwrap_optional(tp):
@@ -382,6 +383,8 @@ def _non_finite(doc, path=()):
         items = enumerate(doc)
     else:
         return None
+    if len(path) == MAX_DEPTH:  # read reports it as json's own nesting limit
+        raise RecursionError
     for key, value in items:
         found = _non_finite(value, (*path, key))
         if found is not None:
@@ -392,16 +395,19 @@ def _non_finite(doc, path=()):
 def read(path):
     """A JSON file's document.
 
-    A file that is not JSON raises ManifestError, and so does a number that
-    is not finite: Python reads ``NaN``, ``Infinity`` and ``1e999``, but
-    JSON has no such numbers and no schema range check rejects NaN.
+    A file that is not JSON, nests deeper than MAX_DEPTH or holds a number that
+    is not finite raises ManifestError: Python reads ``NaN``, ``Infinity`` and
+    ``1e999``, but JSON has no such numbers and no schema range check rejects NaN.
     """
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
+            where = _non_finite(doc)
+        except RecursionError as exc:
+            raise ManifestError(f"not valid JSON: nested more than {MAX_DEPTH} levels deep",
+                                path=str(path)) from exc
         except ValueError as exc:
             raise ManifestError(f"not valid JSON: {exc}", path=str(path)) from exc
-    where = _non_finite(doc)
     if where is not None:
         raise ManifestError("not a finite number",
                             path=".".join(str(p) for p in where) or str(path))

@@ -1,6 +1,9 @@
 import copy
 import json
+import os
 import shutil
+import subprocess
+import sys
 
 import pytest
 
@@ -572,6 +575,22 @@ class TestUnreadManifestField:
         assert err == ("error: cluster: Additional properties are not allowed "
                        "('per_node_network_cost' was unexpected)\n")
 
+    @pytest.mark.parametrize("where, field, value", [
+        ("node", "interconnect_detail", "FDR-14 InfiniBand"),
+        ("node", "idle_power_w", 180),
+        ("node.gpus.0", "supports_app_clocks", True),
+    ])
+    def test_deleted_node_field(self, tmp_path, capsys, where, field, value):
+        doc = json.loads((DATA / "manifest_mem.json").read_text())
+        target = doc["node"] if where == "node" else doc["node"]["gpus"][0]
+        target[field] = value
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "sweep", "--manifest", str(path))
+        assert (code, out) == (1, "")
+        assert err == (f"error: {where}: Additional properties are not allowed "
+                       f"('{field}' was unexpected)\n")
+
 
 class TestNonFiniteNumbers:
     """NaN and Infinity are not JSON numbers: a document with one gives one
@@ -608,6 +627,83 @@ class TestNonFiniteNumbers:
         path.write_text(json.dumps(doc))
         err = self.run_with(capsys, command, "--rows", str(path))
         assert err == "error: rows.0.power_w: not a finite number\n"
+
+
+def nested(depth: int, kind: str) -> str:
+    """JSON text of ``depth`` arrays, or objects, each in the one before."""
+    if kind == "array":
+        return "[" * depth + "]" * depth
+    return '{"a": ' * depth + "1" + "}" * depth
+
+
+class TestDeepNesting:
+    """A document nested deeper than ``json`` or a message can recurse gives
+    one error line, not a RecursionError traceback."""
+
+    @pytest.mark.parametrize("argv", [["sweep", "--manifest"], ["analyze-costs", "--rows"],
+                                      ["sweep", "--manifest", MANIFEST, "--plan"],
+                                      ["sweep", "--manifest", MANIFEST, "--profile"]],
+                             ids=["manifest", "rows", "plan", "profile"])
+    def test_100000_levels(self, tmp_path, capsys, argv):
+        path = tmp_path / "deep.json"
+        path.write_text(nested(100_000, "array"))
+        assert run_cli(capsys, *argv, str(path)) == (
+            1, "", f"error: {path}: not valid JSON: nested more than 100 levels deep\n")
+
+    @pytest.mark.parametrize("kind", ["array", "object"])
+    def test_depths_near_the_recursion_limit(self, tmp_path, capsys, kind):
+        path = tmp_path / "deep.json"
+        for depth in range(900, 1101):
+            path.write_text(nested(depth, kind))
+            assert run_cli(capsys, "sweep", "--manifest", str(path)) == (
+                1, "", f"error: {path}: not valid JSON: nested more than 100 levels deep\n")
+
+    @pytest.mark.parametrize("kind", ["array", "object"])
+    def test_100_levels_are_read(self, tmp_path, capsys, kind):
+        doc = json.loads((DATA / "manifest_mem.json").read_text())
+        doc["workload"] = json.loads(nested(99, kind))  # in the manifest's object: 100
+        path = tmp_path / "deep.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "sweep", "--manifest", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: workload: ") and len(err.splitlines()) == 1
+
+
+def workload_manifest(tmp_path, **workload):
+    doc = json.loads((DATA / "manifest_mem.json").read_text())
+    doc["workload"].update(workload)
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+class TestWorkloadLimits:
+    """Workload values the schema let through, which hung or crashed the
+    synthetic sweep, give one error line."""
+
+    MESH_ERROR = "error: workload: box_nm / spacing0_nm exceeds 10000 mesh points\n"
+
+    def test_fine_spacing_does_not_hang(self, tmp_path):
+        # The FFT-friendly size search walked up to 10^301 mesh points.
+        manifest = workload_manifest(tmp_path, spacing0_nm=1e-300)
+        proc = subprocess.run([sys.executable, "-m", "mdtune.cli", "sweep", "--manifest",
+                               manifest], capture_output=True, text=True, timeout=30,
+                              env=os.environ | {"PYTHONPATH": str(DATA.parent.parent / "src")})
+        assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", self.MESH_ERROR)
+
+    def test_box_beyond_the_mesh_limit(self, tmp_path, capsys):
+        manifest = workload_manifest(tmp_path, box_nm=[1e308, 10, 10])
+        assert run_cli(capsys, "sweep", "--manifest", manifest) == (1, "", self.MESH_ERROR)
+
+    def test_box_at_the_mesh_limit_sweeps(self, tmp_path, capsys):
+        manifest = workload_manifest(tmp_path, box_nm=[1200, 1200, 1200], spacing0_nm=0.12)
+        code, out, err = run_cli(capsys, "sweep", "--manifest", manifest, "--format", "csv")
+        assert (code, err) == (0, "") and len(out.splitlines()) == 29
+
+    def test_atoms_beyond_a_float(self, tmp_path, capsys):
+        manifest = workload_manifest(tmp_path, atoms=10**400)
+        assert run_cli(capsys, "sweep", "--manifest", manifest) == (
+            1, "", f"error: workload.atoms: {10**400} is greater than the maximum of 1e+308\n")
 
 
 class TestZeroTotalCost:

@@ -119,6 +119,13 @@ class TestWorkload:
         with pytest.raises(InvalidConfigError, match="reset_steps must be >= 0"):
             Workload(reset_steps=-5)
 
+    @pytest.mark.parametrize("box, spacing0", [
+        ((10.8, 10.2, 9.6), 1e-300), ((10.8, 10.2, 9.6), 0.0), ((1200.1, 10.0, 10.0), 0.12),
+    ])
+    def test_mesh_beyond_the_limit_rejected(self, box, spacing0):
+        with pytest.raises(InvalidConfigError, match="exceeds 10000 mesh points"):
+            Workload(box=box, spacing0=spacing0)
+
     def test_zero_reset_steps_accepted(self):
         command = render_command(LaunchConfig(n_rank=1), EngineProfile(), Workload(reset_steps=0))
         assert command.endswith("-nsteps 5000 -resetstep 0")

@@ -124,8 +124,7 @@ def test_result_with_advisories_round_trips():
 
 def _instances():
     """(id, record): an instance of every record class, with edge values."""
-    node = make_node(n_gpus=2)._replace(interconnect="fdr14_ib",
-                                        interconnect_detail="FDR-14 InfiniBand")
+    node = make_node(n_gpus=2)._replace(interconnect="fdr14_ib")
     gpu_config = LaunchConfig(n_rank=2, n_th=10, gpu_id="01")
     config = LaunchConfig(n_rank=8, n_th=2, n_pme=2, n_th_pme=1, dlb="on", nstlist=40,
                           dd_grid=(3, 2, 1))
