@@ -83,7 +83,7 @@ def _render(header: list[str], rows: list[list], fmt: str, widths: Sequence[int]
 
 
 def _kinds(advisories) -> str:
-    return ";".join(a.kind for a in advisories)
+    return ";".join([a.kind for a in advisories])
 
 
 def sweep_report(
@@ -97,6 +97,7 @@ def sweep_report(
     with_cost = node_cost_eur is not None
     if with_cost:
         header += ["cost (EUR)", f"ns/day per {PRICE_UNIT_EUR:g} EUR"]
+        cost = f"{node_cost_eur:.0f}"
     rows = []
     for i, row in enumerate(result.ranked(), start=1):
         c = row.config
@@ -113,10 +114,8 @@ def sweep_report(
             _kinds(row.advisories) or "-",
         ]
         if with_cost:
-            cells += [
-                f"{node_cost_eur:.0f}",
-                f"{perf_per_price(row.mean_performance, node_cost_eur, PRICE_UNIT_EUR):.2f}",
-            ]
+            cells += [cost,
+                      f"{perf_per_price(row.mean_performance, node_cost_eur, PRICE_UNIT_EUR):.2f}"]
         rows.append(cells)
     return _render(header, rows, fmt)
 

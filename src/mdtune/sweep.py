@@ -89,9 +89,10 @@ class SyntheticExecutor:
     They are per instance, not per module, so that they are dropped with the
     executor: a later sweep computes afresh, and a one-shot ``mdtune sweep``
     gains exactly as much as a long-lived process. A config the node cannot
-    run raises ``RunFailure`` every time and is memoized nowhere. Run-to-run
-    noise, once the model has it, will be keyed by repeat; the log memo then
-    moves to the noise-free ``PredictedRun``.
+    run, or with a predicted rate that is not finite, raises ``RunFailure``
+    every time and is memoized nowhere. Run-to-run noise, once the model has
+    it, will be keyed by repeat; the log memo then moves to the noise-free
+    ``PredictedRun``.
     """
 
     exclusive = False
@@ -115,6 +116,8 @@ class SyntheticExecutor:
             pred = predict_run(self.profile, self.node, config, workload, self._predictions)
         except InvalidConfigError as exc:
             raise RunFailure(str(exc)) from exc
+        if not math.isfinite(pred.ns_per_day):  # "inf" in a log would read as malformed
+            raise RunFailure(f"the synthetic prediction is not finite: {pred.ns_per_day} ns/day")
         key = dlb_pair_key(config, workload) if config.gpu_id else None
         body = self._bodies.get(key)
         if body is None:

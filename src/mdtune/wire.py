@@ -137,8 +137,9 @@ def dumps(doc) -> str:
     """``json.dumps(doc, indent=2, sort_keys=True) + "\\n"``, byte for byte, each record
     in ``doc`` written straight from its fields as the text of its ``to_doc``.
 
-    Built in one list, where ``json`` with ``indent`` runs a generator per container.
-    A non-``str`` key or a value that is neither JSON nor a record raises TypeError.
+    Built in one list, where ``json`` with ``indent`` runs a generator per container;
+    each value is one append of the text before it (separator, indent, key) and its
+    own. A non-``str`` key or a value that is neither JSON nor a record raises TypeError.
     """
     scalar = _SCALAR_TEXT.get(type(doc))
     if scalar is not None:
@@ -149,43 +150,60 @@ def dumps(doc) -> str:
 
 
 @functools.cache
-def _layout(cls) -> tuple:
-    """A record's members in document order: (key text, field index, keep None)."""
+def _layout(cls, newline: str) -> tuple:
+    """A record's members in document order at ``newline``'s indent: (text before the
+    value as the first member written, as a later one, field index, keep None)."""
+    inner = newline + "  "
     fields = sorted(enumerate(_plan(cls)), key=lambda field: field[1][1])
-    return tuple((_escape(key) + ": ", index, keep_none)
-                 for index, (_, key, _, _, keep_none) in fields)
+    return tuple(("{" + inner + (key := _escape(wire) + ": "), "," + inner + key, index, keep_none)
+                 for index, (_, wire, _, _, keep_none) in fields)
 
 
 def _emit(obj, append, newline: str) -> None:
-    """Append a container's or a record's text; ``newline`` starts a line at its indent."""
-    kind, brackets = type(obj), "{}"
-    if hasattr(kind, "_fields"):  # a record
-        layout = _layout(kind)
-    elif kind is dict:
-        layout = [(_escape(key) + ": ", key, True) for key in sorted(obj)]
-    elif kind is list or kind is tuple:
+    """Append a container's or a record's text; ``newline`` starts a line at its indent.
+
+    A list or tuple has its own loop. A record takes its members from ``_layout``, a
+    dict builds the same; a skipped None leaves the first text to the next member.
+    """
+    kind, inner = type(obj), newline + "  "
+    if kind is list or kind is tuple:
         if not obj:
             return append("[]")
-        layout, brackets = [("", index, True) for index in range(len(obj))], "[]"
+        before, later = "[" + inner, "," + inner
+        for value in obj:
+            kind = type(value)
+            if kind is float:  # the commonest scalar, formatted inline
+                append(before + _NON_FINITE.get(text := float.__repr__(value), text))
+            elif (scalar := _SCALAR_TEXT.get(kind)) is not None:
+                append(before + scalar(value))
+            else:
+                append(before)
+                _emit(value, append, inner)
+            before = later
+        return append(newline + "]")
+    if hasattr(kind, "_fields"):  # a record
+        layout = _layout(kind, newline)
+    elif kind is dict:
+        layout = [("{" + inner + (text := _escape(key) + ": "), "," + inner + text, key, True)
+                  for key in sorted(obj)]
     else:
         raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
-    inner = newline + "  "
-    comma = "," + inner
-    separator = brackets[0] + inner
-    for key, index, keep_none in layout:
+    written = False
+    for first, later, index, keep_none in layout:
         value = obj[index]
         if value is None and not keep_none:
             continue
+        before = later if written else first
+        written = True
         kind = type(value)
-        if kind is float:  # the commonest scalar, formatted inline
-            append(f"{separator}{key}{_NON_FINITE.get(text := float.__repr__(value), text)}")
+        if kind is float:
+            append(before + _NON_FINITE.get(text := float.__repr__(value), text))
         elif (scalar := _SCALAR_TEXT.get(kind)) is not None:
-            append(f"{separator}{key}{scalar(value)}")
+            append(before + scalar(value))
         else:
-            append(separator + key)
+            append(before)
             _emit(value, append, inner)
-        separator = comma
-    append(newline + brackets[1] if separator is comma else brackets)
+    append(newline + "}" if written else "{}")
 
 
 # ---------------------------------------------------------------------------

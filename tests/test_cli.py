@@ -529,6 +529,37 @@ class TestEmptyLists:
             1, "", "error: (root): [] should be non-empty\n")
 
 
+class TestNstlistBound:
+    """GROMACS reads ``-nstlist`` as a C int. A larger value raised
+    OverflowError out of the synthetic model instead of an error line."""
+
+    BIG = 10**400
+
+    def test_manifest(self, tmp_path, capsys):
+        doc = json.loads((DATA / "manifest_mem.json").read_text())
+        doc["sweep"]["nstlist"] = [10, self.BIG]
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(doc))
+        assert run_cli(capsys, "sweep", "--manifest", str(path)) == (
+            1, "", f"error: sweep.nstlist.1: {self.BIG} is greater than the maximum of "
+                   "2147483647\n")
+
+    @pytest.mark.parametrize("nstlist", [2**31, BIG], ids=["2**31", "10**400"])
+    def test_plan(self, tmp_path, capsys, nstlist):
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps([{"n_rank": 4, "n_th": 2, "nstlist": nstlist}]))
+        assert run_cli(capsys, "sweep", "--manifest", MANIFEST, "--plan", str(path)) == (
+            1, "", f"error: 0.nstlist: {nstlist} is greater than the maximum of 2147483647\n")
+
+    def test_largest_c_int_is_swept(self, tmp_path, capsys):
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps([{"n_rank": 4, "n_th": 2, "nstlist": 2**31 - 1}]))
+        code, out, err = run_cli(capsys, "sweep", "--manifest", MANIFEST, "--plan", str(path),
+                                 "--format", "json")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["rows"][0]["config"]["nstlist"] == 2**31 - 1
+
+
 class TestIntegralFloats:
     """An integer field given as 4.0 is rejected, not echoed into a command
     line as ``-ntmpi 4.0``."""

@@ -205,9 +205,13 @@ class TestDumpsWritesRecords:
 
     def test_in_containers(self):
         records = list(INSTANCES.values())
-        assert dumps(records) == dumps([to_doc(r) for r in records])
-        assert dumps({"a": records[0], "b": (records[1],)}) == dumps(
-            {"a": to_doc(records[0]), "b": [to_doc(records[1])]})
+        for doc, as_docs in [
+            (records, [to_doc(r) for r in records]),
+            ([None, records[0], None], [None, to_doc(records[0]), None]),
+            ({"a": records[0], "b": (records[1],)}, {"a": to_doc(records[0]),
+                                                     "b": [to_doc(records[1])]}),
+        ]:
+            assert dumps(doc) == json.dumps(as_docs, indent=2, sort_keys=True) + "\n"
 
     def test_non_finite_numbers(self):
         assert dumps(INSTANCES["GpuCpuRatio"]) == (

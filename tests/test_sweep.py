@@ -99,6 +99,18 @@ class TestSyntheticSweep:
         assert len(result.failures) == 1
         assert len(result.rows) + len(result.failures) == len(configs)
 
+    @pytest.mark.parametrize("node", ["gpu_node", "cpu_node"])
+    def test_rate_that_overflows_is_a_failure_that_says_so(self, node, request):
+        # ns/day came out inf, the log wrote it, and the failure blamed the
+        # decimal separator
+        node = request.getfixturevalue(node)
+        configs = enumerate_plan(node, SweepOptions(nstlist=(40,)))
+        result = run_sweep(configs, SyntheticExecutor(node), Workload(timestep_fs=1e308))
+        assert not result.rows
+        assert [f.config for f in result.failures] == configs
+        assert {f.error for f in result.failures} == {
+            "the synthetic prediction is not finite: inf ns/day"}
+
     def test_full_enumeration_sweeps_clean(self, gpu_node):
         configs = enumerate_plan(gpu_node, SweepOptions(nstlist=(40,)))
         result = run_sweep(configs, SyntheticExecutor(gpu_node), Workload())
