@@ -76,14 +76,13 @@ class BalanceState(NamedTuple):
     rcoulomb: float
     grid_spacing: float
     grid_dims: tuple[int, int, int]
-    box: tuple[float, float, float]
     pp_cost_ratio: float
     pme_cost_ratio: float
 
 
 def grid_for_spacing(box: tuple[float, float, float], spacing: float) -> tuple[int, int, int]:
     """Smallest FFT-friendly grid that resolves ``spacing`` in every dimension."""
-    if spacing <= 0:
+    if not spacing > 0:  # so that NaN fails too
         raise MdtuneError("grid spacing must be positive")
     return tuple(fft_friendly_size(length / spacing) for length in box)
 
@@ -101,9 +100,9 @@ def balance_cutoff(
     the realized spacing max(L/n) after grid quantization, which is what
     engine logs report.
     """
-    if rc0 <= 0 or spacing0 <= 0:
+    if not (rc0 > 0 and spacing0 > 0):
         raise MdtuneError("rc0 and spacing0 must be positive")
-    if k < 1:
+    if not k >= 1:
         raise MdtuneError(f"balance factor k={k} < 1: work only shifts off the CPU")
     return _state(rc0, box, k, _mesh_at(spacing0, box, k, grid_for_spacing(box, spacing0)))
 
@@ -111,13 +110,11 @@ def balance_cutoff(
 def _state(rc0: float, box: tuple[float, float, float], k: float,
            mesh: tuple[tuple[int, int, int], float]) -> BalanceState:
     """The state at shift factor k, given ``_mesh_at``'s (grid, volume ratio) there."""
-    box = tuple(float(b) for b in box)
     grid, volume_ratio = mesh
     return BalanceState(
         rcoulomb=rc0 * k ** (1.0 / 3.0),
-        grid_spacing=max(length / n for length, n in zip(box, grid)),
+        grid_spacing=max(float(length) / n for length, n in zip(box, grid)),
         grid_dims=grid,
-        box=box,
         pp_cost_ratio=k,
         pme_cost_ratio=volume_ratio,
     )
@@ -215,9 +212,9 @@ class SyntheticNodeProfile(NamedTuple):
 
     def _check(self):
         for name in ("cpu_rate", "gpu_rate"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:  # so that NaN fails too
                 raise MdtuneError(f"{name} must be positive")
-        if self.max_balance < 1:
+        if not self.max_balance >= 1:
             raise MdtuneError("max_balance must be >= 1")
         return self
 

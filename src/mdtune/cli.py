@@ -157,8 +157,7 @@ def _cmd_scaling(args) -> int:
     validate(doc, "series")
     series = [from_doc(_cli.report.ScalingSeries, s, f"series.{i}")
               for i, s in enumerate(doc["series"])]
-    fmt = "csv" if args.format == "csv" else "md"
-    sys.stdout.write(_cli.report.scaling_report(series, fmt=fmt))
+    sys.stdout.write(_cli.report.scaling_report(series, fmt=args.format))
     return 0
 
 
@@ -181,8 +180,7 @@ def _parse_weights(text: str) -> dict[str, float]:
 def _cmd_recommend(args) -> int:
     params, inputs = _read_rows(args.rows)
     weights = _parse_weights(args.weights) if args.weights else None
-    fmt = "csv" if args.format == "csv" else "md"
-    sys.stdout.write(_cli.report.recommend_report(inputs, params, weights, fmt=fmt))
+    sys.stdout.write(_cli.report.recommend_report(inputs, params, weights, fmt=args.format))
     return 0
 
 

@@ -21,7 +21,7 @@ import math
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import MdtuneError, MissingDatumError
-from .hardware import DIRECT_WATTS, METER_KWH_PER_300S, EconParams, PowerReading
+from .hardware import METER_KWH_PER_300S, EconParams, PowerReading
 from .wire import checked
 
 HOURS_PER_YEAR = 365 * 24

@@ -27,6 +27,7 @@ PME_FRACTIONS = (1 / 8, 1 / 6, 1 / 4, 1 / 3, 1 / 2)
 MAX_MAPPED_GPUS = 10
 
 DLB_VALUES = ("on", "off", "auto")
+MAX_NSTLIST = 2147483647  # the largest C int: the engine reads -nstlist as one
 MAX_MESH_POINTS = 10_000  # box_nm / spacing0_nm per dimension; past it, sizing takes minutes
 
 
@@ -59,8 +60,9 @@ class LaunchConfig(NamedTuple):
             raise count_error("n_th", self.n_th, ">= 0")
         if self.n_th_pme is not None and (type(self.n_th_pme) is not int or self.n_th_pme < 1):
             raise count_error("n_th_pme", self.n_th_pme, ">= 1")
-        if self.nstlist is not None and (type(self.nstlist) is not int or self.nstlist < 1):
-            raise count_error("nstlist", self.nstlist, ">= 1")
+        if self.nstlist is not None and (type(self.nstlist) is not int
+                                         or not 1 <= self.nstlist <= MAX_NSTLIST):
+            raise count_error("nstlist", self.nstlist, f"in [1, {MAX_NSTLIST}]")
         if type(self.n_pme) is not int or not 0 <= self.n_pme < self.n_rank:
             raise count_error("n_pme", self.n_pme, "in [0, n_rank)")
         if self.dlb not in DLB_VALUES:
@@ -341,6 +343,10 @@ class Workload(NamedTuple):
                                      f"reset_steps ({self.reset_steps})")
         if any(length > MAX_MESH_POINTS * self.spacing0 for length in self.box):
             raise InvalidConfigError(f"box_nm / spacing0_nm exceeds {MAX_MESH_POINTS} mesh points")
+        for name, value in (("rc0_nm", self.rc0), ("spacing0_nm", self.spacing0),
+                            *(("box_nm", length) for length in self.box)):
+            if not value > 0:  # so that NaN fails too
+                raise InvalidConfigError(f"{name} must be positive, not {value!r}")
         return self if type(self.box) is tuple else self._replace(box=tuple(self.box))
 
 

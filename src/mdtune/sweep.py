@@ -13,16 +13,16 @@ Two executors ship with the toolkit:
  - SyntheticExecutor evaluates the analytic node model and renders a log
    from the prediction. It is deterministic, not exclusive, and exists so
    sweeps can be tested end to end on a laptop. Because it is deterministic,
-   it renders each (config, workload) once and answers every repeat with
-   the same log. It also predicts the two configs of a DLB pair with one
-   balance search and renders their log body, all but the closing
-   Performance section, once. Its memos live on the instance, so they last
-   one sweep.
+   it keeps the last log it rendered and answers a repeat of the same
+   (config, workload) with it. It also predicts the two configs of a DLB
+   pair with one balance search and renders their log body, all but the
+   closing Performance section, once. Its memos live on the instance, so
+   they last one sweep.
 
-``run_sweep`` runs each config's repeats in a row, in plan order, and does
-their deterministic work once too: a log text equal to an earlier repeat's
-is not parsed again. In ``aggregate``, repeats that agree to the last bit
-have a stdev of exactly 0.0 without the exact arithmetic of ``_sample_stdev``.
+``run_sweep`` runs each config's repeats back to back, in plan order, so one
+slot of each kind is enough: a log text equal to the previous repeat's is
+not parsed again. In ``aggregate``, repeats that agree to the last bit have a
+stdev of exactly 0.0 without the exact arithmetic of ``_sample_stdev``.
 """
 
 from __future__ import annotations
@@ -71,10 +71,11 @@ class Executor(Protocol):
 class SyntheticExecutor:
     """Deterministic model-backed executor; see the module docstring.
 
-    Four memos live on the instance:
+    Three memos live on the instance:
 
-     - the rendered log of each ``(config, workload)``, so a repeat costs one
-       dict lookup; it holds at most one log per config;
+     - the last ``(config, workload)`` and its rendered log, so a repeat
+       costs one comparison: ``run_sweep`` asks for a config's repeats back
+       to back;
      - ``predict_run``'s memo: for each GPU config, keyed by
        ``dlb_pair_key`` (the config without its ``dlb``, and the workload),
        the balance search's result and the step time before the DLB factor,
@@ -83,15 +84,14 @@ class SyntheticExecutor:
      - under the same key, the log body of each GPU layout: everything
        before the Performance section. Nothing in it depends on ``dlb``, so
        the second config of a DLB pair appends only its own Performance
-       section to the first one's body;
-     - the load-balancing table's unshifted (k = 1) row, once per workload.
+       section to the first one's body.
 
     They are per instance, not per module, so that they are dropped with the
     executor: a later sweep computes afresh, and a one-shot ``mdtune sweep``
     gains exactly as much as a long-lived process. A config the node cannot
     run, or with a predicted rate that is not finite, raises ``RunFailure``
     every time and is memoized nowhere. Run-to-run noise, once the model has
-    it, will be keyed by repeat; the log memo then moves to the noise-free
+    it, will be keyed by repeat; the log slot then moves to the noise-free
     ``PredictedRun``.
     """
 
@@ -100,16 +100,14 @@ class SyntheticExecutor:
     def __init__(self, node: NodeSpec, profile: SyntheticNodeProfile = SyntheticNodeProfile()):
         self.node = node
         self.profile = profile
-        self._logs: dict[tuple[LaunchConfig, Workload], str] = {}
+        self._last: tuple = (None, None, "")
         self._predictions: dict = {}
         self._bodies: dict[tuple, str] = {}
-        self._initial_rows: dict[Workload, CutoffSetting] = {}
 
     def run(self, config: LaunchConfig, workload: Workload) -> str:
-        log_text = self._logs.get((config, workload))
-        if log_text is None:
-            log_text = self._logs[config, workload] = self._render(config, workload)
-        return log_text
+        if self._last[:2] != (config, workload):
+            self._last = config, workload, self._render(config, workload)
+        return self._last[2]
 
     def _render(self, config: LaunchConfig, workload: Workload) -> str:
         try:
@@ -133,11 +131,8 @@ class SyntheticExecutor:
         load_balance, gpu_cpu, wait, notes = None, None, None, ()
         state = pred.balance
         if state.pp_cost_ratio > 1.0:
-            initial = self._initial_rows.get(workload)
-            if initial is None:
-                initial = self._initial_rows[workload] = _cutoff_row(
-                    unshifted_state(workload.rc0, workload.spacing0, workload.box))
-            load_balance = ParsedLoadBalance(initial, _cutoff_row(state),
+            initial = unshifted_state(workload.rc0, workload.spacing0, workload.box)
+            load_balance = ParsedLoadBalance(_cutoff_row(initial), _cutoff_row(state),
                                              state.pp_cost_ratio, state.pme_cost_ratio)
         if config.gpu_id:
             cpu_ms = pred.cpu_overlap_time_s * 1000.0
@@ -348,14 +343,13 @@ def run_sweep(
     if repeats < 1:
         raise MdtuneError("repeats must be >= 1")
     runs: list[Run] = []
+    text = metrics = None  # the previous repeat's log and what it parsed to
     for index, config in enumerate(configs):
-        parsed: dict[str, PerfMetrics] = {}
         for _ in range(repeats):
             try:
                 log_text = executor.run(config, workload)
-                metrics = parsed.get(log_text)
-                if metrics is None:
-                    metrics = parsed[log_text] = parse_metrics(log_text)
+                if log_text != text:
+                    metrics, text = parse_metrics(log_text), log_text
                 if metrics.performance is None:
                     raise RunFailure("log contained no performance figure")
             except (RunFailure, LogParseError) as exc:

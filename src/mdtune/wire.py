@@ -171,10 +171,7 @@ def _emit(obj, append, newline: str) -> None:
             return append("[]")
         before, later = "[" + inner, "," + inner
         for value in obj:
-            kind = type(value)
-            if kind is float:  # the commonest scalar, formatted inline
-                append(before + _NON_FINITE.get(text := float.__repr__(value), text))
-            elif (scalar := _SCALAR_TEXT.get(kind)) is not None:
+            if (scalar := _SCALAR_TEXT.get(type(value))) is not None:
                 append(before + scalar(value))
             else:
                 append(before)

@@ -11,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 import benchdata as bd
 from mdtune.balance import SyntheticNodeProfile, Workload, balance_cutoff, is_fft_friendly
 from mdtune.econ import (
-    DIRECT_WATTS,
     METER_KWH_PER_300S,
     EconInput,
     PowerReading,
@@ -27,7 +26,7 @@ from mdtune.logparse import (
 )
 from mdtune.report import YIELD_NS, YIELD_US, econ_display_row
 from mdtune.sweep import SyntheticExecutor, result_to_json, run_sweep
-from mdtune.hardware import total_hw_threads
+from mdtune.hardware import DIRECT_WATTS, total_hw_threads
 
 from conftest import make_node, read_log
 from test_launch import brute_force_even_split

@@ -109,6 +109,14 @@ class TestBalanceCutoff:
         with pytest.raises(MdtuneError):
             balance_cutoff(1.0, -0.1, RIB_BOX, 2.0)
 
+    @pytest.mark.parametrize("rc0, spacing0, k", [
+        (math.nan, 0.13, 2.0), (1.0, math.nan, 2.0), (1.0, 0.13, math.nan)])
+    def test_nan_rejected(self, rc0, spacing0, k):
+        # NaN passed every comparison: a NaN rc0 gave a NaN cutoff, and a NaN
+        # spacing0 or k raised "cannot convert float NaN to integer"
+        with pytest.raises(MdtuneError, match="must be positive|< 1"):
+            balance_cutoff(rc0, spacing0, RIB_BOX, k)
+
     @settings(max_examples=120, deadline=None)
     @given(
         k=st.floats(min_value=1.0, max_value=8.0),
@@ -153,6 +161,16 @@ class TestSyntheticProfile:
     def test_nonpositive_rate_rejected(self):
         with pytest.raises(MdtuneError):
             SyntheticNodeProfile(cpu_rate=0)
+
+    @pytest.mark.parametrize("field, message", [
+        ("cpu_rate", "cpu_rate must be positive"), ("gpu_rate", "gpu_rate must be positive"),
+        ("max_balance", "max_balance must be >= 1"),
+    ])
+    def test_nan_rejected(self, field, message):
+        # NaN passed every comparison, and max_balance = NaN aborted a
+        # synthetic sweep: "cannot convert float NaN to integer"
+        with pytest.raises(MdtuneError, match=message):
+            SyntheticNodeProfile(**{field: math.nan})
 
     def test_max_balance_below_one_rejected(self):
         with pytest.raises(MdtuneError, match="max_balance must be >= 1"):

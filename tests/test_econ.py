@@ -6,7 +6,6 @@ from hypothesis import assume, given, settings, strategies as st
 import benchdata as bd
 from mdtune.econ import (
     CRITERIA,
-    DIRECT_WATTS,
     METER_KWH_PER_300S,
     EconInput,
     EconParams,
@@ -20,6 +19,7 @@ from mdtune.econ import (
     rank_hardware,
 )
 from mdtune.errors import MdtuneError, MissingDatumError
+from mdtune.hardware import DIRECT_WATTS
 
 
 class TestEffectivePower:

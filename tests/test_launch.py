@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -50,6 +52,22 @@ class TestLaunchConfig:
     def test_out_of_range_field_rejected(self, field, value):
         with pytest.raises(InvalidConfigError, match=field):
             LaunchConfig(n_rank=4, n_pme=2, **{field: value})
+
+    @pytest.mark.parametrize("nstlist", [pytest.param(2**31, id="2**31"),
+                                         pytest.param(10**400, id="10**400")])
+    def test_nstlist_beyond_a_c_int_rejected(self, nstlist):
+        # the engine reads -nstlist as a C int, and 10**400 aborted a synthetic
+        # sweep with OverflowError in predict_run
+        with pytest.raises(InvalidConfigError, match=r"nstlist must be in \[1, 2147483647\]"):
+            LaunchConfig(n_rank=4, n_th=2, nstlist=nstlist)
+        with pytest.raises(InvalidConfigError, match="nstlist"):
+            LaunchConfig(n_rank=4, n_th=2)._replace(nstlist=nstlist)
+        with pytest.raises(InvalidConfigError, match="nstlist"):
+            enumerate_plan(make_node(), SweepOptions(nstlist=(nstlist,)))
+
+    def test_largest_c_int_nstlist_accepted(self):
+        config = LaunchConfig(n_rank=4, n_th=2, nstlist=2**31 - 1)
+        assert " -nstlist 2147483647 " in render_command(config)
 
     @pytest.mark.parametrize("field, value", [
         ("n_rank", 4.0), ("n_rank", True), ("n_th", 2.0), ("n_pme", False), ("nodes", 1.0),
@@ -125,6 +143,18 @@ class TestWorkload:
     def test_mesh_beyond_the_limit_rejected(self, box, spacing0):
         with pytest.raises(InvalidConfigError, match="exceeds 10000 mesh points"):
             Workload(box=box, spacing0=spacing0)
+
+    @pytest.mark.parametrize("field, wire, value", [
+        ("rc0", "rc0_nm", math.nan), ("spacing0", "spacing0_nm", math.nan),
+        ("box", "box_nm", (math.nan, 10.0, 10.0)), ("box", "box_nm", (10.8, 10.2, math.nan)),
+        ("rc0", "rc0_nm", 0.0), ("rc0", "rc0_nm", -1.0), ("box", "box_nm", (10.8, -1.0, 9.6)),
+    ])
+    def test_length_that_is_not_positive_rejected(self, field, wire, value):
+        # NaN passed every comparison: spacing0 and box aborted a synthetic sweep
+        # ("cannot convert float NaN to integer"), and rc0 failed each GPU run
+        # as a log with no 'initial' load-balancing row
+        with pytest.raises(InvalidConfigError, match=f"{wire} must be positive, not "):
+            Workload(**{field: value})
 
     def test_zero_reset_steps_accepted(self):
         command = render_command(LaunchConfig(n_rank=1), EngineProfile(), Workload(reset_steps=0))

@@ -15,7 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import mdtune.balance
 import mdtune.sweep
-from mdtune.balance import SyntheticNodeProfile, Workload
+from mdtune.balance import SyntheticNodeProfile, Workload, dlb_pair_key
 from mdtune.errors import MdtuneError, RunFailure
 from mdtune.hardware import total_hw_threads
 from mdtune.launch import (
@@ -244,6 +244,28 @@ class TestRepeatsDoneOnce:
         assert len(first) < len(configs)
         assert calls == Counter(first.values())
 
+    def test_a_config_asked_for_again_after_another(self):
+        # the executor keeps one log; A's second visit renders it again
+        node, configs = BASELINE_PLANS["2gpu"]
+        a, b = configs[0], configs[-1]
+        executor = SyntheticExecutor(node)
+        first, other, again = (executor.run(config, Workload()) for config in (a, b, a))
+        assert first == again == SyntheticExecutor(node).run(a, Workload())
+        assert other == SyntheticExecutor(node).run(b, Workload()) != first
+        smaller = Workload(atoms=40_000)
+        assert executor.run(a, smaller) == SyntheticExecutor(node).run(a, smaller) != first
+
+    @pytest.mark.parametrize("plan", ["cpu", "4gpu"])
+    def test_memos_hold_one_entry_per_gpu_layout_and_one_log(self, plan):
+        node, configs = BASELINE_PLANS[plan]
+        executor = SyntheticExecutor(node)
+        run_sweep(configs, executor, Workload(), repeats=2)
+        layouts = {dlb_pair_key(config, Workload()) for config in configs if config.gpu_id}
+        assert {name: len(memo) for name, memo in vars(executor).items()
+                if isinstance(memo, dict)} == {"_predictions": len(layouts),
+                                               "_bodies": len(layouts)}
+        assert executor._last[:2] == (configs[-1], Workload())
+
     def test_executors_do_not_share_predictions(self):
         node, configs = BASELINE_PLANS["4gpu"]
         other = SyntheticNodeProfile(gpu_rate=2e7, dlb_penalty=0.05)
@@ -454,6 +476,24 @@ class TestRunOrder:
                                    Failure(c, "log contained no performance figure")]
         assert [row.config for row in result.rows] == [a, d]
         assert all(row.repeats == 3 for row in result.rows)
+
+    @pytest.mark.parametrize("repeats", [1, 2, 3])
+    def test_repeats_arrive_back_to_back_in_plan_order(self, repeats):
+        # the one-log slots of SyntheticExecutor and run_sweep rely on this
+        node, configs = BASELINE_PLANS["2gpu"]
+        unrunnable = LaunchConfig(n_rank=3, n_th=4, gpu_id="012")  # the node has 2 GPUs
+        plan = [*configs[:3], unrunnable, *configs[3:6]]
+        calls = []
+
+        class Recording(SyntheticExecutor):
+            def run(self, config, workload):
+                calls.append(config)
+                return super().run(config, workload)
+
+        result = run_sweep(plan, Recording(node), Workload(), repeats=repeats)
+        assert calls == [config for config in plan
+                         for _ in range(1 if config is unrunnable else repeats)]
+        assert [failure.config for failure in result.failures] == [unrunnable]
 
     @pytest.mark.parametrize("repeats", [1, 2])
     def test_a_config_listed_twice_gives_two_rows(self, gpu_node, repeats):

@@ -12,13 +12,13 @@ import pytest
 import benchdata as bd
 from mdtune.econ import (
     METER_KWH_PER_300S,
-    DIRECT_WATTS,
     EconInput,
     PowerReading,
     effective_power,
     parallel_efficiency,
     perf_per_price,
 )
+from mdtune.hardware import DIRECT_WATTS
 from mdtune.report import (
     YIELD_NS,
     YIELD_US,
