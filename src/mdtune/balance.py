@@ -22,10 +22,12 @@ with the right qualitative shape (rank/thread tradeoff, GPU offload,
 neighbor-search frequency, multi-node efficiency). It makes no attempt to
 predict absolute performance of real hardware; it exists so the sweep
 orchestrator can be tested end to end without an MD engine installed.
-Dynamic load balancing only scales the step time, after the balance search:
-nothing before that reads ``config.dlb``. A plan lists each GPU layout once
-per DLB setting, so ``predict_run`` can keep what it computes before the
-DLB factor in a caller's memo and do one balance search per such pair.
+``predict_run`` evaluates a config in one pass: the thread split, the work
+split and the k = 1 times once each, then, with GPUs, the balance search.
+Dynamic load balancing only scales the step time after that: nothing before
+it reads ``config.dlb``. A plan lists each GPU layout once per DLB setting,
+so ``predict_run`` keeps what it computes before the DLB factor in a
+caller's memo and does one balance search per such pair.
 """
 
 from __future__ import annotations
@@ -35,9 +37,9 @@ import functools
 import math
 from typing import NamedTuple, Optional
 
-from .errors import MdtuneError
+from .errors import InvalidConfigError, MdtuneError
 from .hardware import NodeSpec
-from .launch import LaunchConfig, Workload, rank_threads, validate_config
+from .launch import LaunchConfig, Workload, validate_config
 from .wire import checked, from_doc, read, validate
 
 # Mesh grid dimensions must factor into these primes for fast transforms.
@@ -164,10 +166,7 @@ def grid_ladder(
         if _mesh_at(spacing0, box, k_max, grid0) == mesh:
             return tuple(breaks), tuple(meshes)
         hi = k_max  # the mesh at lo is mesh, the one at hi is not
-        while True:
-            mid = 0.5 * (lo + hi)
-            if mid == lo or mid == hi:
-                break
+        while (mid := 0.5 * (lo + hi)) not in (lo, hi):
             if _mesh_at(spacing0, box, mid, grid0) == mesh:
                 lo = mid
             else:
@@ -216,6 +215,9 @@ class SyntheticNodeProfile(NamedTuple):
                 raise MdtuneError(f"{name} must be positive")
         if not self.max_balance >= 1:
             raise MdtuneError("max_balance must be >= 1")
+        for name, value in zip(self._fields, self):
+            if value is not None and not math.isfinite(value):
+                raise MdtuneError(f"{name} must be finite, not {value!r}")
         return self
 
 
@@ -233,10 +235,20 @@ class PredictedRun(NamedTuple):
 def _cpu_capacity(profile: SyntheticNodeProfile, node: NodeSpec, threads_used: int,
                   n_th: int, use_ht: bool) -> float:
     """Work-units/s delivered by ``threads_used`` hardware threads."""
-    physical = node.cpu.total_cores
-    cores_used = min(threads_used, physical)
+    cores_used = min(threads_used, node.cpu.total_cores)
     ht_factor = profile.ht_speedup if (use_ht and threads_used > cores_used) else 1.0
     return cores_used * profile.cpu_rate * profile.thread_efficiency(max(1, n_th)) * ht_factor
+
+
+def _cpu_times(mesh: float, w_sr_cpu: float, w_bonded: float, cpu_cap: float,
+               pme_share: float, n_gpus: int) -> tuple[float, Optional[float]]:
+    """(overlapped CPU time, PME mesh/force load or None) at ``mesh`` work-units."""
+    if not pme_share:
+        return (w_sr_cpu + mesh + w_bonded) / cpu_cap, None
+    # dedicated mesh ranks: each side only has its own cores
+    t_mesh = mesh / (cpu_cap * pme_share)
+    t_pp = (w_sr_cpu + w_bonded) / (cpu_cap * (1.0 - pme_share))
+    return max(t_mesh, t_pp), None if n_gpus else t_mesh / t_pp
 
 
 def dlb_pair_key(config: LaunchConfig, workload: Workload) -> tuple:
@@ -253,9 +265,11 @@ def predict_run(
     workload: Workload,
     memo: Optional[dict] = None,
 ) -> PredictedRun:
-    """Deterministic per-step cost model; see predict_performance.
+    """Deterministic per-step cost model, one pass per config; see predict_performance.
 
     Without GPUs the CPU keeps all short-range work and the shift factor stays 1.
+    A CPU or GPU capacity that is not positive (a huge ``thread_efficiency_decay``
+    or ``gpu_share_overhead`` underflows it to 0.0) raises InvalidConfigError.
     ``memo`` is one caller's dict for one profile and node. A config with
     GPUs keeps in it what it computes before the DLB factor (see the module
     docstring), keyed by ``dlb_pair_key``, so a config that differs from an
@@ -268,14 +282,11 @@ def predict_run(
         key = dlb_pair_key(config, workload)
         shared = memo.get(key)
     if shared is None:
-        validate_config(config, node)
-
-        budget, n_th, pme_th = rank_threads(config, node)
+        budget, n_th, pme_th = validate_config(config, node)
         nstlist = config.nstlist if config.nstlist is not None else 10
-        atoms = workload.atoms
 
         # Per-step work split (work-units); buffer grows with the search interval.
-        work = float(atoms)
+        work = float(workload.atoms)
         w_sr = work * profile.offload_fraction_base * (1.0 + profile.buffer_growth * nstlist)
         w_pme = work * profile.pme_fraction_base
         w_rest = work * max(0.0, 1.0 - profile.offload_fraction_base - profile.pme_fraction_base)
@@ -287,9 +298,14 @@ def predict_run(
         threads_total = pp_ranks * n_th + config.n_pme * pme_th
         cpu_cap = _cpu_capacity(profile, node, min(threads_total // config.nodes, budget),
                                 n_th, config.use_ht) * config.nodes
+        if not cpu_cap > 0:
+            raise InvalidConfigError(f"the synthetic CPU capacity is not positive: {cpu_cap!r}")
         pme_share = config.n_pme * pme_th / threads_total if config.n_pme else 0.0
 
-        gpu_cap = 0.0
+        state = unshifted_state(workload.rc0, workload.spacing0, workload.box)
+        t_cpu_overlap, pme_load = _cpu_times(w_pme * state.pme_cost_ratio, w_sr_cpu, w_bonded,
+                                             cpu_cap, pme_share, n_gpus)
+        t_gpu = 0.0
         if n_gpus:
             clock_factor = 1.0
             if profile.app_clock_mhz and node.gpus:
@@ -297,41 +313,31 @@ def predict_run(
             ranks_per_gpu = max(1, pp_ranks // max(1, n_gpus * config.nodes))
             share_penalty = 1.0 + profile.gpu_share_overhead * (ranks_per_gpu - 1)
             gpu_cap = n_gpus * config.nodes * profile.gpu_rate * clock_factor / share_penalty
-
-        def cpu_times(pme_cost_ratio: float):
-            """(overlapped CPU time, PME mesh/force load) at a mesh cost ratio."""
-            mesh = w_pme * pme_cost_ratio
-            if not pme_share:
-                return (w_sr_cpu + mesh + w_bonded) / cpu_cap, None
-            # dedicated mesh ranks: each side only has its own cores
-            t_mesh = mesh / (cpu_cap * pme_share)
-            t_pp = (w_sr_cpu + w_bonded) / (cpu_cap * (1.0 - pme_share))
-            return max(t_mesh, t_pp), None if n_gpus else t_mesh / t_pp
-
-        def times(state: BalanceState):
-            t_gpu = w_sr * state.pp_cost_ratio / gpu_cap if n_gpus else 0.0
-            return state, t_gpu, *cpu_times(state.pme_cost_ratio)
+            if not gpu_cap > 0:
+                raise InvalidConfigError(
+                    f"the synthetic GPU capacity is not positive: {gpu_cap!r}")
+            t_gpu = w_sr * state.pp_cost_ratio / gpu_cap
 
         # Find the work shift that balances GPU against overlapped CPU time.
-        k_lo, k_hi = 1.0, profile.max_balance
-        state, t_gpu, t_cpu_overlap, pme_load = times(
-            unshifted_state(workload.rc0, workload.spacing0, workload.box))
         if n_gpus and t_gpu < t_cpu_overlap:  # GPU has headroom: shift work toward it
             # Work shifts below one k (see the module docstring), in the last piece i
             # that shifts at its first k: every k before i shifts, none after it does.
+            k_lo, k_hi = 1.0, profile.max_balance
             breaks, meshes = grid_ladder(workload.spacing0, workload.box, k_hi)
+            cpu = w_sr_cpu, w_bonded, cpu_cap, pme_share, n_gpus
             i = bisect.bisect_left(range(len(breaks)), True, 1, key=lambda j: (
-                w_sr * breaks[j] / gpu_cap >= cpu_times(meshes[j][1])[0])) - 1
-            t_c = cpu_times(meshes[i][1])[0]
-            start, end = breaks[i], (*breaks[1:], math.inf)[i]
+                w_sr * breaks[j] / gpu_cap >= _cpu_times(w_pme * meshes[j][1], *cpu)[0])) - 1
+            t_c = _cpu_times(w_pme * meshes[i][1], *cpu)[0]
+            start, end = breaks[i], breaks[i + 1] if i + 1 < len(breaks) else math.inf
             for _ in range(48):
                 k_mid = 0.5 * (k_lo + k_hi)
                 if k_mid < start or k_mid < end and w_sr * k_mid / gpu_cap < t_c:
                     k_lo = k_mid
                 else:
                     k_hi = k_mid
-            state, t_gpu, t_cpu_overlap, _ = times(_state(
-                workload.rc0, workload.box, k_lo, meshes[bisect.bisect_right(breaks, k_lo) - 1]))
+            mesh = meshes[bisect.bisect_right(breaks, k_lo) - 1]
+            state = _state(workload.rc0, workload.box, k_lo, mesh)
+            t_gpu, t_cpu_overlap = w_sr * k_lo / gpu_cap, _cpu_times(w_pme * mesh[1], *cpu)[0]
         step = max(t_gpu, t_cpu_overlap) + w_nonoverlap / cpu_cap
         if key is not None:
             memo[key] = state, t_gpu, t_cpu_overlap, pme_load, step
@@ -345,15 +351,8 @@ def predict_run(
     if config.nodes > 1:
         step += profile.comm_per_node * (config.nodes - 1) / config.nodes
 
-    ns_per_day = workload.timestep_fs * 1e-6 * 86400.0 / step
-    return PredictedRun(
-        ns_per_day=ns_per_day,
-        balance=state,
-        gpu_time_s=t_gpu,
-        cpu_overlap_time_s=t_cpu_overlap,
-        pme_mesh_force_load=pme_load,
-        step_time_s=step,
-    )
+    return PredictedRun(workload.timestep_fs * 1e-6 * 86400.0 / step, state, t_gpu,
+                        t_cpu_overlap, pme_load, step)
 
 
 def predict_performance(

@@ -13,6 +13,7 @@ a config from anywhere else, such as a plan file, against a node.
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import InvalidConfigError, count_error
@@ -97,11 +98,12 @@ def rank_threads(config: LaunchConfig, node: NodeSpec) -> tuple[int, int, int]:
     return budget, n_th, config.n_th_pme or n_th
 
 
-def validate_config(config: LaunchConfig, node: NodeSpec) -> None:
+def validate_config(config: LaunchConfig, node: NodeSpec) -> tuple[int, int, int]:
     """Check a config against a node; raises InvalidConfigError on violation.
 
     A config uses the GPUs its gpu_id names, any subset of the node's: one
-    digit per PP rank on a node, each below the node's GPU count.
+    digit per PP rank on a node, each below the node's GPU count. Returns
+    what ``rank_threads`` gives for the config, which the check computes.
     """
     if config.n_rank % config.nodes != 0:
         raise InvalidConfigError(
@@ -133,6 +135,7 @@ def validate_config(config: LaunchConfig, node: NodeSpec) -> None:
         raise InvalidConfigError(
             f"{config.n_rank} ranks exceed {budget} threads per node x {config.nodes} nodes"
         )
+    return budget, n_th, pme_th
 
 
 def gpu_id_string(n_gpus: int, n_pp_ranks: int) -> str:
@@ -343,10 +346,12 @@ class Workload(NamedTuple):
                                      f"reset_steps ({self.reset_steps})")
         if any(length > MAX_MESH_POINTS * self.spacing0 for length in self.box):
             raise InvalidConfigError(f"box_nm / spacing0_nm exceeds {MAX_MESH_POINTS} mesh points")
-        for name, value in (("rc0_nm", self.rc0), ("spacing0_nm", self.spacing0),
+        for name, value in (("timestep_fs", self.timestep_fs), ("rc0_nm", self.rc0),
+                            ("spacing0_nm", self.spacing0),
                             *(("box_nm", length) for length in self.box)):
-            if not value > 0:  # so that NaN fails too
-                raise InvalidConfigError(f"{name} must be positive, not {value!r}")
+            if not 0 < value < math.inf:  # so that NaN fails too
+                raise InvalidConfigError(
+                    f"{name} must be {'finite' if value > 0 else 'positive'}, not {value!r}")
         return self if type(self.box) is tuple else self._replace(box=tuple(self.box))
 
 

@@ -23,12 +23,14 @@ do not parse raises LogParseError with the offset of the number.
 Each scan starts only where a match can start, so a parse costs about one
 step per line (and per keyword), not one per character:
 
- - "Performance:", the table's "initial"/"final" rows and its "cost-ratio"
-   line start a line after optional whitespace. Their scans jump from
-   newline to newline; a newline put before the text lets "Performance:"
-   match on its first line, and its offsets stay those of the text as given.
+ - "Performance:" starts a line after optional whitespace, and is read from
+   the end of the log: its pattern is tried at the start of the line of the
+   last keyword literal (``str.rfind``), then of the one before, until a
+   line matches. A line holds at most one match, so that one is the last.
+ - the table's "initial"/"final" rows and its "cost-ratio" line start a line
+   after optional whitespace. Their scans jump from newline to newline.
  - "NOTE:" blocks start a line; the scan jumps to each newline-"NOTE:", with
-   a newline put before the text as for "Performance:".
+   a newline put before the text so that a block on its first line matches.
  - the PME load line, the GPU/CPU line and the table header are found by
    their keywords wherever they stand.
  - the table's rows and "cost-ratio" line are searched from the last table
@@ -37,11 +39,11 @@ step per line (and per keyword), not one per character:
 
 A log without a keyword costs one substring test for it: the PME load, the
 GPU/CPU and the NOTE scans, like the table's, run only when their keyword's
-literal is in the text. A keyword's matches are still taken from the start
-of the text, without overlap, and the last one wins. The GPU/CPU triple and
-the table's rows convert their numbers in one step; only a number that
-overflows a float or does not convert to an int is looked for again, one at
-a time, so that the error names it and its offset.
+literal is in the text. The matches of every keyword but "Performance:" are
+still taken from the start of the text, without overlap, and the last one
+wins. The GPU/CPU triple and the table's rows convert their numbers in one
+step; only a number that overflows a float or does not convert to an int is
+looked for again, one at a time, so that the error names it and its offset.
 
 Integrity checks (re-deriving the printed GPU/CPU ratio, cube-law check on
 the cutoff scaling) produce warnings in PerfMetrics.notes, not failures:
@@ -85,9 +87,11 @@ _GPU_CPU_NUMS = re.compile(
 )
 _LB_HEADER = "PP/PME load balancing changed the cut-off"
 
-# A line pattern is searched from the newline before each line, a literal the
-# regex engine skips to (before the first line, a newline put before the text).
-_PERF_RE = re.compile(rf"\n{_INDENT}*Performance:{_SP}+(\S+)")
+# "Performance:" is matched at the start of a line. The other line patterns
+# are searched from the newline before each line, a literal the regex engine
+# skips to (before the first line, a newline put before the text).
+_PERFORMANCE = "Performance:"
+_PERF_RE = re.compile(rf"{_INDENT}*{_PERFORMANCE}{_SP}+(\S+)")
 _LB_ROW_RE = re.compile(
     rf"\n{_INDENT}*(initial|final){_SP}+({NUMBER}){_SP}*nm{_SP}+({NUMBER}){_SP}*nm"
     rf"{_SP}+([0-9]+){_SP}+([0-9]+){_SP}+([0-9]+){_SP}+({NUMBER}){_SP}*nm{_SP}+({NUMBER}){_SP}*nm"
@@ -288,10 +292,15 @@ def parse_advisories(text: str) -> list[Advisory]:
 
 
 def parse_performance(text: str) -> Optional[float]:
-    m = _last(_PERF_RE.finditer("\n" + text))
+    """The last "Performance:" line's ns/day: the line of the last keyword
+    literal, or of the one before it while the line does not match."""
+    m, end = None, len(text)
+    while m is None and (end := text.rfind(_PERFORMANCE, 0, end)) >= 0:
+        end = text.rfind("\n", 0, end) + 1  # the start of its line
+        m = _PERF_RE.match(text, end)
     if m is None:
         return None
-    at = m.start(1) - 1  # in ``text``, without the newline put before it
+    at = m.start(1)
     value = _parse_number(m[1], at, "performance")
     if value <= 0:
         raise LogParseError(f"non-positive performance {value}", offset=at)

@@ -31,7 +31,7 @@ from mdtune.launch import (
     rank_threads,
     validate_config,
 )
-from mdtune.sweep import SyntheticExecutor
+from mdtune.sweep import SyntheticExecutor, run_sweep
 from mdtune.wire import from_doc, to_doc
 
 from conftest import make_node, profiles
@@ -176,6 +176,22 @@ class TestSyntheticProfile:
         with pytest.raises(MdtuneError, match="max_balance must be >= 1"):
             SyntheticNodeProfile(max_balance=0.5)
 
+    # NaN and -inf fail the bound of cpu_rate, gpu_rate and max_balance first
+    @pytest.mark.parametrize("field, value", [
+        (name, value) for name in SyntheticNodeProfile._fields
+        for value in (math.inf, -math.inf, math.nan)
+        if value == math.inf or name not in ("cpu_rate", "gpu_rate", "max_balance")])
+    def test_value_that_is_not_finite_rejected(self, field, value):
+        # thread_efficiency_decay = inf aborted a synthetic sweep with
+        # ZeroDivisionError; buffer_growth = inf recorded every run as
+        # "non-positive performance 0.0", and offload_fraction_base = NaN
+        # as "the synthetic prediction is not finite"
+        with pytest.raises(MdtuneError, match=f"^{field} must be finite, not {value!r}$"):
+            SyntheticNodeProfile(**{field: value})
+
+    def test_unset_application_clock_accepted(self):
+        assert SyntheticNodeProfile(app_clock_mhz=None).app_clock_mhz is None
+
 
 class TestPredictPerformance:
     def test_deterministic_bit_identical(self, gpu_node):
@@ -241,6 +257,34 @@ class TestPredictPerformance:
                                  gpu_id=gid, use_ht=node is gpu_node),
                     wl)
                 assert pm / (m * p1) <= 1.0 + 1e-9
+
+    @pytest.mark.parametrize("field, n_gpus, failing, kind, running", [
+        # 1 + 1e308 * 3 overflows, so the per-thread efficiency of a 4-thread rank is 0.0
+        ("thread_efficiency_decay", 0, LaunchConfig(n_rank=5, n_th=4), "CPU",
+         LaunchConfig(n_rank=20, n_th=1)),
+        ("thread_efficiency_decay", 2, LaunchConfig(n_rank=2, n_th=10, gpu_id="01"), "CPU",
+         LaunchConfig(n_rank=20, n_th=1, gpu_id=gpu_id_string(2, 20))),
+        # likewise the share penalty of four ranks on one GPU
+        ("gpu_share_overhead", 2, LaunchConfig(n_rank=8, n_th=5, gpu_id="00001111",
+                                               use_ht=True), "GPU",
+         LaunchConfig(n_rank=2, n_th=10, gpu_id="01")),
+    ])
+    def test_capacity_that_is_not_positive_fails_the_config(self, field, n_gpus, failing,
+                                                            kind, running):
+        # each raised ZeroDivisionError, which aborted a synthetic sweep
+        node, profile = make_node(n_gpus=n_gpus), SyntheticNodeProfile(**{field: 1e308})
+        with pytest.raises(InvalidConfigError,
+                           match=f"^the synthetic {kind} capacity is not positive: 0.0$"):
+            predict_run(profile, node, failing, Workload())
+        assert predict_run(profile, node, running, Workload()).ns_per_day > 0
+
+    def test_sweep_records_a_capacity_that_is_not_positive(self, gpu_node):
+        profile = SyntheticNodeProfile(gpu_share_overhead=1e308)
+        configs = enumerate_plan(gpu_node)
+        result = run_sweep(configs, SyntheticExecutor(gpu_node, profile), Workload())
+        assert result.rows and len(result.rows) + len(result.failures) == len(configs)
+        assert {f.error for f in result.failures} == {
+            "the synthetic GPU capacity is not positive: 0.0"}
 
     def test_balanced_state_exposed(self, gpu_node):
         wl = Workload(atoms=2_000_000, rc0=1.0, spacing0=RIB_SPACING, box=RIB_BOX)
@@ -401,6 +445,11 @@ def bisection_oracle(profile, node, config, workload):
 # Every planned config of 1- to 4-GPU nodes, with and without separate PME ranks.
 GPU_CONFIGS = [(node, config) for node in (make_node(n_gpus=g) for g in (1, 2, 3, 4))
                for config in enumerate_plan(node)]
+# Every planned config of two CPU-only nodes over an nstlist scan: the
+# dual 10-core test node, and a 4-socket 16-core node whose plan has
+# separate-PME variants.
+CPU_CONFIGS = [(node, config) for node in (make_node(), make_node(cores_per_socket=16, sockets=4))
+               for config in enumerate_plan(node, SweepOptions(nstlist=(10, 20, 40, 80)))]
 WORKLOADS = (
     Workload(),
     Workload(atoms=2_000_000, spacing0=RIB_SPACING, box=RIB_BOX),
@@ -452,6 +501,7 @@ class TestOneBalanceSearchPerDlbPair:
 class TestBisectionOnTheLadder:
     def test_configs_cover_separate_pme(self):
         assert {config.n_pme > 0 for _, config in GPU_CONFIGS} == {False, True}
+        assert {config.n_pme > 0 for _, config in CPU_CONFIGS} == {False, True}
 
     @settings(max_examples=150, deadline=None)
     @given(profile=profiles, case=st.sampled_from(GPU_CONFIGS),
@@ -471,10 +521,24 @@ class TestBisectionOnTheLadder:
         SyntheticNodeProfile(max_balance=1.0 + 2.0 * 2.0 ** -52),
     ], ids=["default", "one_piece", "fast_gpu", "no_short_range", "k_max_at_adjacent_floats"])
     def test_every_config_matches_full_bisection(self, profile):
-        for node, config in GPU_CONFIGS:
+        for node, config in GPU_CONFIGS + CPU_CONFIGS:
             for workload in WORKLOADS:
                 assert repr(predict_run(profile, node, config, workload)) == repr(
                     bisection_oracle(profile, node, config, workload)), (config, workload)
+
+    @pytest.mark.parametrize("gpu_rate", [45640504.494575426, 418740457.98909605])
+    def test_shift_that_stops_just_short_of_a_break(self, gpu_rate):
+        # The GPU catches up with the CPU one ulp above a ladder break, closer
+        # than the 48 steps resolve: the bisection ends just below the break,
+        # in the piece before the one it searched, and takes that piece's mesh.
+        node = make_node(n_gpus=2)
+        config = LaunchConfig(n_rank=8, n_th=5, gpu_id="00001111", use_ht=True)
+        profile, workload = SyntheticNodeProfile(gpu_rate=gpu_rate), Workload()
+        run = predict_run(profile, node, config, workload)
+        breaks, _ = grid_ladder(workload.spacing0, workload.box, profile.max_balance)
+        k = run.balance.pp_cost_ratio
+        assert 0 < breaks[bisect.bisect_right(breaks, k)] - k < 1e-13
+        assert repr(run) == repr(bisection_oracle(profile, node, config, workload))
 
     def test_balance_cutoff_not_called_once_the_workload_is_cached(self, monkeypatch,
                                                                    gpu_node):

@@ -737,6 +737,29 @@ class TestWorkloadLimits:
             1, "", f"error: workload.atoms: {10**400} is greater than the maximum of 1e+308\n")
 
 
+class TestProfileCapacity:
+    """A huge profile factor underflows the synthetic CPU or GPU capacity of
+    some configs to 0.0: each such run is a recorded failure, where the sweep
+    ended in ZeroDivisionError."""
+
+    @pytest.mark.parametrize("field, kind, keeps", [
+        ("thread_efficiency_decay", "CPU", lambda config: config["n_th"] == 1),
+        ("gpu_share_overhead", "GPU", lambda config: len(config["gpu_id"]) == 2),
+    ], ids=["thread_efficiency_decay", "gpu_share_overhead"])
+    def test_huge_factor_records_failures(self, tmp_path, capsys, field, kind, keeps):
+        profile = tmp_path / "profile.json"
+        profile.write_text(json.dumps({field: 1e308}))
+        code, out, err = run_cli(capsys, "sweep", "--manifest", MANIFEST, "--profile",
+                                 str(profile), "--format", "json", "--out", "-")
+        assert (code, err) == (0, "")
+        result = json.loads(out)
+        assert result["rows"] and result["failures"]
+        assert {f["error"] for f in result["failures"]} == {
+            f"the synthetic {kind} capacity is not positive: 0.0"}
+        # one thread per rank, or one PP rank per GPU, keeps its capacity
+        assert any(keeps(row["config"]) for row in result["rows"])
+
+
 class TestZeroTotalCost:
     """A row with no node cost and no power draw, or with a cost beyond a
     float, has no finite yield: every format rejects it with an error line

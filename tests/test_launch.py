@@ -156,6 +156,21 @@ class TestWorkload:
         with pytest.raises(InvalidConfigError, match=f"{wire} must be positive, not "):
             Workload(**{field: value})
 
+    @pytest.mark.parametrize("field, wire", [
+        ("rc0", "rc0_nm"), ("spacing0", "spacing0_nm"), ("timestep_fs", "timestep_fs"),
+    ])
+    def test_value_that_is_not_finite_rejected(self, field, wire):
+        # spacing0 = inf swept to rows, and rc0 = inf failed each GPU run as a
+        # log with no 'initial' load-balancing row
+        with pytest.raises(InvalidConfigError, match=f"^{wire} must be finite, not inf$"):
+            Workload(**{field: math.inf})
+
+    @pytest.mark.parametrize("value", [-2.0, 0.0, -math.inf, math.nan])
+    def test_timestep_that_is_not_positive_rejected(self, value):
+        # -2.0 failed each run as "malformed performance: '-151.15...'"
+        with pytest.raises(InvalidConfigError, match="^timestep_fs must be positive, not "):
+            Workload(timestep_fs=value)
+
     def test_zero_reset_steps_accepted(self):
         command = render_command(LaunchConfig(n_rank=1), EngineProfile(), Workload(reset_steps=0))
         assert command.endswith("-nsteps 5000 -resetstep 0")
