@@ -248,7 +248,11 @@ def _cpu_times(mesh: float, w_sr_cpu: float, w_bonded: float, cpu_cap: float,
     # dedicated mesh ranks: each side only has its own cores
     t_mesh = mesh / (cpu_cap * pme_share)
     t_pp = (w_sr_cpu + w_bonded) / (cpu_cap * (1.0 - pme_share))
-    return max(t_mesh, t_pp), None if n_gpus else t_mesh / t_pp
+    if n_gpus:
+        return max(t_mesh, t_pp), None
+    if not t_pp > 0:  # the mesh/force load would divide by it
+        raise InvalidConfigError(f"the synthetic PP ranks have no work to do: {t_pp!r} s")
+    return max(t_mesh, t_pp), t_mesh / t_pp
 
 
 def dlb_pair_key(config: LaunchConfig, workload: Workload) -> tuple:
@@ -269,7 +273,9 @@ def predict_run(
 
     Without GPUs the CPU keeps all short-range work and the shift factor stays 1.
     A CPU or GPU capacity that is not positive (a huge ``thread_efficiency_decay``
-    or ``gpu_share_overhead`` underflows it to 0.0) raises InvalidConfigError.
+    or ``gpu_share_overhead`` underflows it to 0.0) or not finite (a huge rate
+    overflows it), and separate PME ranks on a CPU-only node whose PP ranks
+    have no work, raise InvalidConfigError.
     ``memo`` is one caller's dict for one profile and node. A config with
     GPUs keeps in it what it computes before the DLB factor (see the module
     docstring), keyed by ``dlb_pair_key``, so a config that differs from an
@@ -298,8 +304,9 @@ def predict_run(
         threads_total = pp_ranks * n_th + config.n_pme * pme_th
         cpu_cap = _cpu_capacity(profile, node, min(threads_total // config.nodes, budget),
                                 n_th, config.use_ht) * config.nodes
-        if not cpu_cap > 0:
-            raise InvalidConfigError(f"the synthetic CPU capacity is not positive: {cpu_cap!r}")
+        if not 0 < cpu_cap < math.inf:
+            raise InvalidConfigError(f"the synthetic CPU capacity is not "
+                                     f"{'finite' if cpu_cap > 0 else 'positive'}: {cpu_cap!r}")
         pme_share = config.n_pme * pme_th / threads_total if config.n_pme else 0.0
 
         state = unshifted_state(workload.rc0, workload.spacing0, workload.box)
@@ -313,9 +320,9 @@ def predict_run(
             ranks_per_gpu = max(1, pp_ranks // max(1, n_gpus * config.nodes))
             share_penalty = 1.0 + profile.gpu_share_overhead * (ranks_per_gpu - 1)
             gpu_cap = n_gpus * config.nodes * profile.gpu_rate * clock_factor / share_penalty
-            if not gpu_cap > 0:
-                raise InvalidConfigError(
-                    f"the synthetic GPU capacity is not positive: {gpu_cap!r}")
+            if not 0 < gpu_cap < math.inf:
+                raise InvalidConfigError(f"the synthetic GPU capacity is not "
+                                         f"{'finite' if gpu_cap > 0 else 'positive'}: {gpu_cap!r}")
             t_gpu = w_sr * state.pp_cost_ratio / gpu_cap
 
         # Find the work shift that balances GPU against overlapped CPU time.

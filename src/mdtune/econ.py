@@ -157,13 +157,6 @@ def price(row: EconInput, params: EconParams = EconParams()) -> EconRow:
     return priced
 
 
-def perf_per_price(performance: float, cost_eur: float, normalizer_eur: float) -> float:
-    """ns/day per ``normalizer_eur`` of hardware cost."""
-    if cost_eur <= 0:
-        raise MdtuneError("cost must be positive")
-    return performance / (cost_eur / normalizer_eur)
-
-
 def parallel_efficiency(perf_m: float, m: int, perf_1: float) -> float:
     """Performance on m nodes relative to m times the single-node figure."""
     if m < 1:

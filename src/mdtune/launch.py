@@ -55,32 +55,32 @@ class LaunchConfig(NamedTuple):
     nodes: int = 1
 
     def _check(self):
-        if type(self.n_rank) is not int or self.n_rank < 1:
-            raise count_error("n_rank", self.n_rank, ">= 1")
-        if type(self.n_th) is not int or self.n_th < 0:
-            raise count_error("n_th", self.n_th, ">= 0")
-        if self.n_th_pme is not None and (type(self.n_th_pme) is not int or self.n_th_pme < 1):
-            raise count_error("n_th_pme", self.n_th_pme, ">= 1")
-        if self.nstlist is not None and (type(self.nstlist) is not int
-                                         or not 1 <= self.nstlist <= MAX_NSTLIST):
-            raise count_error("nstlist", self.nstlist, f"in [1, {MAX_NSTLIST}]")
-        if type(self.n_pme) is not int or not 0 <= self.n_pme < self.n_rank:
-            raise count_error("n_pme", self.n_pme, "in [0, n_rank)")
-        if self.dlb not in DLB_VALUES:
+        n_rank, n_th, n_pme, n_th_pme, dlb, gpu_id, use_ht, nstlist, dd_grid, nodes = self
+        if type(n_rank) is not int or n_rank < 1:
+            raise count_error("n_rank", n_rank, ">= 1")
+        if type(n_th) is not int or n_th < 0:
+            raise count_error("n_th", n_th, ">= 0")
+        if n_th_pme is not None and (type(n_th_pme) is not int or n_th_pme < 1):
+            raise count_error("n_th_pme", n_th_pme, ">= 1")
+        if nstlist is not None and (type(nstlist) is not int or not 1 <= nstlist <= MAX_NSTLIST):
+            raise count_error("nstlist", nstlist, f"in [1, {MAX_NSTLIST}]")
+        if type(n_pme) is not int or not 0 <= n_pme < n_rank:
+            raise count_error("n_pme", n_pme, "in [0, n_rank)")
+        if dlb not in DLB_VALUES:
             raise InvalidConfigError(f"dlb must be one of {DLB_VALUES}")
-        if type(self.nodes) is not int or self.nodes < 1:
-            raise count_error("nodes", self.nodes, ">= 1")
-        if type(self.use_ht) is not bool:  # 1 would pass, and alias True in a memo key
-            raise InvalidConfigError(f"use_ht must be True or False, not {self.use_ht!r}")
-        if self.gpu_id.strip("0123456789"):  # str.isdigit also takes "²" and "٠"
+        if type(nodes) is not int or nodes < 1:
+            raise count_error("nodes", nodes, ">= 1")
+        if type(use_ht) is not bool:  # 1 would pass, and alias True in a memo key
+            raise InvalidConfigError(f"use_ht must be True or False, not {use_ht!r}")
+        if gpu_id.strip("0123456789"):  # str.isdigit also takes "²" and "٠"
             raise InvalidConfigError("gpu_id must be a string of the digits 0-9")
-        if self.dd_grid is not None and (len(self.dd_grid) != 3 or min(self.dd_grid) < 1):
+        if dd_grid is not None and (len(dd_grid) != 3 or min(dd_grid) < 1):
             raise InvalidConfigError("dd_grid must be three counts >= 1")
-        if self.dd_grid is not None and {*map(type, self.dd_grid)} != {int}:
-            raise InvalidConfigError(f"dd_grid must be integers, not {self.dd_grid!r}")
-        if self.dd_grid is None or type(self.dd_grid) is tuple:
+        if dd_grid is not None and {*map(type, dd_grid)} != {int}:
+            raise InvalidConfigError(f"dd_grid must be integers, not {dd_grid!r}")
+        if dd_grid is None or type(dd_grid) is tuple:
             return self
-        return self._replace(dd_grid=tuple(self.dd_grid))
+        return self._replace(dd_grid=tuple(dd_grid))
 
     @property
     def n_pp(self) -> int:
@@ -224,13 +224,12 @@ def enumerate_plan(
             if options.pme_variants and not n_gpus and budget >= 20 and n_rank >= 8:
                 # every fraction of 8 or more ranks rounds into [1, n_rank / 2]
                 pme_counts += sorted({round(n_rank * f) for f in PME_FRACTIONS})
+            # Fields by position: keywords cost a dict through ``checked``'s wrapper.
             for n_pme in pme_counts:
                 for dlb in dlb_settings:
                     for nstlist in options.nstlist:
-                        configs.append(LaunchConfig(
-                            n_rank=n_rank, n_th=budget // n_rank, n_pme=n_pme, dlb=dlb,
-                            gpu_id=gpu_id, use_ht=use_ht, nstlist=nstlist,
-                        ))
+                        configs.append(LaunchConfig(n_rank, budget // n_rank, n_pme, None, dlb,
+                                                    gpu_id, use_ht, nstlist))
     if not n_gpus or not options.pme_variants:
         return configs
     for use_ht in ht_settings:
@@ -242,11 +241,9 @@ def enumerate_plan(
             splits.append((n_th - 1, n_th + 1))  # shift CPU power to the mesh
         for pp_th, pme_th in splits:
             for nstlist in options.nstlist:
-                configs.append(LaunchConfig(
-                    n_rank=2 * n_gpus * nodes, n_th=pp_th, n_pme=n_gpus * nodes,
-                    n_th_pme=pme_th, gpu_id=gpu_id_string(n_gpus, n_gpus), use_ht=use_ht,
-                    nstlist=nstlist, nodes=nodes,
-                ))
+                configs.append(LaunchConfig(2 * n_gpus * nodes, pp_th, n_gpus * nodes, pme_th,
+                                            "auto", gpu_id_string(n_gpus, n_gpus), use_ht,
+                                            nstlist, None, nodes))
     return configs
 
 

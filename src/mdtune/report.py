@@ -26,7 +26,6 @@ from .econ import (
     _check_priced,
     econ_row,
     parallel_efficiency,
-    perf_per_price,
     price,
     rank_hardware,
 )
@@ -97,13 +96,15 @@ def sweep_report(
     with_cost = node_cost_eur is not None
     if with_cost:
         header += ["cost (EUR)", f"ns/day per {PRICE_UNIT_EUR:g} EUR"]
-        cost = f"{node_cost_eur:.0f}"
+        if node_cost_eur <= 0 and result.rows:
+            raise MdtuneError("cost must be positive")
+        cost, per_unit = f"{node_cost_eur:.0f}", node_cost_eur / PRICE_UNIT_EUR
     rows = []
     for i, row in enumerate(result.ranked(), start=1):
         c = row.config
         cells = [
             str(i),
-            "x".join(map(str, c.dd_grid)) if c.dd_grid else str(c.n_pp),
+            "x".join(map(str, c.dd_grid)) if c.dd_grid else str(c.n_rank - c.n_pme),
             str(c.n_pme),
             str(c.n_th),
             c.dlb,
@@ -111,11 +112,10 @@ def sweep_report(
             c.gpu_id or "-",
             f"{row.mean_performance:.3f}",
             f"{row.stdev:.3f}",
-            _kinds(row.advisories) or "-",
+            row.advisories and _kinds(row.advisories) or "-",
         ]
         if with_cost:
-            cells += [cost,
-                      f"{perf_per_price(row.mean_performance, node_cost_eur, PRICE_UNIT_EUR):.2f}"]
+            cells += [cost, f"{row.mean_performance / per_unit:.2f}"]
         rows.append(cells)
     return _render(header, rows, fmt)
 

@@ -34,6 +34,7 @@ import math
 import os
 import signal
 import subprocess
+from operator import itemgetter
 from pathlib import Path
 from typing import NamedTuple, Optional, Protocol, Sequence
 
@@ -74,8 +75,8 @@ class SyntheticExecutor:
     Three memos live on the instance:
 
      - the last ``(config, workload)`` and its rendered log, so a repeat
-       costs one comparison: ``run_sweep`` asks for a config's repeats back
-       to back;
+       costs two identity tests: ``run_sweep`` asks for a config's repeats
+       back to back, with the same objects (equal new ones render afresh);
      - ``predict_run``'s memo: for each GPU config, keyed by
        ``dlb_pair_key`` (the config without its ``dlb``, and the workload),
        the balance search's result and the step time before the DLB factor,
@@ -84,7 +85,7 @@ class SyntheticExecutor:
      - under the same key, the log body of each GPU layout: everything
        before the Performance section. Nothing in it depends on ``dlb``, so
        the second config of a DLB pair appends only its own Performance
-       section to the first one's body.
+       section to the first one's body. A CPU-only log is rendered whole.
 
     They are per instance, not per module, so that they are dropped with the
     executor: a later sweep computes afresh, and a one-shot ``mdtune sweep``
@@ -105,9 +106,10 @@ class SyntheticExecutor:
         self._bodies: dict[tuple, str] = {}
 
     def run(self, config: LaunchConfig, workload: Workload) -> str:
-        if self._last[:2] != (config, workload):
-            self._last = config, workload, self._render(config, workload)
-        return self._last[2]
+        last = self._last
+        if last[0] is not config or last[1] is not workload:
+            self._last = last = config, workload, self._render(config, workload)
+        return last[2]
 
     def _render(self, config: LaunchConfig, workload: Workload) -> str:
         try:
@@ -116,18 +118,18 @@ class SyntheticExecutor:
             raise RunFailure(str(exc)) from exc
         if not math.isfinite(pred.ns_per_day):  # "inf" in a log would read as malformed
             raise RunFailure(f"the synthetic prediction is not finite: {pred.ns_per_day} ns/day")
-        key = dlb_pair_key(config, workload) if config.gpu_id else None
+        if not config.gpu_id:  # one log per CPU-only config: no body to share
+            return render_log(self._metrics(config, workload, pred, pred.ns_per_day))
+        key = dlb_pair_key(config, workload)
         body = self._bodies.get(key)
         if body is None:
-            body = render_log(self._body_metrics(config, workload, pred))
-            if key is not None:
-                self._bodies[key] = body
+            body = self._bodies[key] = render_log(self._metrics(config, workload, pred, None))
         return body + render_performance(pred.ns_per_day)
 
-    def _body_metrics(self, config: LaunchConfig, workload: Workload,
-                      pred: PredictedRun) -> PerfMetrics:
-        """The metrics of a log without its performance: nothing here reads
-        ``config.dlb`` or what ``predict_run`` computes after the DLB factor."""
+    def _metrics(self, config: LaunchConfig, workload: Workload, pred: PredictedRun,
+                 performance: Optional[float]) -> PerfMetrics:
+        """The metrics of a log with the given performance: nothing else here
+        reads ``config.dlb`` or what ``predict_run`` computes after the DLB factor."""
         load_balance, gpu_cpu, wait, notes = None, None, None, ()
         state = pred.balance
         if state.pp_cost_ratio > 1.0:
@@ -156,7 +158,7 @@ class SyntheticExecutor:
                         ),
                     ),
                 )
-        return PerfMetrics(None, load, wait, gpu_cpu, load_balance, notes)
+        return PerfMetrics(performance, load, wait, gpu_cpu, load_balance, notes)
 
 
 def _cutoff_row(state: BalanceState) -> CutoffSetting:
@@ -287,13 +289,9 @@ class SweepResult(NamedTuple):
 
 
 def _rank_key(row: SweepRow):
-    """Sort key: performance first, then the deterministic tie-breaks."""
-    return (
-        -row.mean_performance,
-        row.config.n_rank,
-        0 if row.config.dlb == "off" else 1,
-        0 if not row.config.use_ht else 1,
-    )
+    """Sort key: performance first, then fewer ranks, DLB off and HT off."""
+    config = row.config
+    return -row.mean_performance, config.n_rank, config.dlb != "off", config.use_ht
 
 
 def _sample_stdev(values: Sequence[float]) -> float:
@@ -368,13 +366,9 @@ def aggregate(runs: Sequence[Run]) -> SweepResult:
     """
     rows: list[SweepRow] = []
     failures: list[Failure] = []
-    end, n = 0, len(runs)
-    while end < n:
-        start, index = end, runs[end].index
-        while end < n and runs[end].index == index:
-            end += 1
+    for _, group in itertools.groupby(runs, itemgetter(0)):  # by Run.index
         perfs, best = [], None
-        for _, config, metrics, error in runs[start:end]:
+        for _, config, metrics, error in group:
             if error is not None:
                 failures.append(Failure(config, error))
                 break
@@ -386,8 +380,10 @@ def aggregate(runs: Sequence[Run]) -> SweepResult:
             stdev = 0.0 if perfs.count(perfs[0]) == len(perfs) else _sample_stdev(perfs)
             rows.append(SweepRow(config, mean, stdev, len(perfs), best, best.notes))
     best_index = None
-    if rows:
-        best_index = min(range(len(rows)), key=lambda i: (_rank_key(rows[i]), i))
+    if rows:  # the first of the top rows by the tie-breaks of ``_rank_key``
+        top = max([row.mean_performance for row in rows])
+        best_index = min([i for i, row in enumerate(rows) if row.mean_performance == top],
+                         key=lambda i: _rank_key(rows[i]))
     return SweepResult(rows=rows, failures=failures, best_index=best_index)
 
 

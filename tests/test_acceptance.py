@@ -16,7 +16,6 @@ from mdtune.econ import (
     PowerReading,
     effective_power,
     parallel_efficiency,
-    perf_per_price,
 )
 from mdtune.launch import LaunchConfig, gpu_id_string
 from mdtune.logparse import (
@@ -84,12 +83,12 @@ class TestCriterion1TableReproduction:
 
     def test_perf_per_price_columns(self):
         table = dict((label, (p, c)) for label, p, c in bd.MEM_SINGLE_NODE)
-        assert perf_per_price(*table["i7-4770K"], 205) == pytest.approx(1.89, abs=0.005)
-        assert perf_per_price(*table["i7-4770K + 980oc"], 205) == pytest.approx(4.28, abs=0.005)
+        assert bd.perf_per_price(*table["i7-4770K"], 205) == pytest.approx(1.89, abs=0.005)
+        assert bd.perf_per_price(*table["i7-4770K + 980oc"], 205) == pytest.approx(4.28, abs=0.005)
         for _, p, c in bd.MEM_SINGLE_NODE:
-            assert perf_per_price(p, c, 205) > 0.9
+            assert bd.perf_per_price(p, c, 205) > 0.9
         for _, p, c in bd.RIB_SINGLE_NODE:
-            assert perf_per_price(p, c, 3600) > 0.9
+            assert bd.perf_per_price(p, c, 3600) > 0.9
         ok("criterion 1b performance-to-price columns (normalizers 205/3600)")
 
     def test_scaling_and_ensemble_tables(self):

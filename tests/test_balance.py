@@ -278,6 +278,26 @@ class TestPredictPerformance:
             predict_run(profile, node, failing, Workload())
         assert predict_run(profile, node, running, Workload()).ns_per_day > 0
 
+    @pytest.mark.parametrize("fields, n_gpus, failing, message, running", [
+        # 20 cores x 1e308 overflow; one core's capacity is still finite
+        ({"cpu_rate": 1e308}, 0, LaunchConfig(n_rank=20, n_th=1, n_pme=4),
+         "the synthetic CPU capacity is not finite: inf", LaunchConfig(n_rank=1, n_th=1)),
+        ({"gpu_rate": 1e308}, 2, LaunchConfig(n_rank=2, n_th=10, gpu_id="01"),
+         "the synthetic GPU capacity is not finite: inf", LaunchConfig(n_rank=2, n_th=10)),
+        # every PP work-unit moves to the mesh; without PME ranks the CPU does it all
+        ({"offload_fraction_base": 0, "pme_fraction_base": 1}, 0,
+         LaunchConfig(n_rank=20, n_th=1, n_pme=4),
+         "the synthetic PP ranks have no work to do: 0.0 s", LaunchConfig(n_rank=20, n_th=1)),
+    ], ids=["cpu_rate", "gpu_rate", "no_pp_work"])
+    def test_capacity_that_is_not_finite_or_pp_work_of_zero_fails_the_config(
+            self, fields, n_gpus, failing, message, running):
+        # two raised ZeroDivisionError at the mesh/force load, which aborted a
+        # synthetic sweep; an infinite GPU capacity gave a run in no GPU time
+        node, profile = make_node(n_gpus=n_gpus), SyntheticNodeProfile(**fields)
+        with pytest.raises(InvalidConfigError, match=f"^{message}$"):
+            predict_run(profile, node, failing, Workload())
+        assert predict_run(profile, node, running, Workload()).ns_per_day > 0
+
     def test_sweep_records_a_capacity_that_is_not_positive(self, gpu_node):
         profile = SyntheticNodeProfile(gpu_share_overhead=1e308)
         configs = enumerate_plan(gpu_node)

@@ -739,8 +739,9 @@ class TestWorkloadLimits:
 
 class TestProfileCapacity:
     """A huge profile factor underflows the synthetic CPU or GPU capacity of
-    some configs to 0.0: each such run is a recorded failure, where the sweep
-    ended in ZeroDivisionError."""
+    some configs to 0.0, a huge rate overflows it, and a profile can leave
+    the PP ranks no work: each such run is a recorded failure, where the
+    sweep ended in ZeroDivisionError."""
 
     @pytest.mark.parametrize("field, kind, keeps", [
         ("thread_efficiency_decay", "CPU", lambda config: config["n_th"] == 1),
@@ -758,6 +759,32 @@ class TestProfileCapacity:
             f"the synthetic {kind} capacity is not positive: 0.0"}
         # one thread per rank, or one PP rank per GPU, keeps its capacity
         assert any(keeps(row["config"]) for row in result["rows"])
+
+
+    @pytest.mark.parametrize("profile, error", [
+        ({"cpu_rate": 1e308}, "the synthetic CPU capacity is not finite: inf"),
+        ({"offload_fraction_base": 0, "pme_fraction_base": 1},
+         "the synthetic PP ranks have no work to do: 0.0 s"),
+    ], ids=["cpu_rate", "no_pp_work"])
+    def test_cpu_only_node_records_failures(self, tmp_path, capsys, profile, error):
+        # each ended the sweep in ZeroDivisionError at the mesh/force load of a
+        # config with separate PME ranks
+        doc = json.loads((DATA / "manifest_mem.json").read_text())
+        doc["node"]["gpus"] = []
+        (tmp_path / "manifest.json").write_text(json.dumps(doc))
+        (tmp_path / "profile.json").write_text(json.dumps(profile))
+        code, out, err = run_cli(capsys, "sweep", "--manifest", str(tmp_path / "manifest.json"),
+                                 "--profile", str(tmp_path / "profile.json"),
+                                 "--format", "json", "--out", "-")
+        assert (code, err) == (0, "")
+        result = json.loads(out)
+        assert {f["error"] for f in result["failures"]} == {error}
+        if "cpu_rate" in profile:  # every config uses more than one core
+            assert result["rows"] == [] and result["best_index"] is None
+        else:  # the configs without separate PME ranks run
+            assert result["rows"]
+            assert {row["config"]["n_pme"] for row in result["rows"]} == {0}
+            assert all(f["config"]["n_pme"] for f in result["failures"])
 
 
 class TestZeroTotalCost:

@@ -14,12 +14,15 @@ from mdtune.econ import (
     econ_row,
     effective_power,
     parallel_efficiency,
-    perf_per_price,
     price,
     rank_hardware,
 )
 from mdtune.errors import MdtuneError, MissingDatumError
 from mdtune.hardware import DIRECT_WATTS
+from mdtune.launch import LaunchConfig
+from mdtune.logparse import PerfMetrics
+from mdtune.report import PRICE_UNIT_EUR, sweep_report
+from mdtune.sweep import SweepResult, SweepRow
 
 
 class TestEffectivePower:
@@ -107,19 +110,37 @@ class TestEconRow:
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
+def price_cells(performances, cost_eur):
+    """The cost and performance-to-price cells of a sweep report's rows."""
+    rows = [SweepRow(LaunchConfig(n_rank=i + 1), p, 0.0, 1, PerfMetrics(p))
+            for i, p in enumerate(performances)]
+    table = sweep_report(SweepResult(rows, [], 0 if rows else None), node_cost_eur=cost_eur)
+    return [line.strip("| ").split(" | ")[-2:] for line in table.splitlines()[2:]]
+
+
 class TestPerfPerPrice:
+    """Performance to price, which the sweep report prints per 1000 EUR: a
+    cost scaled by 1000 / normalizer prints a table's figure per normalizer."""
+
     def test_budget_desktop(self):
-        assert perf_per_price(7.364, 800, 205) == pytest.approx(1.89, abs=0.005)
+        assert price_cells([7.364], 800 * PRICE_UNIT_EUR / 205) == [["3902", "1.89"]]
 
     def test_desktop_with_gpu(self):
-        assert perf_per_price(26.081, 1250, 205) == pytest.approx(4.28, abs=0.005)
+        assert price_cells([26.081], 1250 * PRICE_UNIT_EUR / 205) == [["6098", "4.28"]]
 
     def test_normalizer_equal_cost(self):
-        assert perf_per_price(3.3, 2500, 2500) == pytest.approx(3.3)
+        perfs = [3.3, 2.0, 0.1]
+        assert price_cells(perfs, PRICE_UNIT_EUR) == [["1000", "3.30"], ["1000", "2.00"],
+                                                      ["1000", "0.10"]]
+        assert price_cells(perfs, 2500) == [
+            ["2500", f"{bd.perf_per_price(p, 2500, PRICE_UNIT_EUR):.2f}"] for p in perfs]
 
     def test_zero_cost_rejected(self):
-        with pytest.raises(MdtuneError):
-            perf_per_price(1.0, 0, 205)
+        # the error comes once a row is priced: an empty table has no cell to price
+        for cost in (0, -5.0):
+            assert price_cells([], cost) == []
+            with pytest.raises(MdtuneError, match="cost must be positive"):
+                price_cells([1.0], cost)
 
 
 class TestParallelEfficiency:

@@ -19,6 +19,7 @@ from mdtune.balance import SyntheticNodeProfile, Workload, dlb_pair_key
 from mdtune.errors import MdtuneError, RunFailure
 from mdtune.hardware import total_hw_threads
 from mdtune.launch import (
+    DLB_VALUES,
     EngineProfile,
     LaunchConfig,
     SweepOptions,
@@ -255,6 +256,17 @@ class TestRepeatsDoneOnce:
         smaller = Workload(atoms=40_000)
         assert executor.run(a, smaller) == SyntheticExecutor(node).run(a, smaller) != first
 
+    @pytest.mark.parametrize("plan", ["cpu", "2gpu"])
+    def test_a_repeat_with_equal_new_objects(self, plan):
+        # the log slot tests identity: equal new objects render afresh, to the same bytes
+        node, configs = BASELINE_PLANS[plan]
+        executor, workload = SyntheticExecutor(node), Workload()
+        for config in configs[:6]:
+            first = executor.run(config, workload)
+            assert executor.run(config, workload) is first  # served from the slot
+            again = executor.run(LaunchConfig(*config), Workload(*workload))
+            assert again == first == SyntheticExecutor(node).run(config, workload)
+
     @pytest.mark.parametrize("plan", ["cpu", "4gpu"])
     def test_memos_hold_one_entry_per_gpu_layout_and_one_log(self, plan):
         node, configs = BASELINE_PLANS[plan]
@@ -354,6 +366,34 @@ class TestSelectBest:
         ])
         assert best.dlb == "off"
         assert best.use_ht is False
+
+    @staticmethod
+    def reference_best(rows):
+        """``best_index`` by the formulas its winner had before it was taken
+        from the top mean: every row's key, the lowest index among equals."""
+        def rank_key(row):
+            return (
+                -row.mean_performance,
+                row.config.n_rank,
+                0 if row.config.dlb == "off" else 1,
+                0 if not row.config.use_ht else 1,
+            )
+        return (min(range(len(rows)), key=lambda i: (rank_key(rows[i]), i)),
+                sorted(rows, key=rank_key))
+
+    @settings(max_examples=200, deadline=None)
+    @given(perfs=st.lists(st.sampled_from([5.0, 5.5, 7.25]), min_size=2, max_size=3,
+                          unique=True),
+           rows=st.lists(st.tuples(st.integers(0, 2), st.integers(1, 3),
+                                   st.sampled_from(DLB_VALUES), st.booleans()),
+                         min_size=1, max_size=12))
+    def test_winner_and_ranking_equal_the_reference_on_ties(self, perfs, rows):
+        # two or three performance values, so most rows tie on it exactly
+        result = aggregate([
+            Run(i, LaunchConfig(n_rank=n_rank, n_th=1, dlb=dlb, use_ht=use_ht),
+                PerfMetrics(performance=perfs[perf % len(perfs)]))
+            for i, (perf, n_rank, dlb, use_ht) in enumerate(rows)])
+        assert (result.best_index, result.ranked()) == self.reference_best(result.rows)
 
     def test_no_rows_raises(self):
         result = aggregate([])
@@ -538,6 +578,17 @@ class TestAggregate:
         result = aggregate(runs)
         assert result.failures == [Failure(self.config, "first")]
         assert [row.config for row in result.rows] == [self.other]
+        assert result.best_index == 0
+
+    def test_failures_and_a_row_between_them(self):
+        runs = (self.runs(1.0) + [Run(0, self.config, error="zero")]
+                + self.runs(2.0, 4.0, index=1, config=self.other)
+                + [Run(2, self.config, error="two")])
+        result = aggregate(runs)
+        assert result.failures == [Failure(self.config, "zero"), Failure(self.config, "two")]
+        (row,) = result.rows
+        assert (row.config, row.mean_performance, row.repeats) == (self.other, 3.0, 2)
+        assert row.metrics is runs[3].metrics
         assert result.best_index == 0
 
     def test_groups_by_index_not_config(self):

@@ -16,7 +16,6 @@ from mdtune.econ import (
     PowerReading,
     effective_power,
     parallel_efficiency,
-    perf_per_price,
 )
 from mdtune.hardware import DIRECT_WATTS
 from mdtune.report import (
@@ -133,16 +132,17 @@ class TestConsumption2Table:
 class TestPerfPerPrice:
     def test_mem_spot_values(self):
         table = dict((label, (p, c)) for label, p, c in bd.MEM_SINGLE_NODE)
+        normalizer = bd.MEM_PRICE_NORMALIZER_EUR
         p, c = table["i7-4770K"]
-        assert perf_per_price(p, c, bd.MEM_PRICE_NORMALIZER_EUR) == pytest.approx(1.89, abs=0.005)
+        assert bd.perf_per_price(p, c, normalizer) == pytest.approx(1.89, abs=0.005)
         p, c = table["i7-4770K + 980oc"]
-        assert perf_per_price(p, c, bd.MEM_PRICE_NORMALIZER_EUR) == pytest.approx(4.28, abs=0.005)
+        assert bd.perf_per_price(p, c, normalizer) == pytest.approx(4.28, abs=0.005)
 
     def test_normalizers_anchor_worst_row_near_unity(self):
         # the normalizer is picked so the worst combination lands near 1
         for rows, normalizer in ((bd.MEM_SINGLE_NODE, bd.MEM_PRICE_NORMALIZER_EUR),
                                  (bd.RIB_SINGLE_NODE, bd.RIB_PRICE_NORMALIZER_EUR)):
-            ratios = [perf_per_price(p, c, normalizer) for _, p, c in rows]
+            ratios = [bd.perf_per_price(p, c, normalizer) for _, p, c in rows]
             assert 0.9 <= min(ratios) <= 1.1
 
     @pytest.mark.parametrize("rows,normalizer", [
@@ -159,15 +159,15 @@ class TestPerfPerPrice:
             ("2xE5-2670v2", "2xE5-2670v2 + 2x780Ti"),
         ]
         for cpu_label, gpu_label in pairs:
-            base = perf_per_price(*table[cpu_label], normalizer)
-            boosted = perf_per_price(*table[gpu_label], normalizer)
+            base = bd.perf_per_price(*table[cpu_label], normalizer)
+            boosted = bd.perf_per_price(*table[gpu_label], normalizer)
             assert 1.6 <= boosted / base <= 3.8
 
     def test_hpc_gpu_does_not_improve_ratio(self):
         table = dict((label, (p, c)) for label, p, c in bd.MEM_SINGLE_NODE)
-        base = perf_per_price(*table["2xE5-2680v2"], bd.MEM_PRICE_NORMALIZER_EUR)
-        tesla = perf_per_price(*table["2xE5-2680v2 + 2xK20X"], bd.MEM_PRICE_NORMALIZER_EUR)
-        consumer = perf_per_price(*table["2xE5-2680v2 + 2x980+"], bd.MEM_PRICE_NORMALIZER_EUR)
+        base = bd.perf_per_price(*table["2xE5-2680v2"], bd.MEM_PRICE_NORMALIZER_EUR)
+        tesla = bd.perf_per_price(*table["2xE5-2680v2 + 2xK20X"], bd.MEM_PRICE_NORMALIZER_EUR)
+        consumer = bd.perf_per_price(*table["2xE5-2680v2 + 2x980+"], bd.MEM_PRICE_NORMALIZER_EUR)
         assert tesla == pytest.approx(base, rel=0.12)
         assert consumer > 1.8 * base
 
