@@ -252,7 +252,10 @@ def _cpu_times(mesh: float, w_sr_cpu: float, w_bonded: float, cpu_cap: float,
         return max(t_mesh, t_pp), None
     if not t_pp > 0:  # the mesh/force load would divide by it
         raise InvalidConfigError(f"the synthetic PP ranks have no work to do: {t_pp!r} s")
-    return max(t_mesh, t_pp), t_mesh / t_pp
+    load = t_mesh / t_pp
+    if not math.isfinite(load):  # a subnormal t_pp overflows it
+        raise InvalidConfigError(f"the synthetic PME mesh/force load is not finite: {load!r}")
+    return max(t_mesh, t_pp), load
 
 
 def dlb_pair_key(config: LaunchConfig, workload: Workload) -> tuple:
@@ -274,8 +277,10 @@ def predict_run(
     Without GPUs the CPU keeps all short-range work and the shift factor stays 1.
     A CPU or GPU capacity that is not positive (a huge ``thread_efficiency_decay``
     or ``gpu_share_overhead`` underflows it to 0.0) or not finite (a huge rate
-    overflows it), and separate PME ranks on a CPU-only node whose PP ranks
-    have no work, raise InvalidConfigError.
+    overflows it), separate PME ranks on a CPU-only node whose PP ranks have
+    no work or so little that the mesh/force load is not finite, and a step
+    time that is not finite (a huge ``rank_overhead`` overflows it) raise
+    InvalidConfigError.
     ``memo`` is one caller's dict for one profile and node. A config with
     GPUs keeps in it what it computes before the DLB factor (see the module
     docstring), keyed by ``dlb_pair_key``, so a config that differs from an
@@ -357,6 +362,8 @@ def predict_run(
     step += profile.rank_overhead * config.n_rank / config.nodes
     if config.nodes > 1:
         step += profile.comm_per_node * (config.nodes - 1) / config.nodes
+    if not math.isfinite(step):  # its rate would read 0.0 ns/day
+        raise InvalidConfigError(f"the synthetic step time is not finite: {step!r} s")
 
     return PredictedRun(workload.timestep_fs * 1e-6 * 86400.0 / step, state, t_gpu,
                         t_cpu_overlap, pme_load, step)

@@ -179,7 +179,7 @@ def _parse_weights(text: str) -> dict[str, float]:
 
 def _cmd_recommend(args) -> int:
     params, inputs = _read_rows(args.rows)
-    weights = _parse_weights(args.weights) if args.weights else None
+    weights = _parse_weights(args.weights) if args.weights is not None else None
     sys.stdout.write(_cli.report.recommend_report(inputs, params, weights, fmt=args.format))
     return 0
 

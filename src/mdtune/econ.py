@@ -197,9 +197,10 @@ def rank_hardware(
     Scores are weighted sums of per-criterion ranks, which makes the order
     invariant under any positive monotone rescaling of a criterion; under a
     single criterion this reduces to plain argsort. Ties keep input order.
-    The default preset ranks by lifetime yield alone.
+    The default preset (``weights`` None) ranks by lifetime yield alone; an
+    empty dict, like one of zero weights, names no criterion and is an error.
     """
-    weights = weights or LIFETIME_YIELD_PRESET
+    weights = LIFETIME_YIELD_PRESET if weights is None else weights
     active = [(c, w) for c, w in sorted(weights.items()) if w != 0]
     if not active:
         raise MdtuneError("no criterion has a non-zero weight")

@@ -41,9 +41,9 @@ A log without a keyword costs one substring test for it: the PME load, the
 GPU/CPU and the NOTE scans, like the table's, run only when their keyword's
 literal is in the text. The matches of every keyword but "Performance:" are
 still taken from the start of the text, without overlap, and the last one
-wins. The GPU/CPU triple and the table's rows convert their numbers in one
-step; only a number that overflows a float or does not convert to an int is
-looked for again, one at a time, so that the error names it and its offset.
+wins. Each number is read once, from its match, by ``_number``, ``_float`` or
+``_int``; a line's numbers are read in field order, so of two bad ones the
+first is named, at its offset in the log.
 
 Integrity checks (re-deriving the printed GPU/CPU ratio, cube-law check on
 the cutoff scaling) produce warnings in PerfMetrics.notes, not failures:
@@ -152,30 +152,32 @@ class PerfMetrics(NamedTuple):
     WIRE_NULLS = ("performance", "pme_mesh_force_load", "pp_pme_wait_pct")
 
 
-def _parse_number(raw: str, offset: int, what: str) -> float:
-    """``raw``, found at ``offset`` in the log, as a float."""
-    if not _NUMBER_RE.fullmatch(raw):
+def _number(m: re.Match, group: int, what: str) -> float:
+    """Group ``group`` of ``m``, checked to be a ``NUMBER``, as a float."""
+    if not _NUMBER_RE.fullmatch(m[group]):
         raise LogParseError(
-            f"malformed {what}: {raw!r} (only '.' decimal separators are accepted)",
-            offset=offset,
+            f"malformed {what}: {m[group]!r} (only '.' decimal separators are accepted)",
+            offset=m.start(group),
         )
-    return _float(raw, offset, what)
+    return _float(m, group, what)
 
 
-def _float(raw: str, offset: int, what: str) -> float:
-    """``raw``, a ``NUMBER`` found at ``offset``, as a float that is not infinite."""
-    value = float(raw)
+def _float(m: re.Match, group: int, what: str) -> float:
+    """Group ``group`` of ``m``, a ``NUMBER``, as a float that is not infinite."""
+    value = float(m[group])
     if value == math.inf:
-        raise LogParseError(f"{what} overflows a float: {raw[:20]}...", offset=offset)
+        raise LogParseError(f"{what} overflows a float: {m[group][:20]}...",
+                            offset=m.start(group))
     return value
 
 
-def _int(raw: str, offset: int, what: str) -> int:
-    """``raw``, ASCII digits found at ``offset``, as an int."""
+def _int(m: re.Match, group: int, what: str) -> int:
+    """Group ``group`` of ``m``, ASCII digits, as an int."""
     try:
-        return int(raw)
+        return int(m[group])
     except ValueError:  # more digits than int() converts
-        raise LogParseError(f"{what} has too many digits: {raw[:20]}...", offset=offset) from None
+        raise LogParseError(f"{what} has too many digits: {m[group][:20]}...",
+                            offset=m.start(group)) from None
 
 
 def _last(matches):
@@ -196,13 +198,13 @@ def parse_pme_load(text: str) -> Optional[tuple[float, Optional[float]]]:
     m = _last(_PME_LOAD_RE.finditer(text))
     if m is None:
         return None
-    load = _parse_number(m[1], m.start(1), "PME mesh/force load")
+    load = _number(m, 1, "PME mesh/force load")
     # the companion line sits within the next few lines when present
     start, end = _PME_WAIT_WINDOW_RE.match(text, m.end()).span(1)
     wait = None
     wm = _PME_WAIT_RE.search(text, start, end)
     if wm:
-        wait = _parse_number(wm[1], wm.start(1), "PP/PME wait percentage")
+        wait = _number(wm, 1, "PP/PME wait percentage")
         if not 0.0 <= wait <= 100.0:
             raise LogParseError(
                 f"PP/PME wait percentage {wait} outside [0, 100]",
@@ -218,35 +220,20 @@ def parse_gpu_cpu_ratio(text: str) -> Optional[GpuCpuRatio]:
     m = _last(_GPU_CPU_RE.finditer(text))
     if m is None:
         return None
-    nums = _GPU_CPU_NUMS.match(m[1])
+    nums = _GPU_CPU_NUMS.match(text, m.start(1), m.end(1))
     if not nums:
         raise LogParseError(
             f"malformed GPU/CPU force time line: {m[0].strip()!r}",
             offset=m.start(),
         )
-    ratio = GpuCpuRatio(*map(float, nums.groups()))
-    if math.inf not in ratio:
-        return ratio
-    at = m.start(1)  # a time overflows: name it as _float does
-    return GpuCpuRatio(_float(nums[1], at + nums.start(1), "GPU force time"),
-                       _float(nums[2], at + nums.start(2), "CPU force time"),
-                       _float(nums[3], at + nums.start(3), "GPU/CPU ratio"))
+    return GpuCpuRatio(_float(nums, 1, "GPU force time"), _float(nums, 2, "CPU force time"),
+                       _float(nums, 3, "GPU/CPU ratio"))
 
 
 def _table_row(m: re.Match) -> CutoffSetting:
-    _, rcoulomb, rlist, nx, ny, nz, spacing, inv_beta = m.groups()
-    try:
-        row = CutoffSetting(float(rcoulomb), float(rlist), (int(nx), int(ny), int(nz)),
-                            float(spacing), float(inv_beta))
-        if math.inf not in row:
-            return row
-    except ValueError:  # a grid count with more digits than int() converts
-        pass
-    # the number at fault raises, with its offset, as _float and _int do
-    return CutoffSetting(_float(m[2], m.start(2), "rcoulomb"), _float(m[3], m.start(3), "rlist"),
-                         (_int(m[4], m.start(4), "PME grid"), _int(m[5], m.start(5), "PME grid"),
-                          _int(m[6], m.start(6), "PME grid")),
-                         _float(m[7], m.start(7), "spacing"), _float(m[8], m.start(8), "1/beta"))
+    return CutoffSetting(_float(m, 2, "rcoulomb"), _float(m, 3, "rlist"),
+                         (_int(m, 4, "PME grid"), _int(m, 5, "PME grid"), _int(m, 6, "PME grid")),
+                         _float(m, 7, "spacing"), _float(m, 8, "1/beta"))
 
 
 def parse_load_balance_table(text: str) -> Optional[ParsedLoadBalance]:
@@ -270,8 +257,8 @@ def parse_load_balance_table(text: str) -> Optional[ParsedLoadBalance]:
     return ParsedLoadBalance(
         _table_row(rows["initial"]),
         _table_row(rows["final"]),
-        _parse_number(cost[1], cost.start(1), "PP cost ratio"),
-        _parse_number(cost[2], cost.start(2), "PME cost ratio"),
+        _number(cost, 1, "PP cost ratio"),
+        _number(cost, 2, "PME cost ratio"),
     )
 
 
@@ -300,10 +287,9 @@ def parse_performance(text: str) -> Optional[float]:
         m = _PERF_RE.match(text, end)
     if m is None:
         return None
-    at = m.start(1)
-    value = _parse_number(m[1], at, "performance")
+    value = _number(m, 1, "performance")
     if value <= 0:
-        raise LogParseError(f"non-positive performance {value}", offset=at)
+        raise LogParseError(f"non-positive performance {value}", offset=m.start(1))
     return value
 
 

@@ -288,15 +288,38 @@ class TestPredictPerformance:
         ({"offload_fraction_base": 0, "pme_fraction_base": 1}, 0,
          LaunchConfig(n_rank=20, n_th=1, n_pme=4),
          "the synthetic PP ranks have no work to do: 0.0 s", LaunchConfig(n_rank=20, n_th=1)),
-    ], ids=["cpu_rate", "gpu_rate", "no_pp_work"])
+        ({"offload_fraction_base": 1e-310, "pme_fraction_base": 1}, 0,
+         LaunchConfig(n_rank=20, n_th=1, n_pme=4),
+         "the synthetic PME mesh/force load is not finite: inf", LaunchConfig(n_rank=20, n_th=1)),
+    ], ids=["cpu_rate", "gpu_rate", "no_pp_work", "subnormal_pp_work"])
     def test_capacity_that_is_not_finite_or_pp_work_of_zero_fails_the_config(
             self, fields, n_gpus, failing, message, running):
         # two raised ZeroDivisionError at the mesh/force load, which aborted a
-        # synthetic sweep; an infinite GPU capacity gave a run in no GPU time
+        # synthetic sweep; an infinite GPU capacity gave a run in no GPU time;
+        # a subnormal PP time overflowed the load to inf, which the log carried
+        # and the parser rejected as "malformed PME mesh/force load: 'inf'"
         node, profile = make_node(n_gpus=n_gpus), SyntheticNodeProfile(**fields)
         with pytest.raises(InvalidConfigError, match=f"^{message}$"):
             predict_run(profile, node, failing, Workload())
         assert predict_run(profile, node, running, Workload()).ns_per_day > 0
+
+    @pytest.mark.parametrize("field, config", [
+        ("rank_overhead", LaunchConfig(n_rank=20, n_th=1)),
+        ("nstlist_penalty", LaunchConfig(n_rank=20, n_th=1)),
+        ("nstlist_penalty", LaunchConfig(n_rank=2, n_th=10, gpu_id="01")),
+        # 1e308 x 2 extra nodes overflows before the division by 3 nodes
+        ("comm_per_node", LaunchConfig(n_rank=60, n_th=1, nodes=3)),
+    ], ids=["rank_overhead", "nstlist_penalty", "nstlist_penalty_gpu", "comm_per_node"])
+    def test_step_time_that_is_not_finite_fails_the_config(self, gpu_node, field, config):
+        # the rate read 0.0 ns/day, which passed the executor's finiteness
+        # check and was recorded from the log as "non-positive performance 0.0"
+        profile = SyntheticNodeProfile(**{field: 1e308})
+        with pytest.raises(InvalidConfigError,
+                           match=r"^the synthetic step time is not finite: inf s$"):
+            predict_run(profile, gpu_node, config, Workload())
+        result = run_sweep([config], SyntheticExecutor(gpu_node, profile), Workload())
+        assert result.rows == [] and {f.error for f in result.failures} == {
+            "the synthetic step time is not finite: inf s"}
 
     def test_sweep_records_a_capacity_that_is_not_positive(self, gpu_node):
         profile = SyntheticNodeProfile(gpu_share_overhead=1e308)

@@ -390,6 +390,14 @@ class TestRecommend:
         assert (code, out) == (1, "")
         assert err == f"error: weight {bad} is not a finite number\n"
 
+    @pytest.mark.parametrize("weights", [",", "", "C1=0"], ids=["comma", "empty", "zero"])
+    def test_weights_that_name_no_criterion(self, econ_rows_file, capsys, weights):
+        # "," and "" printed the default C4 ranking and exited 0
+        code, out, err = run_cli(capsys, "recommend", "--rows", econ_rows_file,
+                                 "--weights", weights)
+        assert (code, out) == (1, "")
+        assert err == "error: no criterion has a non-zero weight\n"
+
 
 class TestMultiPlan:
     def test_five_replicas(self, capsys):
@@ -760,15 +768,32 @@ class TestProfileCapacity:
         # one thread per rank, or one PP rank per GPU, keeps its capacity
         assert any(keeps(row["config"]) for row in result["rows"])
 
+    @pytest.mark.parametrize("field", ["rank_overhead", "nstlist_penalty"])
+    def test_step_time_that_is_not_finite_records_failures(self, tmp_path, capsys, field):
+        # the rate read 0.0 ns/day, and each run was recorded as a log with a
+        # "non-positive performance 0.0" at some character offset
+        profile = tmp_path / "profile.json"
+        profile.write_text(json.dumps({field: 1e308}))
+        code, out, err = run_cli(capsys, "sweep", "--manifest", MANIFEST, "--profile",
+                                 str(profile), "--format", "json", "--out", "-")
+        assert (code, err) == (0, "")
+        result = json.loads(out)
+        assert result["rows"] == [] and result["best_index"] is None
+        assert {f["error"] for f in result["failures"]} == {
+            "the synthetic step time is not finite: inf s"}
 
     @pytest.mark.parametrize("profile, error", [
         ({"cpu_rate": 1e308}, "the synthetic CPU capacity is not finite: inf"),
         ({"offload_fraction_base": 0, "pme_fraction_base": 1},
          "the synthetic PP ranks have no work to do: 0.0 s"),
-    ], ids=["cpu_rate", "no_pp_work"])
+        ({"offload_fraction_base": 1e-310, "pme_fraction_base": 1},
+         "the synthetic PME mesh/force load is not finite: inf"),
+    ], ids=["cpu_rate", "no_pp_work", "subnormal_pp_work"])
     def test_cpu_only_node_records_failures(self, tmp_path, capsys, profile, error):
-        # each ended the sweep in ZeroDivisionError at the mesh/force load of a
-        # config with separate PME ranks
+        # the first two ended the sweep in ZeroDivisionError at the mesh/force
+        # load of a config with separate PME ranks; a subnormal PP time
+        # overflowed that load, and the run was recorded as a log with a
+        # "malformed PME mesh/force load: 'inf'"
         doc = json.loads((DATA / "manifest_mem.json").read_text())
         doc["node"]["gpus"] = []
         (tmp_path / "manifest.json").write_text(json.dumps(doc))

@@ -289,6 +289,12 @@ class TestRankHardware:
         ranked = rank_hardware(rows)
         assert labels(ranked)[0] == "cheap"
 
+    @pytest.mark.parametrize("weights", [{}, {"C1": 0}, {"C1": 0.0, "C4": 0.0}])
+    def test_weights_that_name_no_criterion_rejected(self, weights):
+        # an empty dict ranked by the default preset instead
+        with pytest.raises(MdtuneError, match="^no criterion has a non-zero weight$"):
+            rank_hardware([hw("a", performance=1.0)], weights)
+
     @settings(max_examples=50, deadline=None)
     @given(
         values=st.lists(

@@ -336,6 +336,27 @@ class TestOffsets:
             parse_metrics(text)
         assert err.value.offset == text.index(self.LONG)
 
+    FINAL_ROW = "final    1.607 nm  1.619 nm     144 144 144   0.217 nm  0.465 nm"
+
+    @pytest.mark.parametrize("row, what, bad", [
+        (f"final    1.607 nm  {HUGE} nm     144 144 144   {HUGE} nm  0.465 nm",
+         "rlist overflows a float", HUGE),
+        (f"final    1.607 nm  1.619 nm     144 {LONG} 144   0.217 nm  {HUGE} nm",
+         "PME grid has too many digits", LONG),
+    ], ids=["rlist_and_spacing", "grid_and_inv_beta"])
+    def test_first_bad_table_number_in_field_order_named(self, si_load_balance, row, what,
+                                                          bad):
+        text = si_load_balance.replace(self.FINAL_ROW, row)
+        with pytest.raises(LogParseError, match=f"^{what}: ") as err:
+            parse_metrics(text)
+        assert err.value.offset == text.index(bad)
+
+    def test_first_bad_gpu_cpu_number_in_field_order_named(self):
+        text = f"Log\n Force evaluation time GPU/CPU: {self.HUGE} ms/8.301 ms = {self.HUGE}\n"
+        with pytest.raises(LogParseError, match="^GPU force time overflows a float: ") as err:
+            parse_metrics(text)
+        assert err.value.offset == text.index(self.HUGE)
+
     @pytest.mark.parametrize("digits", ["\u0661\u0664\u0664", "\uff11\uff14\uff14"])
     def test_grid_count_of_other_than_ascii_digits_not_read(self, si_load_balance, digits):
         # \d took them, and int() read each as 144
